@@ -252,6 +252,7 @@ def analysis_report(rep: Representation, tol: Tolerances, seed: int,
             "dim_radical": rad,
             "semisimple_quotient_dim": semisimple,
             "generated_algebra_dim": alg.dimension,
+            "generated_algebra_svd_gap": _finite_or_str(alg.gap),
             "star_closed_end_dim": star_dim,
             "svd_gap": _finite_or_str(basis.gap),
             "svd_cutoff": basis.cutoff,

@@ -11,7 +11,10 @@ Simplicity follows the literal subrepresentation definition: the unital
 algebra generated by the vertex coordinate idempotents and the arrow maps
 (extended by zero) has the graded subrepresentations as its invariant
 subspaces, so the representation is simple iff that algebra is the full
-matrix algebra on the total space.
+matrix algebra on the total space.  The algebra is computed by spinning from
+the identity under the generators (the spin step of Parker's MeatAxe): each
+round multiplies only the newly added elements by the g generators, at a
+total cost of about g * d^6 for total dimension d.
 """
 
 from __future__ import annotations
@@ -56,12 +59,17 @@ def embed_tuple(rep: Representation, t: dict[str, np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraBasis:
-    """Orthonormal basis of a subalgebra of B(C^d), matrices viewed as vectors."""
+    """Orthonormal basis of a subalgebra of B(C^d), matrices viewed as vectors.
+
+    ``cutoff`` and ``gap`` are the evidence behind the rank decisions that
+    produced the basis; ``gap`` is ``inf`` where none was recorded.
+    """
 
     ambient_dim: int
     basis: tuple[np.ndarray, ...]
     dimension: int
     cutoff: float
+    gap: float = np.inf
 
     def span_residual(self, matrix: np.ndarray) -> float:
         """Distance from ``matrix`` to the span of the basis."""
@@ -78,15 +86,101 @@ class AlgebraBasis:
         return self.span_residual(eye) <= 1e-8 * scale
 
 
-def _orthonormal_rows(rows: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Orthonormal basis of the row space (rows as vectors in C^k)."""
-    if rows.shape[0] == 0:
-        return rows
-    _, svals, vh = np.linalg.svd(rows, full_matrices=False)
-    sigma_max = float(svals[0]) if svals.size else 0.0
-    cutoff = tol.svd_cutoff(*rows.shape, sigma_max)
+def _generators(rep: Representation) -> np.ndarray:
+    """Generators of the algebra in ``generated_algebra``, stacked as (g, d, d).
+
+    The coordinate idempotents of the vertices that are neither empty nor the
+    whole space, and every nonzero arrow map extended by zero.  The arrow maps
+    share one factor, 1 / ``map_scale``, which changes no generated algebra and
+    makes the rank decisions independent of the overall scale of the maps.
+    """
+    d = rep.total_dim
+    off = block_offsets(rep)
+    gens = []
+    for v in rep.quiver.vertices:
+        k = rep.dims[v]
+        if 0 < k < d:
+            e = np.zeros((d, d), dtype=complex)
+            e[off[v]:off[v] + k, off[v]:off[v] + k] = np.eye(k)
+            gens.append(e)
+    scale = rep.map_scale()
+    for a in rep.quiver.arrows:
+        f = rep.maps[a.name]
+        if f.size and np.any(f):
+            m = np.zeros((d, d), dtype=complex)
+            m[off[a.dst]:off[a.dst] + rep.dims[a.dst],
+              off[a.src]:off[a.src] + rep.dims[a.src]] = f / scale
+            gens.append(m)
+    return np.array(gens, dtype=complex).reshape(len(gens), d, d)
+
+
+def _new_directions(basis: np.ndarray, block: np.ndarray, tol: Tolerances
+                    ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """What the rows of ``block`` add to the span of the orthonormal rows ``basis``.
+
+    Classical Gram-Schmidt with one reorthogonalization, as two matrix
+    products, then one SVD of the residual.  The cutoff is measured against
+    the largest row norm of the unprojected block, so rounding noise left by
+    the projection is never taken for a new direction.  The gap is the
+    smallest kept singular value (the block's scale when nothing is kept) over
+    the largest discarded one.
+
+    Returns the new directions as orthonormal rows, the same number of unit
+    combinations of the block's rows that span them modulo ``basis``, the
+    cutoff and the gap.  The combinations, not the new directions, are what
+    the next round multiplies: a new direction is a residual divided by its
+    singular value, which magnifies its rounding error, and over many rounds
+    that error grows until it passes the cutoff as a spurious direction.
+    """
+    if block.shape[0] == 0 or not np.any(block):
+        return block[:0], block[:0], 0.0, np.inf
+    scale = float(np.max(np.linalg.norm(block, axis=1)))
+    resid = block
+    for _ in range(2):
+        resid = resid - (resid @ basis.conj().T) @ basis
+    try:
+        u, svals, vh = np.linalg.svd(resid, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"spin under the generators: {exc}") from None
+    cutoff = tol.svd_cutoff(*block.shape, scale)
     rank = int(np.count_nonzero(svals > cutoff))
-    return vh[:rank]
+    kept = float(svals[rank - 1]) if rank > 0 else scale
+    discarded = float(svals[rank]) if rank < svals.size else 0.0
+    gap = np.inf if discarded == 0.0 else kept / discarded
+    words = u[:, :rank].conj().T @ block
+    words /= np.linalg.norm(words, axis=1, keepdims=True)
+    return vh[:rank], words, cutoff, gap
+
+
+def _spin(start: np.ndarray, gens: np.ndarray,
+          tol: Tolerances) -> tuple[np.ndarray, float, float]:
+    """Smallest subspace that contains ``start`` and is closed under ``gens``.
+
+    ``start`` stacks k vectors, shape (k, d, 1), or matrices, shape (k, d, d);
+    ``gens`` stacks g matrices, shape (g, d, d), that act by left
+    multiplication.  This is the spin step of Parker's MeatAxe: each round
+    multiplies only what the previous round added by every generator, in one
+    batched product of g * k_new terms, and keeps what is new.  It stops when
+    a round adds nothing or the subspace is the whole space.  Returns an
+    orthonormal basis as rows, the largest cutoff and the smallest gap over
+    the rounds.
+    """
+    k, d, m = start.shape
+    n = d * m
+    basis = np.zeros((0, n), dtype=complex)
+    block = start.reshape(k, n)
+    cutoff, gap = 0.0, np.inf
+    while True:
+        new, words, round_cutoff, round_gap = _new_directions(basis, block, tol)
+        cutoff, gap = max(cutoff, round_cutoff), min(gap, round_gap)
+        if new.shape[0] == 0:
+            break
+        basis = np.vstack([basis, new])
+        if basis.shape[0] >= n:
+            break
+        block = np.einsum("gab,kbm->gkam", gens, words.reshape(-1, d, m),
+                          optimize=True).reshape(-1, n)
+    return basis, cutoff, gap
 
 
 def end_algebra(rep: Representation, tol: Tolerances = DEFAULT_TOL,
@@ -100,42 +194,26 @@ def end_algebra(rep: Representation, tol: Tolerances = DEFAULT_TOL,
 def generated_algebra(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> AlgebraBasis:
     """Unital algebra generated by vertex idempotents and extended arrow maps.
 
-    Span-closure under products, iterated until the dimension stabilizes;
-    aborts if the candidate dimension exceeds d^2 (impossible mathematically,
-    guards numerics).
+    The algebra is the span of all words in the generators, which is the
+    closure of span{I} under left multiplication by the generators; it is
+    computed by spinning span({I} and the generators) to that closure, at a
+    cost of about g * d^6 for g generators.  ``cutoff`` and ``gap`` are the
+    largest cutoff and the smallest gap of the spin's rank decisions.  Raises
+    NumericalFailure if the dimension exceeds d^2 (impossible mathematically,
+    guards numerics) or an SVD fails to converge.
     """
     if rep.is_zero():
         raise ValidationError("generated algebra of the zero representation")
     d = rep.total_dim
-    off = block_offsets(rep)
-    gens = [np.eye(d, dtype=complex)]
-    for v in rep.quiver.vertices:
-        k = rep.dims[v]
-        if k:
-            e = np.zeros((d, d), dtype=complex)
-            e[off[v]:off[v] + k, off[v]:off[v] + k] = np.eye(k)
-            gens.append(e)
-    for a in rep.quiver.arrows:
-        if rep.maps[a.name].size:
-            m = np.zeros((d, d), dtype=complex)
-            m[off[a.dst]:off[a.dst] + rep.dims[a.dst],
-              off[a.src]:off[a.src] + rep.dims[a.src]] = rep.maps[a.name]
-            gens.append(m)
-
-    rows = _orthonormal_rows(np.array([g.reshape(-1) for g in gens]), tol)
-    while True:
-        mats = rows.reshape(-1, d, d)
-        prods = np.einsum("iab,jbc->ijac", mats, mats).reshape(-1, d * d)
-        grown = _orthonormal_rows(np.vstack([rows, prods]), tol)
-        if grown.shape[0] > d * d:
-            raise NumericalFailure(
-                f"span closure exceeded ambient dimension squared ({d * d})"
-            )
-        if grown.shape[0] == rows.shape[0]:
-            break
-        rows = grown
+    gens = _generators(rep)
+    start = np.concatenate([np.eye(d, dtype=complex)[None], gens])
+    rows, cutoff, gap = _spin(start, gens, tol)
+    if rows.shape[0] > d * d:
+        raise NumericalFailure(
+            f"span closure exceeded ambient dimension squared ({d * d})"
+        )
     basis = tuple(np.ascontiguousarray(r.reshape(d, d)) for r in rows)
-    return AlgebraBasis(d, basis, len(basis), 0.0)
+    return AlgebraBasis(d, basis, len(basis), cutoff, gap)
 
 
 def radical_dimension(rep: Representation, tol: Tolerances = DEFAULT_TOL,
@@ -360,6 +438,7 @@ def _invariant_subspace_witness(rep: Representation, alg: AlgebraBasis,
     rng = np.random.default_rng(seed)
     d = rep.total_dim
     off = block_offsets(rep)
+    gens = _generators(rep)
     best: dict[str, np.ndarray] | None = None
     best_dim = d
     for _ in range(max_tries):
@@ -367,9 +446,8 @@ def _invariant_subspace_witness(rep: Representation, alg: AlgebraBasis,
         x = sum(c * b for c, b in zip(coeff, alg.basis))
         _, vectors = np.linalg.eig(x)
         for idx in range(vectors.shape[1]):
-            v = vectors[:, idx]
-            orbit = np.array([b @ v for b in alg.basis])
-            span = _orthonormal_rows(orbit, tol)
+            # the orbit of v under the unital algebra is its spin under the generators
+            span, _, _ = _spin(vectors[:, idx].reshape(1, d, 1), gens, tol)
             r = span.shape[0]
             if not 0 < r < min(d, best_dim + 1):
                 continue

@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import sys
 
 import numpy as np
+import pytest
 
 import quiverrep.intertwiner
-from quiverrep import jordan_block
+from quiverrep import NumericalFailure, example_reps, generated_algebra, jordan_block
 from quiverrep.cli import main
 from quiverrep.document import dumps, operator_to_json
 
@@ -37,6 +39,8 @@ def test_analyze_example6_document(tmp_path, capsys):
     assert report["verdicts"]["transitive"] is True
     assert report["verdicts"]["simple"] is False
     assert report["evidence"]["generated_algebra_dim"] == 3
+    gap = report["evidence"]["generated_algebra_svd_gap"]
+    assert gap == "inf" or gap > 1e6
     assert report["finite_truncation"] is False
 
 
@@ -314,3 +318,21 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_generated_algebra_svd_failure_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # only the SVDs called from structure.py fail, so End is still computed
+    real_svd = np.linalg.svd
+
+    def svd_failing_in_structure(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "quiverrep.structure":
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_failing_in_structure)
+    with pytest.raises(NumericalFailure, match="SVD did not converge"):
+        generated_algebra(example_reps("ex3", 3))
+    path = build_doc(tmp_path, capsys, "ex3", "N=3")
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 3
+    assert "SVD did not converge" in err

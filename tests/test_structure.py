@@ -7,7 +7,8 @@ from quiverrep import (NumericalFailure, ValidationError, are_isomorphic,
                        is_canonically_simple, is_indecomposable, is_irreducible,
                        is_simple, is_strongly_irreducible, is_transitive,
                        jordan_block, kronecker_rep, radical_dimension, restrict,
-                       shift, diagonal, zero_representation, Representation)
+                       shift, diagonal, zero_representation, Arrow, Quiver,
+                       Representation)
 from quiverrep.intertwiner import hom_scale
 from quiverrep.structure import generated_algebra, star_closed_end_dim
 
@@ -111,6 +112,110 @@ def test_canonically_simple_is_simple():
 def test_simple_zero_rep_rejected():
     with pytest.raises(ValidationError):
         is_simple(zero_representation(build_canonical("loop", 1)))
+
+
+# -- generated algebra -------------------------------------------------------
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _two_loops(a, b):
+    return Representation(build_canonical("loop", 2), {"1": a.shape[0]},
+                          {"a1": np.asarray(a, dtype=complex),
+                           "a2": np.asarray(b, dtype=complex)})
+
+
+def _block_triangular_pair(d, seed):
+    """A generic pair fixing a k-dimensional subspace, k = d // 2, in a random
+    orthonormal basis: it generates an algebra of dimension d^2 - k(d - k)."""
+    rng = np.random.default_rng(seed)
+    k = d // 2
+    a, b = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2))
+    a[k:, :k] = 0
+    b[k:, :k] = 0
+    u = _unitary(rng, d)
+    return _two_loops(u @ a @ u.conj().T, u @ b @ u.conj().T), k
+
+
+@pytest.mark.parametrize("d", range(7, 12))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generated_algebra_of_conjugated_block_triangular_pair(d, seed):
+    rep, k = _block_triangular_pair(d, 100 * d + seed)
+    alg = generated_algebra(rep)
+    assert alg.dimension == d * d - k * (d - k)
+    assert alg.gap > 1e6
+    rows = np.array([b.reshape(-1) for b in alg.basis])
+    assert np.allclose(rows @ rows.conj().T, np.eye(alg.dimension), atol=1e-10)
+    assert alg.contains_identity()
+    res = is_simple(rep)
+    assert not res.simple
+    sub = restrict(rep, res.witness)
+    assert 0 < sub.total_dim < d
+
+
+def _embedded_generators(dims, arrows):
+    """Vertex idempotents and arrow maps (src, dst, integer matrix) embedded
+    block by block into d x d integer matrices, built independently of the
+    library."""
+    off, pos = {}, 0
+    for v, k in dims.items():
+        off[v], pos = pos, pos + k
+    gens = []
+    for v, k in dims.items():
+        if k:
+            e = np.zeros((pos, pos), dtype=int)
+            e[off[v]:off[v] + k, off[v]:off[v] + k] = np.eye(k, dtype=int)
+            gens.append(e)
+    for src, dst, f in arrows:
+        m = np.zeros((pos, pos), dtype=int)
+        m[off[dst]:off[dst] + dims[dst], off[src]:off[src] + dims[src]] = f
+        gens.append(m)
+    return gens
+
+
+def test_generated_algebra_matches_exact_oracle_on_integer_loops():
+    rng = np.random.default_rng(8)
+    pairs = [tuple(rng.integers(-2, 3, size=(2, d, d))) for d in (2, 3, 3, 4)]
+    # strictly upper triangular: the words are nilpotent and reach length d - 1
+    for d in (3, 4, 5):
+        pairs.append(tuple(np.triu(rng.integers(-2, 3, size=(d, d)), 1) for _ in range(2)))
+    pairs.append((jordan_block(0.0, 5).real.astype(int), np.zeros((5, 5), dtype=int)))
+    for a, b in pairs:
+        assert generated_algebra(_two_loops(a, b)).dimension == \
+            exact_generated_algebra_dim([a, b])
+
+
+def test_generated_algebra_matches_exact_oracle_on_multi_vertex_quiver():
+    q = Quiver(("1", "2", "3"), (Arrow("a1", "1", "3"), Arrow("a2", "3", "1"),
+                                 Arrow("a3", "1", "2"), Arrow("a4", "3", "3")))
+    dims = {"1": 2, "2": 0, "3": 2}
+    f1, f2 = np.array([[1, 0], [0, 0]]), np.array([[0, 1], [0, 0]])
+    maps = {"a1": f1, "a2": f2, "a3": np.zeros((0, 2)), "a4": np.zeros((2, 2))}
+    rep = Representation(q, dims, {k: np.asarray(v, dtype=complex) for k, v in maps.items()})
+    gens = _embedded_generators(dims, [("1", "3", f1), ("3", "1", f2),
+                                       ("3", "3", np.zeros((2, 2), dtype=int))])
+    expected = exact_generated_algebra_dim(gens)
+    assert generated_algebra(rep).dimension == expected
+    assert expected < 16
+
+
+def test_generated_algebra_dimension_is_scale_and_unitary_invariant():
+    rng = np.random.default_rng(12)
+    generic = _two_loops(*(rng.standard_normal((6, 6)) for _ in range(2)))
+    block, _ = _block_triangular_pair(8, 3)
+    reps = [generic, block, example_reps("ex3", 6), example6()]
+    for rep in reps:
+        dim = generated_algebra(rep).dimension
+        for factor in (1e-6, 1e6):
+            scaled = Representation(rep.quiver, dict(rep.dims),
+                                    {k: factor * m for k, m in rep.maps.items()})
+            assert generated_algebra(scaled).dimension == dim
+        u = _unitary(rng, rep.total_dim)
+        turned = Representation(rep.quiver, dict(rep.dims),
+                                {k: u @ m @ u.conj().T for k, m in rep.maps.items()})
+        assert generated_algebra(turned).dimension == dim
 
 
 # -- canonically simple ------------------------------------------------------
