@@ -5,12 +5,15 @@ A representation document is an object with keys "quiver" (vertices plus
 arrows with name/src/dst), "dims" (vertex -> nonnegative integer) and "maps"
 (arrow -> row-major matrix whose entries are [re, im] pairs).  An optional
 "meta" object carries builder provenance (model name, params, seed,
-finite_truncation).  Parsers reject malformed input with positional messages.
+finite_truncation).  Parsers reject malformed input with positional messages;
+a matrix entry must be a pair of finite JSON numbers (booleans, NaN and
+Infinity are rejected).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -26,6 +29,16 @@ def matrix_to_json(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
 
 
+def _finite_number(x: Any) -> bool:
+    """A JSON number (not a boolean) inside the float range, not NaN or Infinity."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
+
+
 def matrix_from_json(data: Any, rows: int, cols: int, where: str) -> np.ndarray:
     if not isinstance(data, list):
         raise ValidationError(f"{where}: expected a list of rows")
@@ -37,9 +50,10 @@ def matrix_from_json(data: Any, rows: int, cols: int, where: str) -> np.ndarray:
             raise ValidationError(f"{where}, row {i + 1}: expected {cols} entries")
         for j, entry in enumerate(row):
             if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(x, (int, float)) for x in entry)):
+                    or not all(_finite_number(x) for x in entry)):
                 raise ValidationError(
-                    f"{where}, row {i + 1}, column {j + 1}: entries are [re, im] pairs"
+                    f"{where}, row {i + 1}, column {j + 1}: "
+                    "entries are [re, im] pairs of finite numbers"
                 )
             out[i, j] = complex(entry[0], entry[1])
     return out
@@ -141,7 +155,7 @@ def system_from_json(data: Any, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace
         raise ValidationError("inclusions: expected a list of matrices")
     mats = []
     for i, inc in enumerate(raw):
-        if not isinstance(inc, list):
+        if not isinstance(inc, list) or (inc and not isinstance(inc[0], list)):
             raise ValidationError(f"inclusions[{i}]: expected a list of rows")
         cols = len(inc[0]) if inc else 0
         mats.append(matrix_from_json(inc, d, cols, f"inclusions[{i}]"))

@@ -100,7 +100,11 @@ def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL,
                 np.kron(g, np.eye(asz))
         row += height
 
-    null = nullspace(system, tol)
+    # the largest arrow norm floors sigma_max in the cutoff: a loop system
+    # kron(I, f^T) - kron(g, I) cancels to rounding noise when f = g is scalar
+    arrow_norm = max((float(np.linalg.norm(m, 2))
+                      for m in (*a.maps.values(), *b.maps.values())), default=0.0)
+    null = nullspace(system, tol, scale=arrow_norm)
     basis = []
     for vec in null.basis:
         t = {}

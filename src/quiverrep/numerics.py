@@ -3,7 +3,8 @@
 Every rank decision in the package goes through :func:`nullspace` /
 :func:`numerical_rank` so that the threshold rule is stated in exactly one
 place: a singular value is discarded when it falls below
-``max(m, n) * eps * sigma_max * svd_factor``.
+``max(m, n) * eps * sigma_max * svd_factor``, with sigma_max floored by an
+optional reference scale (see :func:`nullspace`).
 """
 
 from __future__ import annotations
@@ -90,16 +91,30 @@ class NullspaceResult:
         return self.basis.shape[0]
 
 
-def nullspace(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> NullspaceResult:
-    """Orthonormal basis (as rows) of the numerical nullspace of ``matrix``."""
+def nullspace(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
+              scale: float = 0.0) -> NullspaceResult:
+    """Orthonormal basis (as rows) of the numerical nullspace of ``matrix``.
+
+    Only the factors the rank decision reads are computed.  A tall or square
+    matrix (m >= n) takes the thin SVD, whose V^H is already the full n x n
+    factor; the m x m U is never formed.  A wide matrix needs the full V^H,
+    and its U is only m x m.
+
+    ``scale`` floors sigma_max in the cutoff, which becomes
+    ``max(m, n) * eps * max(sigma_max, scale) * svd_factor``.  A caller that
+    knows the size of the data the matrix was built from passes it, so that a
+    matrix of pure rounding noise (sigma_max near 1e-15 from exactly
+    cancelling terms) has rank 0, not full rank.  The default 0 leaves the
+    cutoff relative to sigma_max alone.
+    """
     m, n = matrix.shape
     if n == 0:
         return NullspaceResult(np.zeros((0, 0), dtype=complex), 0, np.inf, 0.0, 0.0)
     if m == 0:
         return NullspaceResult(np.eye(n, dtype=complex), 0, np.inf, 0.0, 0.0)
-    _, svals, vh = np.linalg.svd(matrix, full_matrices=True)
+    _, svals, vh = np.linalg.svd(matrix, full_matrices=m < n)
     sigma_max = float(svals[0]) if svals.size else 0.0
-    cutoff = tol.svd_cutoff(m, n, sigma_max)
+    cutoff = tol.svd_cutoff(m, n, max(sigma_max, scale))
     rank = int(np.count_nonzero(svals > cutoff))
     kept = float(svals[rank - 1]) if rank > 0 else np.inf
     discarded = float(svals[rank]) if rank < svals.size else 0.0

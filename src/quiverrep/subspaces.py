@@ -56,22 +56,27 @@ def make_system(ambient_dim: int, inclusions,
 
 
 def system_end(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> AlgebraBasis:
-    """Orthonormal basis of { T : (I - P_i) T P_i = 0 for every subspace }."""
+    """Orthonormal basis of { T : (I - P_i) T P_i = 0 for every subspace }.
+
+    With the stored inclusion U_i (orthonormal columns) and an orthonormal
+    complement Q_i, the condition reads Q_i^H T U_i = 0.  Each subspace of
+    dimension k_i adds k_i (d - k_i) rows, Q_i^H (x) U_i^T, to the system, so
+    it has sum_i k_i (d - k_i) rows instead of one d^2 x d^2 projector block
+    per subspace.  The projector block is kron(Q_i, conj U_i) times this one,
+    a factor with orthonormal columns, so the singular values and the right
+    singular vectors are the same.
+    """
     d = system.ambient_dim
     if d == 0:
         return AlgebraBasis(0, (), 0, 0.0)
-    eye = np.eye(d, dtype=complex)
-    blocks = []
+    blocks = [np.zeros((0, d * d), dtype=complex)]
     for inc in system.inclusions:
-        proj = inc @ inc.conj().T
-        comp = eye - proj
-        # row-major vec((I-P) T P) = ((I-P) (x) P^T) vec(T)
-        blocks.append(np.kron(comp, proj.T))
-    if blocks:
-        system_matrix = np.vstack(blocks)
-    else:
-        system_matrix = np.zeros((0, d * d), dtype=complex)
-    null = nullspace(system_matrix, tol)
+        k = inc.shape[1]
+        if 0 < k < d:
+            comp = np.linalg.qr(inc, mode="complete")[0][:, k:]
+            # row-major vec(Q^H T U) = (Q^H (x) U^T) vec(T)
+            blocks.append(np.kron(comp.conj().T, inc.T))
+    null = nullspace(np.vstack(blocks), tol)
     basis = tuple(np.ascontiguousarray(row.reshape(d, d)) for row in null.basis)
     return AlgebraBasis(d, basis, len(basis), null.cutoff)
 

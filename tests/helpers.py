@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from quiverrep import Arrow, Quiver, Representation, direct_sum
+from quiverrep import Arrow, Quiver, Representation, direct_sum, jordan_block
 from quiverrep.numerics import random_complex
 
 
@@ -91,3 +91,19 @@ def random_decomposable(rng: np.random.Generator, quiver: Quiver,
     a = random_rep(rng, quiver, max_dim=max_dim)
     b = random_rep(rng, quiver, max_dim=max_dim)
     return conjugate(direct_sum(a, b), rng)
+
+
+def conjugated_jordan(rng: np.random.Generator,
+                      blocks: list[tuple[complex, int]]) -> tuple[np.ndarray, int]:
+    """S J S^-1 for the Jordan matrix J with the given (eigenvalue, size) blocks
+    and a random well-conditioned S, with the dimension of its commutant: the
+    sum over pairs of blocks at one eigenvalue of the smaller size."""
+    k = sum(p for _, p in blocks)
+    jordan = np.zeros((k, k), dtype=complex)
+    pos = 0
+    for lam, p in blocks:
+        jordan[pos:pos + p, pos:pos + p] = jordan_block(lam, p)
+        pos += p
+    s = random_complex(rng, (k, k)) + 2.0 * np.eye(k)
+    commutant = sum(min(p, q) for lam, p in blocks for mu, q in blocks if lam == mu)
+    return s @ jordan @ np.linalg.inv(s), commutant

@@ -139,3 +139,23 @@ def numpy_hom_dim(a, b) -> float:
     if not rows:
         return pos
     return pos - np.linalg.matrix_rank(np.array(rows))
+
+
+def dense_system_end_dim(system) -> int:
+    """End dimension of a subspace system through the projector formulation:
+    one d^2 x d^2 block (I - P_i) (x) P_i^T per subspace, stacked, with the
+    rank cut at max(m, n) * eps * sigma_max * 10 of the stacked shape."""
+    d = system.ambient_dim
+    if d == 0:
+        return 0
+    eye = np.eye(d, dtype=complex)
+    blocks = []
+    for inc in system.inclusions:
+        proj = inc @ inc.conj().T
+        blocks.append(np.kron(eye - proj, proj.T))
+    if not blocks:
+        return d * d
+    stacked = np.vstack(blocks)
+    svals = np.linalg.svd(stacked, compute_uv=False)
+    cutoff = max(stacked.shape) * np.finfo(float).eps * svals[0] * 10.0
+    return d * d - int(np.count_nonzero(svals > cutoff))

@@ -290,6 +290,51 @@ def test_convert_system_to_rep_roundtrip(tmp_path, capsys):
     assert doc["dims"] == {"1": 2, "2": 2, "3": 2, "4": 2, "5": 4}
 
 
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_convert_conjugated_scalar_operator(tmp_path, capsys, k):
+    # End of a conjugated lam*I is all of M_k, on both sides of the bridge
+    s = np.random.default_rng(k).standard_normal((k, k)) + 2.0 * np.eye(k)
+    path = tmp_path / "op.json"
+    path.write_text(dumps(operator_to_json(s @ (2.0 * np.eye(k)) @ np.linalg.inv(s))))
+    code, _, err = run_cli(capsys, "convert", "--operator-to-4system", str(path))
+    assert code == 0, err
+    sidecar = json.loads(err.strip().splitlines()[-1])
+    assert sidecar == {"dim_end_before": k * k, "dim_end_after": k * k, "equal": True}
+
+
+def test_convert_system_with_nan_entry_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text(dumps(operator_to_json(jordan_block(0.0, 3))))
+    sys_path = tmp_path / "sys.json"
+    code, _, _ = run_cli(capsys, "convert", "--operator-to-4system", str(path),
+                         "--out", str(sys_path))
+    assert code == 0
+    system = json.loads(sys_path.read_text())
+    system["inclusions"][2][0][0] = [float("nan"), 0.0]
+    sys_path.write_text(json.dumps(system))  # written as the JSON literal NaN
+    code, _, err = run_cli(capsys, "convert", "--system-to-rep", str(sys_path))
+    assert code == 2
+    assert "inclusions[2], row 1, column 1" in err
+
+
+def test_analyze_boolean_entry_is_validation_error(tmp_path, capsys):
+    path = build_doc(tmp_path, capsys, "ex3", "N=3")
+    rep = json.loads(path.read_text())
+    rep["maps"]["a1"][0][0] = [True, False]
+    path.write_text(dumps(rep))
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert "maps['a1'], row 1, column 1" in err
+
+
+def test_convert_malformed_inclusion_row_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"ambient_dim": 1, "inclusions": [[1]]}))
+    code, _, err = run_cli(capsys, "convert", "--system-to-rep", str(path))
+    assert code == 2
+    assert "inclusions[0]" in err
+
+
 def test_convert_wrong_document_kind(tmp_path, capsys):
     l1 = build_doc(tmp_path, capsys, "ex6")
     code, _, err = run_cli(capsys, "convert", "--system-to-rep", str(l1))

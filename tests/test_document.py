@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,36 @@ def test_matrix_positional_errors():
         matrix_from_json([[[1, 0, 0]]], 1, 1, "m")
     with pytest.raises(ValidationError, match="row 1, column 1"):
         matrix_from_json([[["x", 0]]], 1, 1, "m")
+
+
+@pytest.mark.parametrize("entry", [
+    [True, False], [1.0, True],                       # booleans are not numbers
+    [float("nan"), 0.0], [0.0, float("inf")], [float("-inf"), 1.0],
+    [10 ** 400, 0],                                   # beyond the float range
+])
+def test_matrix_rejects_booleans_and_non_finite_entries(entry):
+    with pytest.raises(ValidationError, match="row 2, column 1: .*finite"):
+        matrix_from_json([[[1, 0]], [entry]], 2, 1, "m")
+
+
+def test_non_finite_entries_rejected_in_every_document_kind():
+    # json.loads reads the literals NaN and Infinity as floats
+    sys_doc = system_to_json(make_system(2, [np.array([[1.0], [0.0]])]))
+    sys_doc["inclusions"][0][1][0] = json.loads("[NaN, 0.0]")
+    with pytest.raises(ValidationError, match=r"inclusions\[0\], row 2, column 1"):
+        system_from_json(sys_doc)
+    rep_doc = rep_to_json(example_reps("ex2", 2))
+    rep_doc["maps"]["a1"][0][0] = [True, False]
+    with pytest.raises(ValidationError, match=r"maps\['a1'\], row 1, column 1"):
+        rep_from_json(rep_doc)
+    with pytest.raises(ValidationError, match="matrix, row 1, column 1"):
+        operator_from_json({"matrix": [[[float("inf"), 0.0]]]})
+
+
+@pytest.mark.parametrize("inclusions", [[[1]], [[None]], [["row"]], [[[1, 0]]]])
+def test_system_inclusion_rows_must_be_lists(inclusions):
+    with pytest.raises(ValidationError, match=r"inclusions\[0\]"):
+        system_from_json({"ambient_dim": 1, "inclusions": inclusions})
 
 
 def test_quiver_roundtrip():

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from quiverrep import (ValidationError, end, from_operator,
+from quiverrep import (Arrow, Quiver, ValidationError, end, example_reps, from_operator,
                        is_indecomposable, is_strongly_irreducible, jordan_block,
                        kronecker_rep, make_system, remove_loops, rep_to_system,
                        shift, diagonal, system_end, system_to_rep)
+from quiverrep.numerics import random_complex
 from quiverrep.structure import embed_tuple
 
-from helpers import example6, loop_rep, random_quiver, random_rep, two_subspace_rep
-from oracles import nilpotent_commutant_dim
+from helpers import (conjugated_jordan, example6, loop_rep, random_quiver, random_rep,
+                     two_subspace_rep)
+from oracles import dense_system_end_dim, nilpotent_commutant_dim
 
 
 def test_make_system_orthonormalizes():
@@ -193,3 +195,79 @@ def test_block_diagonal_embedding_lands_in_system_end():
 def test_system_end_empty_ambient():
     sys0 = make_system(0, [])
     assert system_end(sys0).dimension == 0
+
+
+# -- the compressed system_end against the projector formulation ---------------
+
+JORDAN_TYPES = [
+    [(0.0, 2)], [(1.0, 1), (1.0, 1)],
+    [(0.0, 3)], [(2.0, 1), (2.0, 1), (2.0, 1)], [(0.0, 2), (1.0, 1)],
+    [(1.0, 2), (1.0, 2)], [(0.0, 1), (1.0, 3)], [(1.5, 1)] * 4,
+    [(0.0, 5)], [(2.0, 2), (2.0, 2), (2.0, 1)], [(1.0, 1)] * 5,
+    [(0.0, 3), (0.0, 2), (1.0, 1)], [(2.0, 1)] * 6, [(1.0, 4), (2.0, 2)],
+]
+
+
+def assert_system_end_sound(system, expected=None):
+    alg = system_end(system)
+    assert alg.dimension == dense_system_end_dim(system)
+    if expected is not None:
+        assert alg.dimension == expected
+    d = system.ambient_dim
+    flat = np.array([t.reshape(-1) for t in alg.basis]).reshape(alg.dimension, d * d)
+    assert np.allclose(flat @ flat.conj().T, np.eye(alg.dimension), atol=1e-10)
+    for inc in system.inclusions:
+        proj = inc @ inc.conj().T
+        for t in alg.basis:
+            assert np.linalg.norm((np.eye(d) - proj) @ t @ proj) < 1e-10
+
+
+@pytest.mark.parametrize("blocks", JORDAN_TYPES,
+                         ids=lambda b: "+".join(f"J{p}({lam:g})" for lam, p in b))
+def test_system_end_matches_dense_on_operator_systems(blocks):
+    rng = np.random.default_rng(sum(p for _, p in blocks))
+    for _ in range(3):
+        mat, commutant = conjugated_jordan(rng, blocks)
+        assert_system_end_sound(from_operator(mat), commutant)
+
+
+def test_system_end_matches_dense_on_subspace_quiver_reps():
+    rng = np.random.default_rng(11)
+    for blocks in ([(0.0, 2)], [(1.0, 1), (1.0, 1)], [(0.0, 2), (1.0, 1)]):
+        mat, commutant = conjugated_jordan(rng, blocks)
+        rep = system_to_rep(from_operator(mat))
+        assert_system_end_sound(rep_to_system(rep), commutant)
+    q = Quiver(("1", "2", "3", "4"),
+               tuple(Arrow(f"a{i}", str(i), "4") for i in (1, 2, 3)))
+    for _ in range(4):
+        rep = random_rep(rng, q, max_dim=3)
+        assert_system_end_sound(rep_to_system(rep), end(rep).dimension)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_system_end_matches_dense_on_ex3_without_loops(n):
+    rep = remove_loops(example_reps("ex3", n))
+    assert_system_end_sound(rep_to_system(rep), 1)
+
+
+def test_system_end_zero_and_whole_subspaces():
+    rng = np.random.default_rng(4)
+    line = random_complex(rng, (3, 1))
+    plane = random_complex(rng, (3, 2))
+    zero = np.zeros((3, 0), dtype=complex)
+    assert_system_end_sound(make_system(3, [zero]), 9)
+    assert_system_end_sound(make_system(3, [zero, np.eye(3)]), 9)
+    # a line inside a plane: the upper triangular algebra, 9 - 3
+    inside = np.hstack([line, random_complex(rng, (3, 1))])
+    assert_system_end_sound(make_system(3, [zero, line, inside, np.eye(3)]), 6)
+    # a line and a plane in general position: C^3 = line (+) plane, 1 + 4
+    assert_system_end_sound(make_system(3, [line, plane]), 5)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_conjugated_scalar_operator_end_is_full(k):
+    rng = np.random.default_rng(k)
+    mat, commutant = conjugated_jordan(rng, [(2.0, 1)] * k)
+    assert commutant == k * k
+    assert end(loop_rep(mat)).dimension == k * k
+    assert system_end(from_operator(mat)).dimension == k * k
