@@ -8,8 +8,8 @@ from .rep import (Representation, canonically_simple, direct_sum,
                   is_isomorphism_compatible, restrict, zero_representation)
 from .intertwiner import (HomBasis, IsoResult, are_isomorphic, end, hom,
                           intertwining_residual, relatively_prime)
-from .structure import (AlgebraBasis, DecompositionTree, IndecomposableResult,
-                        SimpleResult, decompose, end_algebra, generated_algebra,
+from .structure import (AlgebraBasis, Analysis, DecompositionTree, IndecomposableResult,
+                        SimpleResult, analyze, decompose, end_algebra, generated_algebra,
                         is_canonically_simple, is_indecomposable, is_irreducible,
                         is_simple, is_strongly_irreducible, is_transitive,
                         radical_dimension, single_jordan_block_criterion,
@@ -33,9 +33,9 @@ __all__ = [
     "zero_representation", "is_isomorphism_compatible",
     "HomBasis", "IsoResult", "hom", "end", "are_isomorphic",
     "relatively_prime", "intertwining_residual",
-    "AlgebraBasis", "DecompositionTree", "IndecomposableResult", "SimpleResult",
-    "decompose", "end_algebra", "generated_algebra", "is_canonically_simple",
-    "is_indecomposable", "is_irreducible", "is_simple",
+    "AlgebraBasis", "Analysis", "DecompositionTree", "IndecomposableResult",
+    "SimpleResult", "analyze", "decompose", "end_algebra", "generated_algebra",
+    "is_canonically_simple", "is_indecomposable", "is_irreducible", "is_simple",
     "is_strongly_irreducible", "is_transitive", "radical_dimension",
     "single_jordan_block_criterion", "star_closed_end_dim",
     "KroneckerFamily", "KroneckerReduction", "build_family", "jordan_block",

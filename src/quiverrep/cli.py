@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 4 size limit exceeded.  All commands are deterministic given the input,
---seed and --tol-scale.  File arguments accept "-" for stdin.
+--seed and --tol-scale.  File arguments accept "-" for stdin.  Reports are
+JSON; ``sweep --format`` picks CSV (the default) or JSON rows.  The verdicts
+of ``analyze`` are those of :func:`quiverrep.structure.analyze`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -22,16 +23,14 @@ import numpy as np
 
 from . import document as doc
 from .errors import NumericalFailure, SizeLimitExceeded, ValidationError
-from .intertwiner import are_isomorphic, end, hom, hom_scale
+from .intertwiner import HomBasis, are_isomorphic, end, hom, hom_scale
 from .kronecker import KroneckerFamily, build_family
 from .numerics import DEFAULT_TOL, Tolerances
-from .operators import (cross_model_hom, end_recursion_check, example_reps,
-                        hrr_max_truncation, hrr_model, perturbation_model,
-                        perturbation_structure_residual)
+from .operators import (end_recursion_check, example_reps, hrr_max_truncation,
+                        hrr_model, perturbation_model, perturbation_structure_residual)
 from .quiver import build_canonical
 from .rep import Representation
-from .structure import (decompose, generated_algebra, is_canonically_simple,
-                        radical_dimension, star_closed_end_dim)
+from .structure import analyze, decompose
 from .subspaces import from_operator, remove_loops, rep_to_system, system_end, system_to_rep
 
 SWEEP_COLUMNS = ("model", "N", "params_hash", "dim_end", "dim_hom_cross",
@@ -52,15 +51,18 @@ class ParamSpec:
 class ModelSpec:
     name: str
     params: dict[str, ParamSpec]
-    build: Callable[[dict], Representation]
+    build: Callable[[dict, Tolerances], Representation]
     finite_truncation: bool
     doc: str
     sweep_cross: bool = False      # hom against another grid value of lam
-    sweep_recursion: bool = False  # structure-check pass rate column
     sweep_decompose: bool = False  # summand dimension column
+    # largest admissible truncation level of a parameter cell; sweeps skip the rest
+    max_level: Callable[[dict, Tolerances], int] | None = None
+    # End structure-check pass rate, the recursion_pass_rate column
+    recursion: Callable[[Representation, dict, HomBasis, Tolerances], float] | None = None
 
 
-def _ex1(params: dict) -> Representation:
+def _ex1(params: dict, _: Tolerances) -> Representation:
     theta = params["theta"]
     q = build_canonical("two_inclusions")
     return Representation(
@@ -69,18 +71,24 @@ def _ex1(params: dict) -> Representation:
          "a2": np.array([[np.cos(theta)], [np.sin(theta)]], dtype=complex)})
 
 
-def _ex6(_: dict) -> Representation:
+def _ex6(*_) -> Representation:
     q = build_canonical("loop", 2)
     return Representation(q, {"1": 2},
                           {"a1": np.array([[1, 0], [0, 0]], dtype=complex),
                            "a2": np.array([[0, 1], [0, 0]], dtype=complex)})
 
 
-def _ex7(_: dict) -> Representation:
+def _ex7(*_) -> Representation:
     q = build_canonical("loop", 2)
     return Representation(q, {"1": 2},
                           {"a1": np.array([[1, 0], [0, 0]], dtype=complex),
                            "a2": np.ones((2, 2), dtype=complex)})
+
+
+def _perturbation_recursion(rep: Representation, params: dict, basis: HomBasis,
+                            tol: Tolerances) -> float:
+    tau = tol.hom_tol(hom_scale(rep, rep))
+    return 1.0 if perturbation_structure_residual(params["N"], basis) <= tau else 0.0
 
 
 MODELS: dict[str, ModelSpec] = {}
@@ -91,46 +99,49 @@ def _register(spec: ModelSpec) -> None:
 
 
 _register(ModelSpec("jordan_first", {"lam": ParamSpec("complex", 0.0), "n": ParamSpec("int", required=True)},
-                    lambda p: build_family(KroneckerFamily("jordan_first", p["n"], p["lam"])),
+                    lambda p, _: build_family(KroneckerFamily("jordan_first", p["n"], p["lam"])),
                     False, "Kronecker family (lam I + J_n, I_n)"))
 _register(ModelSpec("jordan_second", {"lam": ParamSpec("complex", 0.0), "n": ParamSpec("int", required=True)},
-                    lambda p: build_family(KroneckerFamily("jordan_second", p["n"], p["lam"])),
+                    lambda p, _: build_family(KroneckerFamily("jordan_second", p["n"], p["lam"])),
                     False, "Kronecker family (I_n, lam I + J_n)"))
 _register(ModelSpec("wide", {"n": ParamSpec("int", required=True)},
-                    lambda p: build_family(KroneckerFamily("wide", p["n"])),
+                    lambda p, _: build_family(KroneckerFamily("wide", p["n"])),
                     False, "Kronecker family dims (n+1, n), maps [I 0], [0 I]"))
 _register(ModelSpec("tall", {"n": ParamSpec("int", required=True)},
-                    lambda p: build_family(KroneckerFamily("tall", p["n"])),
+                    lambda p, _: build_family(KroneckerFamily("tall", p["n"])),
                     False, "Kronecker family dims (n, n+1), maps [I; 0], [0; I]"))
 _register(ModelSpec("perturbation",
                     {"N": ParamSpec("int", required=True),
                      "lam": ParamSpec("list"), "w": ParamSpec("list")},
-                    lambda p: perturbation_model(p["N"], p.get("lam"), p.get("w")),
+                    lambda p, _: perturbation_model(p["N"], p.get("lam"), p.get("w")),
                     True, "rank-one-perturbed weighted shift Kronecker model",
-                    sweep_recursion=True))
+                    recursion=_perturbation_recursion))
 _register(ModelSpec("hrr", {"N": ParamSpec("int", required=True),
                             "lam": ParamSpec("float", required=True)},
-                    lambda p: hrr_model(p["N"], p["lam"]),
+                    lambda p, tol: hrr_model(p["N"], p["lam"], tol),
                     True, "bilateral double-exponential-weight Kronecker model",
-                    sweep_cross=True, sweep_recursion=True))
+                    sweep_cross=True,
+                    max_level=lambda p, tol: hrr_max_truncation(p["lam"], tol),
+                    recursion=lambda rep, p, basis, tol: end_recursion_check(
+                        rep, p["lam"], tol, basis).pass_rate))
 _register(ModelSpec("ex1", {"theta": ParamSpec("float", float(np.pi / 4))},
                     _ex1, False, "two subspaces of the plane at angle theta"))
 _register(ModelSpec("ex2", {"N": ParamSpec("int", required=True)},
-                    lambda p: example_reps("ex2", p["N"]), True, "one-loop shift"))
+                    lambda p, _: example_reps("ex2", p["N"]), True, "one-loop shift"))
 _register(ModelSpec("ex3", {"N": ParamSpec("int", required=True)},
-                    lambda p: example_reps("ex3", p["N"]), True, "two-loop (S, S*)"))
+                    lambda p, _: example_reps("ex3", p["N"]), True, "two-loop (S, S*)"))
 _register(ModelSpec("ex4", {"N": ParamSpec("int", required=True)},
-                    lambda p: example_reps("ex4", p["N"]), True, "3-Kronecker (S, S*, I)"))
+                    lambda p, _: example_reps("ex4", p["N"]), True, "3-Kronecker (S, S*, I)"))
 _register(ModelSpec("ex6", {}, _ex6, False, "two-loop (E11, E12): transitive, not simple"))
 _register(ModelSpec("ex7", {}, _ex7, False, "two-loop (E11, all-ones): transitive and simple"))
 _register(ModelSpec("ex8", {"lam": ParamSpec("complex", 0.0), "N": ParamSpec("int", required=True)},
-                    lambda p: example_reps("ex8", p["N"], p["lam"]), True,
+                    lambda p, _: example_reps("ex8", p["N"], p["lam"]), True,
                     "Kronecker (I, lam I + S)", sweep_cross=True))
 _register(ModelSpec("ex8s", {"lam": ParamSpec("complex", 0.0), "N": ParamSpec("int", required=True)},
-                    lambda p: example_reps("ex8*", p["N"], p["lam"]), True,
+                    lambda p, _: example_reps("ex8*", p["N"], p["lam"]), True,
                     "Kronecker (I, lam I + S*)", sweep_cross=True))
 _register(ModelSpec("ex9", {"N": ParamSpec("int", required=True)},
-                    lambda p: example_reps("ex9", p["N"]), True,
+                    lambda p, _: example_reps("ex9", p["N"]), True,
                     "Kronecker (S, S*)", sweep_decompose=True))
 
 
@@ -179,14 +190,19 @@ def parse_params(model: ModelSpec, pairs: list[str], gridded: bool = False,
     return out
 
 
-def build_model(name: str, pairs: list[str]) -> tuple[Representation, dict]:
+def _model_spec(name: str) -> ModelSpec:
     if name not in MODELS:
         raise ValidationError(
             f"unknown model {name!r}; available models: {', '.join(sorted(MODELS))}"
         )
-    spec = MODELS[name]
+    return MODELS[name]
+
+
+def build_model(name: str, pairs: list[str],
+                tol: Tolerances = DEFAULT_TOL) -> tuple[Representation, dict]:
+    spec = _model_spec(name)
     params = parse_params(spec, pairs)
-    rep = spec.build(params)
+    rep = spec.build(params, tol)
     meta = {
         "model": name,
         "params": _jsonable_params(params),
@@ -218,42 +234,29 @@ def params_hash(params: dict) -> str:
 
 def analysis_report(rep: Representation, tol: Tolerances, seed: int,
                     source: dict, finite_truncation: bool) -> dict:
-    """Run the structural verdict battery and assemble the report.
+    """The ``analyze`` report: the five verdicts of
+    :func:`quiverrep.structure.analyze` and the numeric evidence behind them.
 
-    Every verdict records the numeric evidence behind it, and the implication
-    chain (canonically simple => simple => indecomposable, transitive =>
-    indecomposable) is asserted before the report is returned.
+    The verdicts are checked against their implication chain before the
+    report is returned.
     """
-    if rep.is_zero():
-        raise ValidationError("cannot analyze the zero representation")
     t_start = time.perf_counter()
-    basis = end(rep, tol)
+    result = analyze(rep, tol, seed)
+    basis = result.end_basis
     t_end = time.perf_counter()
-    rad = radical_dimension(rep, tol, basis)
-    semisimple = basis.dimension - rad
-    alg = generated_algebra(rep, tol)
-    total = rep.total_dim
-    star_dim = star_closed_end_dim(rep, tol, basis)
-    verdicts = {
-        "indecomposable": semisimple == 1,
-        "transitive": basis.dimension == 1,
-        "simple": alg.dimension == total * total,
-        "canonically_simple": is_canonically_simple(rep),
-        "irreducible": star_dim == 1,
-    }
-    _assert_implications(verdicts)
+    verdicts = result.verdicts()
     report = {
         "input": dict(source, seed=seed),
         "dimension_vector": rep.dimension_vector(),
         "verdicts": verdicts,
         "evidence": {
-            "total_dim": total,
+            "total_dim": rep.total_dim,
             "dim_end": basis.dimension,
-            "dim_radical": rad,
-            "semisimple_quotient_dim": semisimple,
-            "generated_algebra_dim": alg.dimension,
-            "generated_algebra_svd_gap": _finite_or_str(alg.gap),
-            "star_closed_end_dim": star_dim,
+            "dim_radical": result.radical_dim,
+            "semisimple_quotient_dim": result.semisimple_dim,
+            "generated_algebra_dim": result.algebra.dimension,
+            "generated_algebra_svd_gap": _finite_or_str(result.algebra.gap),
+            "star_closed_end_dim": result.star_dim,
             "svd_gap": _finite_or_str(basis.gap),
             "svd_cutoff": basis.cutoff,
         },
@@ -271,15 +274,6 @@ def analysis_report(rep: Representation, tol: Tolerances, seed: int,
 
 def _finite_or_str(x: float):
     return x if np.isfinite(x) else "inf"
-
-
-def _assert_implications(verdicts: dict) -> None:
-    if verdicts["canonically_simple"] and not verdicts["simple"]:
-        raise NumericalFailure("implication violated: canonically simple but not simple")
-    if verdicts["simple"] and not verdicts["indecomposable"]:
-        raise NumericalFailure("implication violated: simple but not indecomposable")
-    if verdicts["transitive"] and not verdicts["indecomposable"]:
-        raise NumericalFailure("implication violated: transitive but not indecomposable")
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +311,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 def cmd_analyze(args, tol: Tolerances) -> int:
     if args.model:
-        rep, meta = build_model(args.model, args.param)
+        rep, meta = build_model(args.model, args.param, tol)
         source = {"source": f"builder:{args.model}", "params": meta["params"]}
         flag = meta["finite_truncation"]
     elif args.file:
@@ -369,7 +363,7 @@ def cmd_iso(args, tol: Tolerances) -> int:
 
 
 def cmd_build(args, tol: Tolerances) -> int:
-    rep, meta = build_model(args.model, args.param)
+    rep, meta = build_model(args.model, args.param, tol)
     meta["seed"] = args.seed
     _write_out(doc.dumps(doc.rep_to_json(rep, meta)), args.out)
     return 0
@@ -388,39 +382,29 @@ def _sweep_grid(spec: ModelSpec, params: dict) -> list[dict]:
     return cells
 
 
-def _sweep_row(spec: ModelSpec, cell: dict, n: int, tol: Tolerances, seed: int) -> dict:
-    public = {k: v for k, v in cell.items() if not k.startswith("_")}
+def _admissible(spec: ModelSpec, cell: dict, n: int, tol: Tolerances) -> bool:
+    return spec.max_level is None or n <= spec.max_level(cell, tol)
+
+
+def _sweep_row(spec: ModelSpec, cell: dict, n: int, partner: dict | None,
+               tol: Tolerances, seed: int) -> dict:
+    """One sweep row; ``partner`` is the parameter cell of the cross-Hom target."""
     row = {c: "" for c in SWEEP_COLUMNS}
     row["model"] = spec.name
     row["N"] = n
-    row["params_hash"] = params_hash(public)
+    row["params_hash"] = params_hash(cell)
     row["flags"] = "finite-truncation" if spec.finite_truncation else ""
     started = time.perf_counter()
     try:
-        params = dict(public, N=n)
-        rep = spec.build(params)
+        params = dict(cell, N=n)
+        rep = spec.build(params, tol)
         basis = end(rep, tol)
         row["dim_end"] = basis.dimension
-        if spec.sweep_cross and isinstance(cell.get("lam"), (int, float, complex)):
-            others = [x for x in cell.get("_lam_grid", []) if x != cell["lam"]]
-            if spec.name == "hrr":
-                # the partner must itself be admissible at this level
-                others = [x for x in others if n <= hrr_max_truncation(x, tol)]
-            if others:
-                mu = others[0]
-                if spec.name == "hrr":
-                    row["dim_hom_cross"] = cross_model_hom(cell["lam"], mu, n, tol).dimension
-                else:
-                    other = spec.build(dict(public, lam=mu, N=n))
-                    row["dim_hom_cross"] = hom(rep, other, tol).dimension
-        if spec.sweep_recursion:
-            if spec.name == "hrr":
-                row["recursion_pass_rate"] = end_recursion_check(
-                    rep, cell["lam"], tol, basis).pass_rate
-            elif spec.name == "perturbation":
-                tau = tol.hom_tol(hom_scale(rep, rep))
-                passed = perturbation_structure_residual(n, basis) <= tau
-                row["recursion_pass_rate"] = 1.0 if passed else 0.0
+        if partner is not None:
+            other = spec.build(dict(partner, N=n), tol)
+            row["dim_hom_cross"] = hom(rep, other, tol).dimension
+        if spec.recursion is not None:
+            row["recursion_pass_rate"] = spec.recursion(rep, params, basis, tol)
         if spec.sweep_decompose:
             leaves = decompose(rep, tol, seed).leaf_reps()
             row["summand_dims"] = "|".join(
@@ -433,11 +417,7 @@ def _sweep_row(spec: ModelSpec, cell: dict, n: int, tol: Tolerances, seed: int) 
 
 
 def cmd_sweep(args, tol: Tolerances) -> int:
-    if args.model not in MODELS:
-        raise ValidationError(
-            f"unknown model {args.model!r}; available models: {', '.join(sorted(MODELS))}"
-        )
-    spec = MODELS[args.model]
+    spec = _model_spec(args.model)
     if "N" not in spec.params:
         raise ValidationError(f"model {args.model!r} has no truncation parameter to sweep")
     params = parse_params(spec, args.param, gridded=True, skip_required=frozenset({"N"}))
@@ -451,31 +431,23 @@ def cmd_sweep(args, tol: Tolerances) -> int:
     if not n_values:
         raise ValidationError(f"empty N range {args.n_range!r}")
     cells = _sweep_grid(spec, params)
-    lam_grid = [c["lam"] for c in cells if "lam" in c]
-    work = []
+    rows = []
     for cell in cells:
-        enriched = dict(cell)
-        if spec.sweep_cross:
-            enriched["_lam_grid"] = lam_grid
         for n in n_values:
             # admissibility is a grid constraint, not a failure: weights that
             # would underflow simply produce no row
-            if spec.name == "hrr" and n > hrr_max_truncation(cell["lam"], tol):
+            if not _admissible(spec, cell, n, tol):
                 continue
-            work.append((enriched, n))
+            partner = None
+            if spec.sweep_cross:
+                # the first other grid value of lam that is admissible at this level
+                partner = next((dict(cell, lam=c["lam"]) for c in cells
+                                if c["lam"] != cell["lam"]
+                                and _admissible(spec, dict(cell, lam=c["lam"]), n, tol)),
+                               None)
+            rows.append(_sweep_row(spec, cell, n, partner, tol, args.seed))
 
-    def run(item):
-        cell, n = item
-        return _sweep_row(spec, cell, n, tol, args.seed)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, work))
-    else:
-        rows = [run(item) for item in work]
-
-    fmt = args.format or ("json" if args.json else "csv")
-    if fmt == "json":
+    if args.format == "json":
         _write_out(doc.dumps(rows), args.out)
     else:
         buf = io.StringIO()
@@ -554,11 +526,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="seed for all randomized checks (default 0)")
     parser.add_argument("--tol-scale", type=float, default=1.0,
                         help="multiply every numerical tolerance (default 1.0)")
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true",
-                     help="JSON output (reports always are; switches sweep rows)")
-    fmt.add_argument("--csv", action="store_true",
-                     help="CSV output (sweep only; the default there)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="structural verdict report for a representation")
@@ -588,9 +555,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-range", required=True, metavar="LO:HI")
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                    help="comma-separated values form a grid, e.g. lam=1.05,1.1")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--format", choices=("csv", "json"),
-                   help="row format (default csv; the global --json also selects json)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="row format (default csv)")
     p.add_argument("--out")
 
     p = sub.add_parser("convert", help="bridges between documents")
@@ -618,8 +584,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         tol = DEFAULT_TOL.rescaled(args.tol_scale)
-        if args.csv and args.command != "sweep":
-            raise ValidationError("CSV output applies to sweep only; reports are JSON")
         return COMMANDS[args.command](args, tol)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeLimitExceeded, ValidationError
-from .numerics import DEFAULT_TOL, Tolerances, frob, nullspace, random_complex
+from .numerics import (DEFAULT_TOL, Tolerances, frob, is_invertible, nullspace,
+                       random_complex)
 from .rep import Representation
 
 MAX_UNKNOWNS = 250_000
@@ -157,22 +158,12 @@ def are_isomorphic(a: Representation, b: Representation, tol: Tolerances = DEFAU
         coeff = random_complex(rng, (basis.dimension,))
         cand = {v: sum(c * t[v] for c, t in zip(coeff, basis.basis))
                 for v in a.quiver.vertices}
-        if _tuple_invertible(cand, tol):
+        if all(is_invertible(block, tol) for block in cand.values()):
             return IsoResult("yes", "sampled invertible intertwiner", basis.dimension,
                              cand, seed)
     return IsoResult("probably_no",
                      f"no invertible intertwiner in {samples} samples",
                      basis.dimension, seed=seed)
-
-
-def _tuple_invertible(t: dict[str, np.ndarray], tol: Tolerances) -> bool:
-    for block in t.values():
-        if block.shape[0] == 0:
-            continue
-        svals = np.linalg.svd(block, compute_uv=False)
-        if svals[0] == 0.0 or svals[-1] < tol.inv_tol(float(svals[0])):
-            return False
-    return True
 
 
 def relatively_prime(a: Representation, b: Representation,

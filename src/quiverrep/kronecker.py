@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DEFAULT_TOL, Tolerances
+from .numerics import DEFAULT_TOL, Tolerances, is_invertible
 from .quiver import build_canonical
 from .rep import Representation
 
@@ -90,22 +90,14 @@ class KroneckerReduction:
     witness: dict[str, np.ndarray]
 
 
-def _require_invertible(matrix: np.ndarray, tol: Tolerances, what: str) -> None:
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    if svals.size == 0:
-        return
-    if svals[0] == 0.0 or svals[-1] < tol.inv_tol(float(svals[0])):
-        raise ValidationError(f"{what} is numerically singular "
-                              f"(sigma_min/sigma_max = {svals[-1] / max(svals[0], 1e-300):.2e})")
-
-
 def reduce_invertible_first(a: np.ndarray, b: np.ndarray,
                             tol: Tolerances = DEFAULT_TOL) -> KroneckerReduction:
     """Reduce (A, B) with invertible A to (I, A^{-1}B)."""
     original = kronecker_rep(a, b)
     a = original.maps["a1"]
     b = original.maps["a2"]
-    _require_invertible(a, tol, "first arrow matrix")
+    if not is_invertible(a, tol):
+        raise ValidationError("first arrow matrix is numerically singular")
     n = a.shape[0]
     a_inv = np.linalg.inv(a)
     reduced = kronecker_rep(np.eye(n, dtype=complex), a_inv @ b)
@@ -122,7 +114,8 @@ def reduce_pencil(a: np.ndarray, b: np.ndarray, x: complex, y: complex,
     a = original.maps["a1"]
     b = original.maps["a2"]
     pencil = x * a + y * b
-    _require_invertible(pencil, tol, "pencil xA + yB")
+    if not is_invertible(pencil, tol):
+        raise ValidationError("pencil xA + yB is numerically singular")
     n = a.shape[0]
     w = np.linalg.inv(pencil)
     t = w @ a

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalFailure, ValidationError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -106,15 +106,26 @@ def nullspace(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
     matrix of pure rounding noise (sigma_max near 1e-15 from exactly
     cancelling terms) has rank 0, not full rank.  The default 0 leaves the
     cutoff relative to sigma_max alone.
+
+    Raises NumericalFailure when the matrix or the cutoff has overflowed to a
+    non-finite value, or when the SVD does not converge.
     """
     m, n = matrix.shape
     if n == 0:
         return NullspaceResult(np.zeros((0, 0), dtype=complex), 0, np.inf, 0.0, 0.0)
     if m == 0:
         return NullspaceResult(np.eye(n, dtype=complex), 0, np.inf, 0.0, 0.0)
-    _, svals, vh = np.linalg.svd(matrix, full_matrices=m < n)
+    if not np.isfinite(matrix).all():
+        raise NumericalFailure(f"overflow: the {m} x {n} system has non-finite entries")
+    try:
+        _, svals, vh = np.linalg.svd(matrix, full_matrices=m < n)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"nullspace of a {m} x {n} system: {exc}") from None
     sigma_max = float(svals[0]) if svals.size else 0.0
     cutoff = tol.svd_cutoff(m, n, max(sigma_max, scale))
+    if not np.isfinite(cutoff):
+        raise NumericalFailure(f"overflow: the rank cutoff of a {m} x {n} system is {cutoff} "
+                               f"(sigma_max {sigma_max:.3e}, reference scale {scale:.3e})")
     rank = int(np.count_nonzero(svals > cutoff))
     kept = float(svals[rank - 1]) if rank > 0 else np.inf
     discarded = float(svals[rank]) if rank < svals.size else 0.0
@@ -126,14 +137,16 @@ def numerical_rank(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     return nullspace(matrix, tol).rank
 
 
-def orthonormal_range(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (as columns) of the column space of ``matrix``."""
+def orthonormal_range(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
+                      scale: float = 0.0) -> np.ndarray:
+    """Orthonormal basis (as columns) of the column space of ``matrix``;
+    ``scale`` floors sigma_max in the cutoff as in :func:`nullspace`."""
     m, n = matrix.shape
     if n == 0 or m == 0:
         return np.zeros((m, 0), dtype=complex)
     u, svals, _ = np.linalg.svd(matrix, full_matrices=False)
     sigma_max = float(svals[0]) if svals.size else 0.0
-    cutoff = tol.svd_cutoff(m, n, sigma_max)
+    cutoff = tol.svd_cutoff(m, n, max(sigma_max, scale))
     rank = int(np.count_nonzero(svals > cutoff))
     return u[:, :rank]
 
@@ -152,15 +165,12 @@ def orthonormal_inclusion(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
     return basis
 
 
-def subspace_intersection_dim(u: np.ndarray, v: np.ndarray,
-                              tol: Tolerances = DEFAULT_TOL) -> int:
-    """Dimension of the intersection of two subspaces given by orthonormal columns."""
-    if u.shape[0] != v.shape[0]:
-        raise ValidationError("ambient dimensions differ")
-    k1, k2 = u.shape[1], v.shape[1]
-    if k1 == 0 or k2 == 0:
-        return 0
-    return k1 + k2 - numerical_rank(np.hstack([u, v]), tol)
+def is_invertible(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """sigma_min >= inv_rel * sigma_max (scaled); an empty matrix counts as invertible."""
+    if matrix.size == 0:
+        return True
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    return bool(svals[0] > 0.0 and svals[-1] >= tol.inv_tol(float(svals[0])))
 
 
 def random_complex(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

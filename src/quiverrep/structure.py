@@ -15,11 +15,15 @@ matrix algebra on the total space.  The algebra is computed by spinning from
 the identity under the generators (the spin step of Parker's MeatAxe): each
 round multiplies only the newly added elements by the g generators, at a
 total cost of about g * d^6 for total dimension d.
+
+The verdict rules and the implications between them are stated once, in
+:class:`Analysis`; the ``is_*`` functions are views of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -27,7 +31,7 @@ import scipy.linalg as sla
 from .errors import NumericalFailure, ValidationError
 from .intertwiner import HomBasis, end, hom_scale, intertwining_residual
 from .numerics import (DEFAULT_TOL, Tolerances, frob, nullspace, numerical_rank,
-                       random_complex)
+                       orthonormal_range, random_complex)
 from .quiver import Quiver, Arrow
 from .rep import Representation, restrict
 
@@ -188,7 +192,7 @@ def end_algebra(rep: Representation, tol: Tolerances = DEFAULT_TOL,
     """End(H,f) embedded block-diagonally as a subalgebra of B(C^d)."""
     basis = end(rep, tol) if basis is None else basis
     mats = tuple(embed_tuple(rep, t) for t in basis.basis)
-    return AlgebraBasis(rep.total_dim, mats, len(mats), basis.cutoff)
+    return AlgebraBasis(rep.total_dim, mats, len(mats), basis.cutoff, basis.gap)
 
 
 def generated_algebra(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> AlgebraBasis:
@@ -233,30 +237,6 @@ def radical_dimension(rep: Representation, tol: Tolerances = DEFAULT_TOL,
 
 # ---------------------------------------------------------------------------
 # eigenvalue clustering and spectral projectors
-
-def cluster_eigenvalues(values: np.ndarray, threshold: float) -> list[np.ndarray]:
-    """Single-linkage clusters; two eigenvalues join when closer than ``threshold``."""
-    order = np.lexsort((values.imag, values.real))
-    vals = values[order]
-    parent = list(range(len(vals)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if abs(vals[i] - vals[j]) < threshold:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[complex]] = {}
-    for i in range(len(vals)):
-        groups.setdefault(find(i), []).append(vals[i])
-    clusters = [np.array(g) for g in groups.values()]
-    clusters.sort(key=lambda g: (g.real.mean(), g.imag.mean()))
-    return clusters
-
 
 def widest_two_group_split(values: np.ndarray,
                            threshold: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -331,15 +311,10 @@ class IndecomposableResult:
 def is_indecomposable(rep: Representation, tol: Tolerances = DEFAULT_TOL,
                       seed: int = 0, max_tries: int = 24) -> IndecomposableResult:
     """Local-algebra test; on a negative verdict returns a splitting idempotent."""
-    if rep.is_zero():
-        raise ValidationError("the zero representation has no (in)decomposability verdict")
-    basis = end(rep, tol)
-    rad = radical_dimension(rep, tol, basis)
-    semisimple = basis.dimension - rad
-    if semisimple == 1:
-        return IndecomposableResult(True, basis.dimension, rad, None, seed)
-    witness = _splitting_idempotent(rep, basis, tol, seed, max_tries)
-    return IndecomposableResult(False, basis.dimension, rad, witness, seed)
+    result = analyze(rep, tol, seed)
+    return IndecomposableResult(result.indecomposable, result.end_basis.dimension,
+                                result.radical_dim, result.splitting_idempotent(max_tries),
+                                seed)
 
 
 def _splitting_idempotent(rep: Representation, basis: HomBasis, tol: Tolerances,
@@ -399,9 +374,7 @@ def _splitting_idempotent(rep: Representation, basis: HomBasis, tol: Tolerances,
 
 def is_transitive(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff End(H,f) is the scalars."""
-    if rep.is_zero():
-        raise ValidationError("the zero representation has no transitivity verdict")
-    return end(rep, tol).dimension == 1
+    return analyze(rep, tol).transitive
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +395,9 @@ def is_simple(rep: Representation, tol: Tolerances = DEFAULT_TOL,
               seed: int = 0, max_tries: int = 24) -> SimpleResult:
     """Burnside test on the generated algebra; a negative verdict carries a
     proper nonzero invariant graded subspace as per-vertex inclusions."""
-    if rep.is_zero():
-        raise ValidationError("the zero representation has no simplicity verdict")
-    alg = generated_algebra(rep, tol)
-    d = rep.total_dim
-    if alg.dimension == d * d:
-        return SimpleResult(True, alg.dimension, None, seed)
-    witness = _invariant_subspace_witness(rep, alg, tol, seed, max_tries)
-    return SimpleResult(False, alg.dimension, witness, seed)
+    result = analyze(rep, tol, seed)
+    return SimpleResult(result.simple, result.algebra.dimension,
+                        result.invariant_subspace(max_tries), seed)
 
 
 def _invariant_subspace_witness(rep: Representation, alg: AlgebraBasis,
@@ -457,7 +425,7 @@ def _invariant_subspace_witness(rep: Representation, alg: AlgebraBasis,
                 block = cols[off[vertex]:off[vertex] + rep.dims[vertex], :]
                 # rank must be judged against the unit columns of the whole
                 # subspace, not the block's own (possibly noise-level) scale
-                inc = _block_basis(block, tol)
+                inc = orthonormal_range(block, tol, scale=1.0)
                 inclusions[vertex] = inc
                 graded += inc.shape[1]
             if graded != r:
@@ -468,17 +436,6 @@ def _invariant_subspace_witness(rep: Representation, alg: AlgebraBasis,
     raise NumericalFailure(
         "generated algebra is proper but no invariant subspace witness was found"
     )
-
-
-def _block_basis(block: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Column-space basis of a vertex block of unit vectors; absolute cutoff."""
-    m, n = block.shape
-    if m == 0 or n == 0:
-        return np.zeros((m, 0), dtype=complex)
-    u, svals, _ = np.linalg.svd(block, full_matrices=False)
-    cutoff = tol.svd_cutoff(m, n, 1.0)
-    rank = int(np.count_nonzero(svals > cutoff))
-    return u[:, :rank]
 
 
 def is_canonically_simple(rep: Representation) -> bool:
@@ -516,9 +473,95 @@ def is_irreducible(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> bool:
     A non-scalar element of the star-closed core yields a non-scalar Hermitian
     element whose spectral projection is such a projector, and conversely.
     """
+    return analyze(rep, tol).irreducible
+
+
+# ---------------------------------------------------------------------------
+# the verdict battery
+
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """The five structural verdicts of a nonzero representation, each rule
+    stated once.  End is solved at most once; the radical, the generated
+    algebra and the star-closed core are computed when first read.  Built by
+    :func:`analyze`; ``seed`` drives the randomized witness searches."""
+
+    rep: Representation
+    tol: Tolerances = DEFAULT_TOL
+    seed: int = 0
+
+    @cached_property
+    def end_basis(self) -> HomBasis:
+        return end(self.rep, self.tol)
+
+    @cached_property
+    def radical_dim(self) -> int:
+        return radical_dimension(self.rep, self.tol, self.end_basis)
+
+    @cached_property
+    def algebra(self) -> AlgebraBasis:
+        return generated_algebra(self.rep, self.tol)
+
+    @cached_property
+    def star_dim(self) -> int:
+        return star_closed_end_dim(self.rep, self.tol, self.end_basis)
+
+    @property
+    def semisimple_dim(self) -> int:
+        return self.end_basis.dimension - self.radical_dim
+
+    @property
+    def indecomposable(self) -> bool:
+        return self.semisimple_dim == 1
+
+    @property
+    def transitive(self) -> bool:
+        return self.end_basis.dimension == 1
+
+    @property
+    def simple(self) -> bool:
+        return self.algebra.dimension == self.rep.total_dim ** 2
+
+    @property
+    def canonically_simple(self) -> bool:
+        return is_canonically_simple(self.rep)
+
+    @property
+    def irreducible(self) -> bool:
+        return self.star_dim == 1
+
+    def verdicts(self) -> dict[str, bool]:
+        """All five verdicts by name.  Raises NumericalFailure if they break an
+        implication, which only inconsistent rank decisions can do."""
+        verdicts = {name: getattr(self, name) for name in (
+            "indecomposable", "transitive", "simple", "canonically_simple", "irreducible")}
+        for premise, conclusion in (("canonically_simple", "simple"),
+                                    ("simple", "indecomposable"),
+                                    ("transitive", "indecomposable")):
+            if verdicts[premise] and not verdicts[conclusion]:
+                raise NumericalFailure(
+                    f"implication violated: {premise.replace('_', ' ')} but not {conclusion}")
+        return verdicts
+
+    def splitting_idempotent(self, max_tries: int = 24) -> dict[str, np.ndarray] | None:
+        """A nontrivial idempotent endomorphism; None when indecomposable."""
+        if self.indecomposable:
+            return None
+        return _splitting_idempotent(self.rep, self.end_basis, self.tol, self.seed, max_tries)
+
+    def invariant_subspace(self, max_tries: int = 24) -> dict[str, np.ndarray] | None:
+        """Per-vertex inclusions of a proper subrepresentation; None when simple."""
+        if self.simple:
+            return None
+        return _invariant_subspace_witness(self.rep, self.algebra, self.tol, self.seed,
+                                           max_tries)
+
+
+def analyze(rep: Representation, tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> Analysis:
+    """The lazy verdict battery of a nonzero representation."""
     if rep.is_zero():
-        raise ValidationError("the zero representation has no irreducibility verdict")
-    return star_closed_end_dim(rep, tol) == 1
+        raise ValidationError("the zero representation has no structural verdicts")
+    return Analysis(rep, tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +625,7 @@ def _idempotent_range(p: np.ndarray) -> np.ndarray:
 
 def single_jordan_block_criterion(matrix: np.ndarray,
                                   tol: Tolerances = DEFAULT_TOL) -> bool:
-    """One eigenvalue cluster and geometric multiplicity one."""
+    """One single-linkage eigenvalue cluster and geometric multiplicity one."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] == 0:
         raise ValidationError("expected a nonempty square matrix")
@@ -591,10 +634,8 @@ def single_jordan_block_criterion(matrix: np.ndarray,
         return True
     eigs = np.linalg.eigvals(matrix)
     radius = float(np.max(np.abs(eigs)))
-    if radius > 0.0:
-        clusters = cluster_eigenvalues(eigs, tol.cluster_tol(radius))
-        if len(clusters) > 1:
-            return False
+    if radius > 0.0 and widest_two_group_split(eigs, tol.cluster_tol(radius)) is not None:
+        return False
     center = complex(np.mean(eigs))
     nullity = n - numerical_rank(matrix - center * np.eye(n), tol)
     return nullity == 1

@@ -18,7 +18,7 @@ from .intertwiner import end
 from .numerics import (DEFAULT_TOL, Tolerances, nullspace, orthonormal_inclusion)
 from .quiver import Arrow, Quiver, build_canonical
 from .rep import Representation
-from .structure import AlgebraBasis
+from .structure import AlgebraBasis, block_offsets
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +78,7 @@ def system_end(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> Algebra
             blocks.append(np.kron(comp.conj().T, inc.T))
     null = nullspace(np.vstack(blocks), tol)
     basis = tuple(np.ascontiguousarray(row.reshape(d, d)) for row in null.basis)
-    return AlgebraBasis(d, basis, len(basis), null.cutoff)
+    return AlgebraBasis(d, basis, len(basis), null.cutoff, null.gap)
 
 
 def from_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SubspaceSystem:
@@ -143,10 +143,7 @@ def rep_to_system(rep: Representation, tol: Tolerances = DEFAULT_TOL,
             "the quiver has self-loops; apply remove_loops first"
         )
     d = rep.total_dim
-    offsets, pos = {}, 0
-    for v in rep.quiver.vertices:
-        offsets[v] = pos
-        pos += rep.dims[v]
+    offsets = block_offsets(rep)
     inclusions = []
     for v in rep.quiver.vertices:
         k = rep.dims[v]

@@ -1,15 +1,20 @@
 import csv
 import io
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import quiverrep.intertwiner
-from quiverrep import NumericalFailure, example_reps, generated_algebra, jordan_block
-from quiverrep.cli import main
-from quiverrep.document import dumps, operator_to_json
+from quiverrep import (NumericalFailure, Representation, build_canonical, example_reps,
+                       generated_algebra, is_canonically_simple, is_indecomposable,
+                       is_irreducible, is_simple, is_transitive, jordan_block,
+                       kronecker_rep)
+from quiverrep.cli import _build_parser, build_model, main
+from quiverrep.document import dumps, operator_to_json, rep_to_json
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +94,42 @@ def test_analyze_perturbation_not_transitive_and_flagged(capsys):
     assert report["verdicts"]["transitive"] is False
     assert report["finite_truncation"] is True
     assert report["evidence"]["dim_end"] == 4
+
+
+@pytest.mark.parametrize("model,params", [
+    ("ex1", []), ("ex3", ["N=4"]), ("ex6", []), ("ex7", []), ("ex9", ["N=4"]),
+    ("perturbation", ["N=4"]), ("jordan_first", ["n=3"]), ("wide", ["n=2"])])
+def test_analyze_verdicts_match_library(capsys, model, params):
+    argv = ["analyze", "--model", model]
+    for p in params:
+        argv += ["--param", p]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    rep, _ = build_model(model, params)
+    assert json.loads(out)["verdicts"] == {
+        "indecomposable": is_indecomposable(rep).indecomposable,
+        "transitive": is_transitive(rep),
+        "simple": is_simple(rep).simple,
+        "canonically_simple": is_canonically_simple(rep),
+        "irreducible": is_irreducible(rep),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("rep", [
+    # the loop system kron(I, A^T) - kron(A, I) overflows to +-inf
+    Representation(build_canonical("loop", 1), {"1": 2},
+                   {"a1": np.array([[1e308, 1e308], [0.0, -1e308]])}),
+    # finite system, but its largest singular value overflows
+    kronecker_rep(np.array([[1.7e308, 1e308], [0.0, -1.7e308]]), np.eye(2)),
+], ids=["loop", "kronecker"])
+def test_analyze_overflow_is_numerical_failure(tmp_path, capsys, rep):
+    path = tmp_path / "huge.json"
+    path.write_text(dumps(rep_to_json(rep)))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 3
+    assert "overflow" in err
+    assert out == ""
 
 
 # -- hom / iso -------------------------------------------------------------------
@@ -227,11 +268,23 @@ def test_sweep_deterministic_and_json_format(capsys):
 
 def test_sweep_jobs_ordering(capsys):
     code, out, _ = run_cli(capsys, "sweep", "ex8", "--n-range", "2:6",
-                           "--param", "lam=0.0,1.0", "--jobs", "3")
+                           "--param", "lam=0.0,1.0")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert [int(r["N"]) for r in rows] == [2, 3, 4, 5, 6] * 2
     assert all(int(r["dim_hom_cross"]) == 0 for r in rows)
+
+
+def test_sweep_builder_uses_tol_scale(capsys):
+    # the builder and the sweep's admissibility filter see the same tolerances
+    code, out, err = run_cli(capsys, "--tol-scale", "0.1", "sweep", "hrr",
+                             "--n-range", "2:3", "--param", "lam=2.7")
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["N"]) for r in rows] == [2, 3]
+    assert rows[1]["error"] == ""
+    assert int(rows[1]["dim_end"]) == 7
+    assert float(rows[1]["recursion_pass_rate"]) == 1.0
 
 
 def test_sweep_bad_range(capsys):
@@ -339,6 +392,21 @@ def test_convert_wrong_document_kind(tmp_path, capsys):
     l1 = build_doc(tmp_path, capsys, "ex6")
     code, _, err = run_cli(capsys, "convert", "--system-to-rep", str(l1))
     assert code == 2
+
+
+# -- docs ------------------------------------------------------------------------
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("quiverrep ")]
+    assert lines
+    parser = _build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 # -- exit codes ------------------------------------------------------------------

@@ -41,6 +41,12 @@ def test_system_end_contains_identity():
     assert alg.contains_identity()
 
 
+def test_system_end_reports_its_svd_gap():
+    alg = system_end(from_operator(jordan_block(0.0, 3)))
+    assert alg.dimension == 3
+    assert np.isfinite(alg.gap) and alg.gap > 1e6
+
+
 def test_system_end_example1_dimension_two():
     th = np.pi / 4
     sys1 = make_system(2, [np.array([[1.0], [0.0]]),
