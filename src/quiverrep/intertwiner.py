@@ -63,6 +63,33 @@ def intertwining_residual(a: Representation, b: Representation,
     return worst
 
 
+def hom_system(a: Representation, b: Representation) -> tuple[np.ndarray, dict[str, int]]:
+    """The linear system ``T_dst f_a - g_a T_src = 0`` over all arrows, whose
+    nullspace is Hom(a, b), and the column offset of each vertex's row-major
+    vec(T_v) (T_v of shape dims_b[v] x dims_a[v])."""
+    offsets, n_unknowns = _vec_layout(a, b)
+    rows = sum(b.dims[arr.dst] * a.dims[arr.src] for arr in a.quiver.arrows)
+    system = np.zeros((rows, n_unknowns), dtype=complex)
+    row = 0
+    # an entry that overflows is reported by nullspace as a NumericalFailure
+    with np.errstate(over="ignore", invalid="ignore"):
+        for arr in a.quiver.arrows:
+            f = a.maps[arr.name]
+            g = b.maps[arr.name]
+            br, asz = b.dims[arr.dst], a.dims[arr.src]
+            height = br * asz
+            if height:
+                # row-major vec: vec(X M) = (I (x) M^T) vec(X), vec(M X) = (M (x) I) vec(X)
+                c = offsets[arr.dst]
+                system[row:row + height, c:c + br * a.dims[arr.dst]] += \
+                    np.kron(np.eye(br), f.T)
+                c = offsets[arr.src]
+                system[row:row + height, c:c + b.dims[arr.src] * asz] -= \
+                    np.kron(g, np.eye(asz))
+            row += height
+    return system, offsets
+
+
 def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL,
         max_unknowns: int | None = None) -> HomBasis:
     """Orthonormal basis of Hom(a, b).
@@ -75,31 +102,14 @@ def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL,
         raise ValidationError("hom requires representations over the same quiver")
     if max_unknowns is None:
         max_unknowns = MAX_UNKNOWNS
-    offsets, n_unknowns = _vec_layout(a, b)
+    _, n_unknowns = _vec_layout(a, b)
     if n_unknowns > max_unknowns:
         raise SizeLimitExceeded(
             f"intertwiner system has {n_unknowns} unknowns > limit {max_unknowns}"
         )
     if n_unknowns == 0:
         return HomBasis(a, b, (), 0, 0.0, np.inf)
-
-    rows = sum(b.dims[arr.dst] * a.dims[arr.src] for arr in a.quiver.arrows)
-    system = np.zeros((rows, n_unknowns), dtype=complex)
-    row = 0
-    for arr in a.quiver.arrows:
-        f = a.maps[arr.name]
-        g = b.maps[arr.name]
-        br, asz = b.dims[arr.dst], a.dims[arr.src]
-        height = br * asz
-        if height:
-            # row-major vec: vec(X M) = (I (x) M^T) vec(X), vec(M X) = (M (x) I) vec(X)
-            c = offsets[arr.dst]
-            system[row:row + height, c:c + br * a.dims[arr.dst]] += \
-                np.kron(np.eye(br), f.T)
-            c = offsets[arr.src]
-            system[row:row + height, c:c + b.dims[arr.src] * asz] -= \
-                np.kron(g, np.eye(asz))
-        row += height
+    system, offsets = hom_system(a, b)
 
     # the largest arrow norm floors sigma_max in the cutoff: a loop system
     # kron(I, f^T) - kron(g, I) cancels to rounding noise when f = g is scalar

@@ -1,15 +1,17 @@
 """Shared numerical policy: SVD rank thresholds, nullspaces, orthonormal bases.
 
-Every rank decision in the package goes through :func:`nullspace` /
-:func:`numerical_rank` so that the threshold rule is stated in exactly one
-place: a singular value is discarded when it falls below
+Every rank decision in the package takes one SVD step, with its overflow
+checks, and one of two rules: a singular value is discarded below
 ``max(m, n) * eps * sigma_max * svd_factor``, with sigma_max floored by an
-optional reference scale (see :func:`nullspace`).
+optional reference scale (see :func:`nullspace`), or, for the trace-form
+Gram matrix of an End basis, below ``cluster_tol(1)^2 sigma_max``
+(:func:`gram_nullity`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -56,16 +58,7 @@ class Tolerances:
         return self.cluster_rel * spectral_radius * self.global_scale
 
     def as_dict(self) -> dict:
-        return {
-            "svd_factor": self.svd_factor,
-            "hom_rel": self.hom_rel,
-            "inv_rel": self.inv_rel,
-            "range_rel": self.range_rel,
-            "cluster_rel": self.cluster_rel,
-            "idem_rel": self.idem_rel,
-            "weight_floor": self.weight_floor,
-            "global_scale": self.global_scale,
-        }
+        return asdict(self)
 
 
 DEFAULT_TOL = Tolerances()
@@ -89,6 +82,27 @@ class NullspaceResult:
     @property
     def dimension(self) -> int:
         return self.basis.shape[0]
+
+
+def _ranked_svd(matrix: np.ndarray, cutoff_at: Callable[[float], float],
+                full_matrices: bool = False
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int]:
+    """U, singular values, V^H, sigma_max, cutoff ``cutoff_at(sigma_max)`` and
+    rank of ``matrix``.  Raises NumericalFailure when the matrix or
+    the cutoff is not finite, or when the SVD does not converge."""
+    m, n = matrix.shape
+    if not np.isfinite(matrix).all():
+        raise NumericalFailure(f"overflow: the {m} x {n} system has non-finite entries")
+    try:
+        u, svals, vh = np.linalg.svd(matrix, full_matrices=full_matrices)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD of a {m} x {n} system: {exc}") from None
+    sigma_max = float(svals[0]) if svals.size else 0.0
+    cutoff = cutoff_at(sigma_max)
+    if not np.isfinite(cutoff):
+        raise NumericalFailure(f"overflow: the rank cutoff of a {m} x {n} system is {cutoff} "
+                               f"(sigma_max {sigma_max:.3e})")
+    return u, svals, vh, sigma_max, cutoff, int(np.count_nonzero(svals > cutoff))
 
 
 def nullspace(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
@@ -115,18 +129,8 @@ def nullspace(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
         return NullspaceResult(np.zeros((0, 0), dtype=complex), 0, np.inf, 0.0, 0.0)
     if m == 0:
         return NullspaceResult(np.eye(n, dtype=complex), 0, np.inf, 0.0, 0.0)
-    if not np.isfinite(matrix).all():
-        raise NumericalFailure(f"overflow: the {m} x {n} system has non-finite entries")
-    try:
-        _, svals, vh = np.linalg.svd(matrix, full_matrices=m < n)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"nullspace of a {m} x {n} system: {exc}") from None
-    sigma_max = float(svals[0]) if svals.size else 0.0
-    cutoff = tol.svd_cutoff(m, n, max(sigma_max, scale))
-    if not np.isfinite(cutoff):
-        raise NumericalFailure(f"overflow: the rank cutoff of a {m} x {n} system is {cutoff} "
-                               f"(sigma_max {sigma_max:.3e}, reference scale {scale:.3e})")
-    rank = int(np.count_nonzero(svals > cutoff))
+    _, svals, vh, sigma_max, cutoff, rank = _ranked_svd(
+        matrix, lambda s: tol.svd_cutoff(m, n, max(s, scale)), full_matrices=m < n)
     kept = float(svals[rank - 1]) if rank > 0 else np.inf
     discarded = float(svals[rank]) if rank < svals.size else 0.0
     gap = np.inf if discarded == 0.0 else kept / discarded
@@ -137,17 +141,30 @@ def numerical_rank(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     return nullspace(matrix, tol).rank
 
 
+def gram_nullity(gram: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Nullity of the trace-form Gram matrix of a Frobenius-orthonormal End
+    basis, at the resolution of the split search.
+
+    An idempotent of Frobenius norm kappa adds a singular value of about
+    1/(2 kappa^2), and in a random unit End element it separates eigenvalues
+    by about 1/kappa of the spectral radius.  The split search merges
+    eigenvalues closer than ``cluster_tol``, so singular values up to
+    ``cluster_tol(1)^2 sigma_max``, floored by the SVD cutoff, count as zero:
+    a split is reported only where a witness can be found."""
+    k = gram.shape[0]
+    return k - _ranked_svd(gram, lambda s: max(tol.cluster_tol(1.0) ** 2 * s,
+                                               tol.svd_cutoff(k, k, s)))[-1]
+
+
 def orthonormal_range(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
                       scale: float = 0.0) -> np.ndarray:
     """Orthonormal basis (as columns) of the column space of ``matrix``;
-    ``scale`` floors sigma_max in the cutoff as in :func:`nullspace`."""
+    ``scale`` floors sigma_max in the cutoff as in :func:`nullspace`, and
+    overflow raises NumericalFailure as there."""
     m, n = matrix.shape
     if n == 0 or m == 0:
         return np.zeros((m, 0), dtype=complex)
-    u, svals, _ = np.linalg.svd(matrix, full_matrices=False)
-    sigma_max = float(svals[0]) if svals.size else 0.0
-    cutoff = tol.svd_cutoff(m, n, max(sigma_max, scale))
-    rank = int(np.count_nonzero(svals > cutoff))
+    u, *_, rank = _ranked_svd(matrix, lambda s: tol.svd_cutoff(m, n, max(s, scale)))
     return u[:, :rank]
 
 

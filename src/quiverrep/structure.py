@@ -4,8 +4,10 @@ Indecomposability uses the local-algebra test: a nonzero representation is
 indecomposable iff End modulo its Jacobson radical is one-dimensional.  The
 radical is the kernel of the trace bilinear form (x, y) -> tr(xy) on the
 acting space, which identifies it in characteristic zero.  Splitting
-idempotents come from spectral projectors of random End elements, computed
-via an ordered Schur decomposition and a Sylvester solve.
+idempotents come from spectral projectors of random End elements, cut at the
+longest edge of the eigenvalues' minimum spanning tree and computed via an
+ordered Schur decomposition and a Sylvester solve; ``decompose`` refines the
+ranges of each one by a Newton step before restricting to them.
 
 Simplicity follows the literal subrepresentation definition: the unital
 algebra generated by the vertex coordinate idempotents and the arrow maps
@@ -24,13 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import NumericalFailure, ValidationError
-from .intertwiner import HomBasis, end, hom_scale, intertwining_residual
-from .numerics import (DEFAULT_TOL, Tolerances, frob, nullspace, numerical_rank,
+from .intertwiner import HomBasis, end, hom_scale, hom_system, intertwining_residual
+from .numerics import (DEFAULT_TOL, Tolerances, frob, gram_nullity, numerical_rank,
                        orthonormal_range, random_complex)
 from .quiver import Quiver, Arrow
 from .rep import Representation, restrict
@@ -40,22 +43,13 @@ from .rep import Representation, restrict
 # block embedding of vertex tuples into B((+)_v H_v)
 
 def block_offsets(rep: Representation) -> dict[str, int]:
-    offsets, pos = {}, 0
-    for v in rep.quiver.vertices:
-        offsets[v] = pos
-        pos += rep.dims[v]
-    return offsets
+    sizes = [rep.dims[v] for v in rep.quiver.vertices]
+    return dict(zip(rep.quiver.vertices, np.cumsum([0] + sizes[:-1]).tolist()))
 
 
 def embed_tuple(rep: Representation, t: dict[str, np.ndarray]) -> np.ndarray:
     """Block-diagonal matrix of a vertex-indexed tuple on the total space."""
-    d = rep.total_dim
-    out = np.zeros((d, d), dtype=complex)
-    off = block_offsets(rep)
-    for v in rep.quiver.vertices:
-        k = rep.dims[v]
-        out[off[v]:off[v] + k, off[v]:off[v] + k] = t[v]
-    return out
+    return sla.block_diag(*(t[v] for v in rep.quiver.vertices)).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +72,8 @@ class AlgebraBasis:
     def span_residual(self, matrix: np.ndarray) -> float:
         """Distance from ``matrix`` to the span of the basis."""
         vec = matrix.reshape(-1)
-        proj = np.zeros_like(vec)
-        for b in self.basis:
-            bv = b.reshape(-1)
-            proj += np.vdot(bv, vec) * bv
-        return float(np.linalg.norm(vec - proj))
+        rows = np.array(self.basis).reshape(len(self.basis), vec.size)
+        return float(np.linalg.norm(vec - rows.T @ (rows.conj() @ vec)))
 
     def contains_identity(self) -> bool:
         eye = np.eye(self.ambient_dim, dtype=complex)
@@ -220,19 +211,21 @@ def generated_algebra(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> Alg
     return AlgebraBasis(d, basis, len(basis), cutoff, gap)
 
 
+def _vertex_stacks(rep: Representation, basis: HomBasis) -> dict[str, np.ndarray]:
+    """The basis (dimension k > 0) at each vertex as one array, shape (k, d_v, d_v)."""
+    return {v: np.array([t[v] for t in basis.basis]) for v in rep.quiver.vertices}
+
+
 def radical_dimension(rep: Representation, tol: Tolerances = DEFAULT_TOL,
                       basis: HomBasis | None = None) -> int:
-    """Dimension of the Jacobson radical of End, via the trace-form kernel."""
+    """Dimension of the Jacobson radical of End, via the trace-form kernel:
+    the nullity of the Gram matrix tr(t_i t_j), one product per vertex, at
+    ``hom_tol`` (:func:`numerics.gram_nullity`)."""
     basis = end(rep, tol) if basis is None else basis
-    k = basis.dimension
-    if k == 0:
+    if basis.dimension == 0:
         return 0
-    gram = np.zeros((k, k), dtype=complex)
-    for i, ti in enumerate(basis.basis):
-        for j, tj in enumerate(basis.basis):
-            gram[i, j] = sum(np.trace(ti[v] @ tj[v]) for v in rep.quiver.vertices
-                             if rep.dims[v])
-    return nullspace(gram, tol).dimension
+    gram = sum(np.einsum("iab,jba->ij", b, b) for b in _vertex_stacks(rep, basis).values())
+    return gram_nullity(gram, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -242,30 +235,30 @@ def widest_two_group_split(values: np.ndarray,
                            threshold: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Cut the single-linkage hierarchy into two groups at the widest gap.
 
-    Returns None when the final merge distance is below ``threshold`` (no
-    split: everything is one cluster at that resolution).  Choosing the widest
-    gap keeps the downstream Sylvester solve for the spectral projector well
-    conditioned even when defective eigenvalues smear into nearby singletons.
+    Single linkage is the minimum spanning tree of the distances (Gower &
+    Ross, 1969); its last merge is the tree's longest edge.  Returns None when
+    that edge is at most ``threshold`` (one cluster at that resolution), else
+    the component of ``values[0]`` under shorter edges and the rest, a cut at
+    the widest gap even when edges tie.  The widest gap keeps the Sylvester
+    solve of the spectral projector well conditioned.
     """
-    n = len(values)
-    if n < 2:
+    # imported here, not with the package: it adds about 0.1 s to the import
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
+
+    values = np.asarray(values)
+    if len(values) < 2:
         return None
-    groups = [[i] for i in range(n)]
-    while len(groups) > 2:
-        best, best_pair = np.inf, (0, 1)
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                d = min(abs(values[a] - values[b]) for a in groups[i] for b in groups[j])
-                if d < best:
-                    best, best_pair = d, (i, j)
-        i, j = best_pair
-        groups[i] = groups[i] + groups[j]
-        del groups[j]
-    gap = min(abs(values[a] - values[b]) for a in groups[0] for b in groups[1])
-    if gap <= threshold:
+    dist = np.abs(values[:, None] - values[None, :])
+    # sparse input keeps distances below 1e-8 that a dense one masks as
+    # missing; the exact zeros it drops never change the longest edge
+    tree = minimum_spanning_tree(csr_matrix(dist))
+    widest = tree.max()
+    if widest <= threshold:
         return None
-    first, second = (np.array(values[g]) for g in groups)
-    return first, second
+    _, labels = connected_components(csr_matrix(dist < widest), directed=False)
+    first = labels == labels[0]
+    return values[first], values[~first]
 
 
 def spectral_projector(matrix: np.ndarray, selected: np.ndarray,
@@ -322,39 +315,25 @@ def _splitting_idempotent(rep: Representation, basis: HomBasis, tol: Tolerances,
     rng = np.random.default_rng(seed)
     scale = hom_scale(rep, rep)
     d = rep.total_dim
+    stacks = _vertex_stacks(rep, basis)
     failures = []
-    for attempt in range(max_tries):
+    for _ in range(max_tries):
         coeff = random_complex(rng, (basis.dimension,))
-        x = {v: sum(c * t[v] for c, t in zip(coeff, basis.basis))
-             for v in rep.quiver.vertices}
-        eigs = np.concatenate([np.linalg.eigvals(x[v]) for v in rep.quiver.vertices
-                               if rep.dims[v]])
+        x = {v: np.tensordot(coeff, b, axes=1) for v, b in stacks.items()}
+        eigs = np.concatenate([np.linalg.eigvals(m) for m in x.values() if m.size])
         radius = float(np.max(np.abs(eigs)))
         if radius == 0.0:
             failures.append("nilpotent sample")
             continue
-        # the semisimple quotient already certifies that a split exists; if
-        # the spectrum refuses to separate at the clustering threshold
-        # (defective eigenvalue smear can sit below it), later attempts
-        # accept the widest gap outright
-        threshold = tol.cluster_tol(radius) if attempt < max_tries // 2 else 0.0
-        split = widest_two_group_split(eigs, threshold)
+        split = widest_two_group_split(eigs, tol.cluster_tol(radius))
         if split is None:
             failures.append("spectrum did not split")
             continue
         selected, others = split
-        p = {}
-        for v in rep.quiver.vertices:
-            if rep.dims[v] == 0:
-                p[v] = np.zeros((0, 0), dtype=complex)
-            else:
-                p[v] = spectral_projector(x[v], selected, others)
-        # one Newton step stabilizes downstream column-space extraction
-        p = {v: 3 * (m @ m) - 2 * (m @ m @ m) for v, m in p.items()}
+        p = {v: spectral_projector(m, selected, others) if m.size else m for v, m in x.items()}
         norm_p = np.sqrt(sum(frob(m) ** 2 for m in p.values()))
         defect = np.sqrt(sum(frob(m @ m - m) ** 2 for m in p.values()))
-        trace = sum(float(np.trace(m).real) for m in p.values() if m.size)
-        rank = int(round(trace))
+        rank = int(round(sum(float(np.trace(m).real) for m in p.values())))
         if defect > tol.idem_rel * tol.global_scale * max(norm_p, 1e-300):
             failures.append(f"idempotent defect {defect:.2e}")
             continue
@@ -452,19 +431,16 @@ def is_canonically_simple(rep: Representation) -> bool:
 
 def star_closed_end_dim(rep: Representation, tol: Tolerances = DEFAULT_TOL,
                         basis: HomBasis | None = None) -> int:
-    """Dimension of C = { T in End : T* in End }, the self-adjoint-closed core."""
+    """Dimension of C = { T in End : T* in End }, the self-adjoint-closed core:
+    2k minus the rank of the k basis tuples stacked on their adjoints."""
     basis = end(rep, tol) if basis is None else basis
-    if basis.dimension == 0:
+    k = basis.dimension
+    if k == 0:
         return 0
-    vecs = np.array([_tuple_vec(rep, t) for t in basis.basis])
-    star = np.array([_tuple_vec(rep, {v: t[v].conj().T for v in t}) for t in basis.basis])
-    joint_rank = numerical_rank(np.vstack([vecs, star]), tol)
-    return 2 * basis.dimension - joint_rank
-
-
-def _tuple_vec(rep: Representation, t: dict[str, np.ndarray]) -> np.ndarray:
-    parts = [t[v].reshape(-1) for v in rep.quiver.vertices]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+    stacks = _vertex_stacks(rep, basis).values()
+    vecs = np.hstack([b.reshape(k, -1) for b in stacks])
+    star = np.hstack([b.conj().transpose(0, 2, 1).reshape(k, -1) for b in stacks])
+    return 2 * k - numerical_rank(np.vstack([vecs, star]), tol)
 
 
 def is_irreducible(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -589,7 +565,10 @@ class DecompositionTree:
 def decompose(rep: Representation, tol: Tolerances = DEFAULT_TOL,
               seed: int = 0) -> DecompositionTree:
     """Recursively split along idempotent witnesses until every leaf is
-    indecomposable; the direct sum of the leaves is isomorphic to the input."""
+    indecomposable; the direct sum of the leaves is isomorphic to the input.
+    The ranges of each witness are refined by :func:`_refine_split` before
+    the restriction, so a child carries rounding error rather than the
+    witness's error into its own rank decisions."""
     res = is_indecomposable(rep, tol, seed)
     if res.indecomposable:
         return DecompositionTree(rep, None, None)
@@ -597,22 +576,61 @@ def decompose(rep: Representation, tol: Tolerances = DEFAULT_TOL,
     inc_left, inc_right = {}, {}
     for v in rep.quiver.vertices:
         inc_left[v] = _idempotent_range(p[v])
-        eye = np.eye(rep.dims[v], dtype=complex)
-        inc_right[v] = _idempotent_range(eye - p[v])
+        inc_right[v] = _idempotent_range(np.eye(rep.dims[v]) - p[v])
         if inc_left[v].shape[1] + inc_right[v].shape[1] != rep.dims[v]:
             raise NumericalFailure(
                 f"idempotent ranges at vertex {v!r} do not complement each other"
             )
+    inc_left, inc_right = _refine_split(rep, inc_left, inc_right)
     left = restrict(rep, inc_left, tol)
     right = restrict(rep, inc_right, tol)
     return DecompositionTree(rep, p, (decompose(left, tol, seed * 2 + 1),
                                       decompose(right, tol, seed * 2 + 2)))
 
 
+def _refine_split(rep: Representation, left: dict[str, np.ndarray],
+                  right: dict[str, np.ndarray]) -> tuple[dict, dict]:
+    """One Newton step that makes complementary inclusions invariant (Demmel,
+    "Three methods for refining estimates of invariant subspaces", 1987).
+
+    In the basis [left | right] an arrow map is [[A, B], [C, D]], with
+    couplings B and C as large as the witness's error; left + right X and
+    right + left Y remove them to first order when X_dst A - D X_src = C and
+    Y_dst D - A Y_src = B, two Hom systems solved by least squares.  Near a
+    non-unique complement they are nearly singular and the step can
+    overshoot, so it is kept only if it lowers the invariance residual."""
+    vertices, arrows = rep.quiver.vertices, rep.quiver.arrows
+    blocks = {}
+    for a in arrows:
+        m = np.linalg.solve(np.hstack([left[a.dst], right[a.dst]]),
+                            rep.maps[a.name] @ np.hstack([left[a.src], right[a.src]]))
+        kd, ks = left[a.dst].shape[1], left[a.src].shape[1]
+        blocks[a.name] = (m[:kd, :ks], m[:kd, ks:], m[kd:, :ks], m[kd:, ks:])
+    parts = [Representation(rep.quiver, {v: inc[v].shape[1] for v in vertices},
+                            {name: b[i] for name, b in blocks.items()})
+             for inc, i in ((left, 0), (right, 3))]
+
+    def step(src: Representation, dst: Representation, coupling: int) -> dict:
+        system, offsets = hom_system(src, dst)
+        rhs = [blocks[a.name][coupling].reshape(-1) for a in arrows]
+        sol = np.linalg.lstsq(system, np.concatenate(rhs or [np.zeros(0)]), rcond=None)[0]
+        return {v: sol[offsets[v]:offsets[v] + src.dims[v] * dst.dims[v]]
+                .reshape(dst.dims[v], src.dims[v]) for v in vertices}
+
+    x, y = step(*parts, 2), step(*parts[::-1], 1)
+    refined = ({v: np.linalg.qr(left[v] + right[v] @ x[v])[0] for v in vertices},
+               {v: np.linalg.qr(right[v] + left[v] @ y[v])[0] for v in vertices})
+
+    def leak(pair: tuple[dict, dict]) -> float:
+        return max((frob(rep.maps[a.name] @ inc[a.src] - inc[a.dst]
+                         @ (inc[a.dst].conj().T @ rep.maps[a.name] @ inc[a.src]))
+                    for inc in pair for a in arrows), default=0.0)
+
+    return refined if leak(refined) < leak((left, right)) else (left, right)
+
+
 def _idempotent_range(p: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the range of an idempotent; rank = trace."""
-    if p.shape[0] == 0:
-        return np.zeros((0, 0), dtype=complex)
     rank = int(round(float(np.trace(p).real)))
     if rank == 0:
         return np.zeros((p.shape[0], 0), dtype=complex)
@@ -625,20 +643,28 @@ def _idempotent_range(p: np.ndarray) -> np.ndarray:
 
 def single_jordan_block_criterion(matrix: np.ndarray,
                                   tol: Tolerances = DEFAULT_TOL) -> bool:
-    """One single-linkage eigenvalue cluster and geometric multiplicity one."""
+    """One eigenvalue and geometric multiplicity one.
+
+    With c the mean eigenvalue, N = A - cI must be nilpotent: the coefficient
+    of x^(n-j) in the characteristic polynomial of N, taken from the computed
+    eigenvalues, may be no larger than what their backward error
+    eta = ``svd_cutoff(n, n, ||A||)`` can put there, j binom(n, j) eta
+    ||N||^(j-1).  Then A - cI must have nullity one at the SVD cutoff.
+    """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] == 0:
         raise ValidationError("expected a nonempty square matrix")
     n = matrix.shape[0]
-    if n == 1:
-        return True
     eigs = np.linalg.eigvals(matrix)
-    radius = float(np.max(np.abs(eigs)))
-    if radius > 0.0 and widest_two_group_split(eigs, tol.cluster_tol(radius)) is not None:
-        return False
     center = complex(np.mean(eigs))
-    nullity = n - numerical_rank(matrix - center * np.eye(n), tol)
-    return nullity == 1
+    shifted = matrix - center * np.eye(n)
+    eta = tol.svd_cutoff(n, n, float(np.linalg.norm(matrix, 2)))
+    j = np.arange(2, n + 1)
+    bound = j * np.array([comb(n, i) for i in j]) * eta \
+        * float(np.linalg.norm(shifted, 2)) ** (j - 1)
+    if np.any(np.abs(np.poly(eigs - center)[2:]) > bound):
+        return False
+    return n - numerical_rank(shifted, tol) == 1
 
 
 def is_strongly_irreducible(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
@@ -650,13 +676,11 @@ def is_strongly_irreducible(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
     cross-checked against the direct single-Jordan-block criterion; a
     disagreement raises NumericalFailure naming both verdicts.
     """
+    direct = single_jordan_block_criterion(matrix, tol)  # validates the input
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] == 0:
-        raise ValidationError("expected a nonempty square matrix")
     loop = Quiver(("1",), (Arrow("a1", "1", "1"),))
     rep = Representation(loop, {"1": matrix.shape[0]}, {"a1": matrix})
     via_rep = is_indecomposable(rep, tol, seed).indecomposable
-    direct = single_jordan_block_criterion(matrix, tol)
     if via_rep != direct:
         raise NumericalFailure(
             "strong-irreducibility cross-check disagreement: "

@@ -159,3 +159,28 @@ def dense_system_end_dim(system) -> int:
     svals = np.linalg.svd(stacked, compute_uv=False)
     cutoff = max(stacked.shape) * np.finfo(float).eps * svals[0] * 10.0
     return d * d - int(np.count_nonzero(svals > cutoff))
+
+
+def agglomerative_two_group_split(values, threshold):
+    """Reference single linkage: merge the two closest groups, measured by
+    their closest pair, until two groups remain.  Returns the two groups of
+    values (the first holds values[0]), or None when the distance between
+    them is at most ``threshold``.  Takes O(n^4) time; for small inputs only."""
+    n = len(values)
+    if n < 2:
+        return None
+    groups = [[i] for i in range(n)]
+    while len(groups) > 2:
+        best, best_pair = np.inf, (0, 1)
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                d = min(abs(values[a] - values[b]) for a in groups[i] for b in groups[j])
+                if d < best:
+                    best, best_pair = d, (i, j)
+        i, j = best_pair
+        groups[i] = groups[i] + groups[j]
+        del groups[j]
+    gap = min(abs(values[a] - values[b]) for a in groups[0] for b in groups[1])
+    if gap <= threshold:
+        return None
+    return tuple(np.array([values[a] for a in g]) for g in groups)

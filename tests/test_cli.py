@@ -3,6 +3,7 @@ import io
 import json
 import shlex
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +116,17 @@ def test_analyze_verdicts_match_library(capsys, model, params):
     }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_analyze_shift_pair_is_indecomposable(capsys):
+    # (I, S*) at N = 3: End is C[S*], a local algebra with a radical of dimension 2
+    code, out, err = run_cli(capsys, "analyze", "--model", "ex8s",
+                             "--param", "N=3", "--param", "lam=0")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["evidence"]["dim_radical"] == 2
+    assert report["evidence"]["semisimple_quotient_dim"] == 1
+    assert report["verdicts"]["indecomposable"] is True
+
+
 @pytest.mark.parametrize("rep", [
     # the loop system kron(I, A^T) - kron(A, I) overflows to +-inf
     Representation(build_canonical("loop", 1), {"1": 2},
@@ -126,7 +137,10 @@ def test_analyze_verdicts_match_library(capsys, model, params):
 def test_analyze_overflow_is_numerical_failure(tmp_path, capsys, rep):
     path = tmp_path / "huge.json"
     path.write_text(dumps(rep_to_json(rep)))
-    code, out, err = run_cli(capsys, "analyze", str(path))
+    with warnings.catch_warnings():
+        # the overflow is reported once, as the error, not also as a numpy warning
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "analyze", str(path))
     assert code == 3
     assert "overflow" in err
     assert out == ""
@@ -368,6 +382,16 @@ def test_convert_system_with_nan_entry_is_validation_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "convert", "--system-to-rep", str(sys_path))
     assert code == 2
     assert "inclusions[2], row 1, column 1" in err
+
+
+def test_convert_system_overflow_is_numerical_failure(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"ambient_dim": 2,
+                                "inclusions": [[[[1.7e308, 0.0]], [[1.7e308, 0.0]]]]}))
+    code, out, err = run_cli(capsys, "convert", "--system-to-rep", str(path))
+    assert code == 3
+    assert "overflow" in err
+    assert out == ""
 
 
 def test_analyze_boolean_entry_is_validation_error(tmp_path, capsys):

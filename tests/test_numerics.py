@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quiverrep.numerics import DEFAULT_TOL, nullspace, random_complex
+from quiverrep.numerics import DEFAULT_TOL, gram_nullity, nullspace, random_complex
 
 
 def planted_rank(rng, m, n, r):
@@ -63,3 +63,12 @@ def test_nullspace_scale_floors_sigma_max():
     # a floor below sigma_max changes nothing
     matrix = planted_rank(rng, 10, 6, 3)
     assert nullspace(matrix, scale=1e-3).cutoff == nullspace(matrix).cutoff
+
+
+def test_gram_nullity_cuts_at_split_resolution():
+    # cluster_rel = 1e-6, so singular values up to 1e-12 sigma_max count as
+    # zero; the eps cutoff of a 3 x 3 matrix is about 7e-15
+    assert gram_nullity(np.diag([2.0, 1e-13, 0.5])) == 1
+    assert gram_nullity(np.diag([2.0, 1e-11, 0.5])) == 0
+    assert gram_nullity(np.diag([2.0, 1e-11, 0.5]), DEFAULT_TOL.rescaled(10.0)) == 1
+    assert gram_nullity(np.zeros((0, 0))) == 0

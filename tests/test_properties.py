@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverrep import end, from_operator, system_end
+from quiverrep.structure import widest_two_group_split
 
 from helpers import conjugated_jordan, loop_rep
+from oracles import agglomerative_two_group_split
 
 # Jordan types of total size 1..5 with eigenvalues in a small set, so that
 # blocks often share an eigenvalue
@@ -23,3 +25,32 @@ def test_end_preserved_through_from_operator(blocks, seed):
     mat, commutant = conjugated_jordan(np.random.default_rng(seed), blocks)
     assert end(loop_rep(mat)).dimension == commutant
     assert system_end(from_operator(mat)).dimension == commutant
+
+
+def _cross_gap(first, second):
+    return min(abs(a - b) for a in first for b in second)
+
+
+# values clustered around a few centres, offset by exact zeros (duplicates)
+# and by distances on both sides of 1e-8
+clustered_values = st.lists(
+    st.tuples(st.sampled_from([0.0, 1.0, -2.0, 1.5j, 0.3 + 0.3j]),
+              st.sampled_from([0.0, 0.0, 1e-12, 4e-9, 1e-8, 3e-8, 1e-6, 0.05])),
+    min_size=0, max_size=10,
+).map(lambda pts: np.array([c + o for c, o in pts], dtype=complex))
+free_values = st.lists(st.floats(-3.0, 3.0), min_size=0, max_size=10).map(
+    lambda xs: np.array(xs, dtype=complex))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(values=st.one_of(clustered_values, free_values),
+       threshold=st.sampled_from([0.0, 1e-12, 5e-9, 1e-8, 1e-6, 0.04, 0.5, 2.0]))
+def test_widest_split_matches_agglomerative_reference(values, threshold):
+    split = widest_two_group_split(values, threshold)
+    reference = agglomerative_two_group_split(values, threshold)
+    assert (split is None) == (reference is None)
+    if split is not None:
+        first, second = split
+        assert len(first) + len(second) == len(values)
+        assert values[0] in first
+        assert _cross_gap(first, second) == _cross_gap(*reference)

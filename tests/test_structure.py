@@ -1,20 +1,28 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from quiverrep import (NumericalFailure, ValidationError, are_isomorphic,
+from quiverrep import (ValidationError, are_isomorphic,
                        build_canonical, canonically_simple, decompose,
                        direct_sum, end, example_reps, intertwining_residual,
                        is_canonically_simple, is_indecomposable, is_irreducible,
                        is_simple, is_strongly_irreducible, is_transitive,
                        jordan_block, kronecker_rep, radical_dimension, restrict,
-                       shift, diagonal, zero_representation, Arrow, Quiver,
-                       Representation)
+                       shift, diagonal, single_jordan_block_criterion,
+                       zero_representation, Arrow, Quiver, Representation)
 from quiverrep.intertwiner import hom_scale
-from quiverrep.structure import generated_algebra, star_closed_end_dim
+from quiverrep.kronecker import FAMILY_KINDS, KroneckerFamily, build_family
+from quiverrep.numerics import random_complex
+from quiverrep.structure import (_idempotent_range, _refine_split, generated_algebra,
+                                 star_closed_end_dim)
 
-from helpers import (conjugate, example6, example7, loop_rep, random_quiver,
-                     random_acyclic_quiver, random_decomposable, random_rep,
-                     two_subspace_rep)
+from helpers import (conjugate, conjugated_jordan, example6, example7, loop_rep,
+                     random_quiver, random_acyclic_quiver, random_decomposable,
+                     random_rep, two_subspace_rep)
 from oracles import exact_generated_algebra_dim
 
 
@@ -65,6 +73,34 @@ def test_radical_semisimple_commutative():
 def test_radical_of_jordan_block_end():
     rep = loop_rep(jordan_block(0.0, 2))
     assert radical_dimension(rep) == 1
+
+
+def test_radical_of_shift_pair_ignores_gram_noise():
+    # (I, S*): End is C[S*], local with a radical of dimension 2; the trace
+    # Gram's rounding noise (about 7e-15) sits above the eps cutoff of a
+    # 3 x 3 matrix
+    rep = example_reps("ex8*", 3, 0.0)
+    assert radical_dimension(rep) == 2
+    assert is_indecomposable(rep).indecomposable
+
+
+def _ill_conditioned_semisimple_loops():
+    # distinct eigenvalues 1 and 2 with idempotents of norm about 1e4 and 1e5:
+    # the trace Gram's small singular values are about 5e-9 and 1e-10
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    v, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    s = u @ np.diag([1.0, 1e-5]) @ v
+    return [np.array([[1.0, 1e4], [0.0, 2.0]]), s @ np.diag([1.0, 2.0]) @ np.linalg.inv(s)]
+
+
+@pytest.mark.parametrize("mat", _ill_conditioned_semisimple_loops())
+def test_ill_conditioned_semisimple_loop_is_decomposable(mat):
+    rep = loop_rep(mat)
+    assert radical_dimension(rep) == 0
+    assert not is_indecomposable(rep).indecomposable
+    leaves = decompose(rep).leaf_reps()
+    assert sorted(complex(l.maps["a1"][0, 0]).real for l in leaves) == pytest.approx([1.0, 2.0])
 
 
 # -- transitivity ------------------------------------------------------------
@@ -302,23 +338,63 @@ def test_decompose_three_summands():
 
 
 def test_decompose_defective_block_under_skew_conjugation():
-    # skew conjugation makes the nested defective block ambiguous at working
-    # precision: decompose must either produce a valid round-tripping tree or
-    # raise the documented splitting failure, never return quietly wrong data
+    # skew conjugation perturbs the nested defective block; the refined split
+    # keeps that perturbation at rounding level, so the block stays one leaf
     rng = np.random.default_rng(31)
     parts = [loop_rep(np.array([[1.0]])), loop_rep(np.array([[2.0]])),
              loop_rep(jordan_block(3.0, 2))]
     rep = conjugate(direct_sum(direct_sum(parts[0], parts[1]), parts[2]), rng)
-    try:
-        leaves = decompose(rep).leaf_reps()
-    except NumericalFailure as exc:
-        assert "splitting idempotent" in str(exc)
-        return
-    assert sum(l.total_dim for l in leaves) == 4
+    leaves = decompose(rep).leaf_reps()
+    assert sorted(l.total_dim for l in leaves) == [1, 1, 2]
     rebuilt = leaves[0]
     for leaf in leaves[1:]:
         rebuilt = direct_sum(rebuilt, leaf)
     assert are_isomorphic(rebuilt, rep).verdict == "yes"
+
+
+def _hidden_kronecker_sum(seed, gaussian=True):
+    # a sum of 2-4 Kronecker families under a random basis change: a Gaussian
+    # one often has condition number 1e2-1e3, conjugate()'s stays near 1
+    rng = np.random.default_rng(seed)
+    parts = [build_family(KroneckerFamily(str(rng.choice(FAMILY_KINDS)),
+                                          int(rng.integers(1, 4)), float(rng.integers(0, 3))))
+             for _ in range(int(rng.integers(2, 5)))]
+    total = parts[0]
+    for part in parts[1:]:
+        total = direct_sum(total, part)
+    if not gaussian:
+        return conjugate(total, rng), parts
+    phi = {v: random_complex(rng, (k, k)) for v, k in total.dims.items()}
+    maps = {a.name: phi[a.dst] @ total.maps[a.name] @ np.linalg.inv(phi[a.src])
+            for a in total.quiver.arrows}
+    return Representation(total.quiver, dict(total.dims), maps), parts
+
+
+@pytest.mark.parametrize("seed,gaussian", [(s, False) for s in range(30)]
+                         + [(s, True) for s in range(100)])
+def test_decompose_conjugated_kronecker_sums(seed, gaussian):
+    # Krull-Schmidt: the leaves are the summands up to isomorphism
+    rep, parts = _hidden_kronecker_sum(seed, gaussian)
+    leaves = decompose(rep, seed=seed).leaf_reps()
+    assert (sorted((l.dims["1"], l.dims["2"]) for l in leaves)
+            == sorted((p.dims["1"], p.dims["2"]) for p in parts))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_refined_split_is_invariant_to_rounding(seed):
+    # the witness's ranges leak up to about 4e-14 of the map scale here
+    rep, _ = _hidden_kronecker_sum(seed)
+    p = is_indecomposable(rep, seed=seed).witness
+    ranges = ({v: _idempotent_range(p[v]) for v in rep.quiver.vertices},
+              {v: _idempotent_range(np.eye(rep.dims[v]) - p[v]) for v in rep.quiver.vertices})
+    scale = max(np.linalg.norm(m) for m in rep.maps.values())
+    for before, after in zip(ranges, _refine_split(rep, *ranges)):
+        for a in rep.quiver.arrows:
+            f, src, dst = rep.maps[a.name], after[a.src], after[a.dst]
+            assert np.linalg.norm(f @ src - dst @ (dst.conj().T @ f @ src)) <= 4e-15 * scale
+        for v in rep.quiver.vertices:
+            assert after[v].shape == before[v].shape
+            assert np.allclose(after[v].conj().T @ after[v], np.eye(after[v].shape[1]))
 
 
 def test_decompose_children_dims_sum():
@@ -331,6 +407,15 @@ def test_decompose_children_dims_sum():
             assert left.rep.dims[v] + right.rep.dims[v] == rep.dims[v]
     for leaf in tree.leaves():
         assert is_indecomposable(leaf.rep).indecomposable
+
+
+def test_import_leaves_csgraph_unloaded():
+    # only the split search needs scipy.sparse.csgraph, and it imports it itself
+    code = "import sys, quiverrep; print('scipy.sparse.csgraph' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 # -- strong irreducibility ---------------------------------------------------
@@ -348,6 +433,46 @@ def test_strongly_irreducible_weighted_shift():
     assert is_strongly_irreducible(w)
     w0 = shift(4) @ diagonal([1.0, 0.0, 3.0, 0.0])
     assert not is_strongly_irreducible(w0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("seed", range(5))
+def test_conjugated_single_block_strongly_irreducible(n, seed):
+    # the n-fold eigenvalue smears by about (n eps)^(1/n) ||A||, far above
+    # cluster_tol for n >= 3
+    rng = np.random.default_rng(100 * n + seed)
+    lam = complex(rng.standard_normal(), rng.standard_normal())
+    mat, _ = conjugated_jordan(rng, [(lam, n)])
+    assert single_jordan_block_criterion(mat)
+    assert is_strongly_irreducible(mat)
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 2), (3, 1), (2, 3)])
+@pytest.mark.parametrize("same", [True, False])
+def test_two_jordan_blocks_not_strongly_irreducible(p, q, same):
+    rng = np.random.default_rng(10 * p + q)
+    a = complex(rng.standard_normal(), rng.standard_normal())
+    b = a if same else a + 0.1 * np.exp(2j * np.pi * rng.uniform())
+    mat, _ = conjugated_jordan(rng, [(a, p), (b, q)])
+    assert not single_jordan_block_criterion(mat)
+    assert not is_strongly_irreducible(mat)
+
+
+def _blocks(*blocks):
+    return sla.block_diag(*blocks).astype(complex)
+
+
+@pytest.mark.parametrize("mat", [
+    _blocks(jordan_block(0.0, 5), [[0.004]]),
+    _blocks(jordan_block(0.0, 5), [[0.001]]),
+    _blocks(jordan_block(0.0, 3), jordan_block(1e-3, 3)),
+    _blocks(jordan_block(0.0, 4), jordan_block(1e-3, 2)),
+])
+def test_close_exact_jordan_blocks_not_strongly_irreducible(mat):
+    # gaps of 1e-3 to 4e-3 at unit norm: far below the smear of a
+    # six-fold eigenvalue at the SVD cutoff (about 5e-3), far above rounding
+    assert not single_jordan_block_criterion(mat)
+    assert not is_strongly_irreducible(mat)
 
 
 def test_strongly_irreducible_validates_input():

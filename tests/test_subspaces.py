@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from quiverrep import (Arrow, Quiver, ValidationError, end, example_reps, from_operator,
-                       is_indecomposable, is_strongly_irreducible, jordan_block,
-                       kronecker_rep, make_system, remove_loops, rep_to_system,
-                       shift, diagonal, system_end, system_to_rep)
+from quiverrep import (Arrow, NumericalFailure, Quiver, ValidationError, end,
+                       example_reps, from_operator, is_indecomposable,
+                       is_strongly_irreducible, jordan_block, kronecker_rep,
+                       make_system, remove_loops, rep_to_system, shift, diagonal,
+                       system_end, system_to_rep)
 from quiverrep.numerics import random_complex
 from quiverrep.structure import embed_tuple
 
@@ -22,6 +23,13 @@ def test_make_system_orthonormalizes():
 def test_make_system_rejects_rank_deficient():
     with pytest.raises(ValidationError):
         make_system(2, [np.array([[1.0, 1.0], [0.0, 0.0]])])
+
+
+def test_make_system_overflow_is_numerical_failure():
+    # the inclusion's singular value overflows: the error names the overflow,
+    # not a rank deficiency
+    with pytest.raises(NumericalFailure, match="overflow"):
+        make_system(2, [np.array([[1.7e308], [1.7e308]])])
 
 
 def test_make_system_rejects_wrong_height():
