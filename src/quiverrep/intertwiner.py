@@ -63,11 +63,25 @@ def intertwining_residual(a: Representation, b: Representation,
     return worst
 
 
-def hom_system(a: Representation, b: Representation) -> tuple[np.ndarray, dict[str, int]]:
-    """The linear system ``T_dst f_a - g_a T_src = 0`` over all arrows, whose
-    nullspace is Hom(a, b), and the column offset of each vertex's row-major
-    vec(T_v) (T_v of shape dims_b[v] x dims_a[v])."""
+def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL,
+        max_unknowns: int | None = None) -> HomBasis:
+    """Orthonormal basis of Hom(a, b).
+
+    A degenerate system (no unknowns) yields a dimension-0 basis, not an
+    error.  Raises SizeLimitExceeded when the dense solve would be larger
+    than ``max_unknowns`` unknowns (module default MAX_UNKNOWNS).
+    """
+    if a.quiver != b.quiver:
+        raise ValidationError("hom requires representations over the same quiver")
+    if max_unknowns is None:
+        max_unknowns = MAX_UNKNOWNS
     offsets, n_unknowns = _vec_layout(a, b)
+    if n_unknowns > max_unknowns:
+        raise SizeLimitExceeded(
+            f"intertwiner system has {n_unknowns} unknowns > limit {max_unknowns}"
+        )
+    if n_unknowns == 0:
+        return HomBasis(a, b, (), 0, 0.0, np.inf)
     rows = sum(b.dims[arr.dst] * a.dims[arr.src] for arr in a.quiver.arrows)
     system = np.zeros((rows, n_unknowns), dtype=complex)
     row = 0
@@ -87,29 +101,6 @@ def hom_system(a: Representation, b: Representation) -> tuple[np.ndarray, dict[s
                 system[row:row + height, c:c + b.dims[arr.src] * asz] -= \
                     np.kron(g, np.eye(asz))
             row += height
-    return system, offsets
-
-
-def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL,
-        max_unknowns: int | None = None) -> HomBasis:
-    """Orthonormal basis of Hom(a, b).
-
-    A degenerate system (no unknowns) yields a dimension-0 basis, not an
-    error.  Raises SizeLimitExceeded when the dense solve would be larger
-    than ``max_unknowns`` unknowns (module default MAX_UNKNOWNS).
-    """
-    if a.quiver != b.quiver:
-        raise ValidationError("hom requires representations over the same quiver")
-    if max_unknowns is None:
-        max_unknowns = MAX_UNKNOWNS
-    _, n_unknowns = _vec_layout(a, b)
-    if n_unknowns > max_unknowns:
-        raise SizeLimitExceeded(
-            f"intertwiner system has {n_unknowns} unknowns > limit {max_unknowns}"
-        )
-    if n_unknowns == 0:
-        return HomBasis(a, b, (), 0, 0.0, np.inf)
-    system, offsets = hom_system(a, b)
 
     # the largest arrow norm floors sigma_max in the cutoff: a loop system
     # kron(I, f^T) - kron(g, I) cancels to rounding noise when f = g is scalar

@@ -5,7 +5,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverrep import end, from_operator, system_end
+from quiverrep import (KroneckerFamily, Representation, are_isomorphic, build_family,
+                       decompose, direct_sum, end, from_operator, system_end)
+from quiverrep.kronecker import FAMILY_KINDS
+from quiverrep.numerics import random_complex
 from quiverrep.structure import widest_two_group_split
 
 from helpers import conjugated_jordan, loop_rep
@@ -54,3 +57,28 @@ def test_widest_split_matches_agglomerative_reference(values, threshold):
         assert len(first) + len(second) == len(values)
         assert values[0] in first
         assert _cross_gap(first, second) == _cross_gap(*reference)
+
+
+families = st.builds(KroneckerFamily, st.sampled_from(FAMILY_KINDS), st.integers(1, 3),
+                     st.sampled_from([0.0, 1.0]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(parts=st.lists(families, min_size=2, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_decompose_leaves_rebuild_a_hidden_kronecker_sum(parts, seed):
+    reps = [build_family(f) for f in parts]
+    total = reps[0]
+    for part in reps[1:]:
+        total = direct_sum(total, part)
+    rng = np.random.default_rng(seed)
+    unitary = {v: np.linalg.qr(random_complex(rng, (k, k)))[0] for v, k in total.dims.items()}
+    rep = Representation(total.quiver, dict(total.dims),
+                         {a.name: unitary[a.dst] @ total.maps[a.name] @ unitary[a.src].conj().T
+                          for a in total.quiver.arrows})
+    leaves = decompose(rep, seed=seed).leaf_reps()
+    rebuilt = leaves[0]
+    for leaf in leaves[1:]:
+        rebuilt = direct_sum(rebuilt, leaf)
+    assert are_isomorphic(rebuilt, rep).verdict == "yes"
+    assert (sorted(tuple(l.dims.values()) for l in leaves)
+            == sorted(tuple(r.dims.values()) for r in reps))
