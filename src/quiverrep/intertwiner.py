@@ -20,6 +20,8 @@ from .numerics import (DEFAULT_TOL, Tolerances, frob, is_invertible, nullspace,
 from .rep import Representation
 
 MAX_UNKNOWNS = 250_000
+# Random Hom elements tried by are_isomorphic before it answers probably_no.
+ISO_SAMPLES = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,9 +49,8 @@ def _vec_layout(a: Representation, b: Representation) -> tuple[dict[str, int], i
 
 
 def hom_scale(a: Representation, b: Representation) -> float:
-    """Residual scale: the largest Frobenius norm over both arrow families."""
-    norms = [frob(m) for m in a.maps.values()] + [frob(m) for m in b.maps.values()]
-    return max(norms, default=0.0)
+    """Residual scale: the larger ``map_scale`` of the two representations."""
+    return max(a.map_scale(), b.map_scale())
 
 
 def intertwining_residual(a: Representation, b: Representation,
@@ -102,11 +103,9 @@ def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL,
                     np.kron(g, np.eye(asz))
             row += height
 
-    # the largest arrow norm floors sigma_max in the cutoff: a loop system
+    # the map scale floors sigma_max in the cutoff: a loop system
     # kron(I, f^T) - kron(g, I) cancels to rounding noise when f = g is scalar
-    arrow_norm = max((float(np.linalg.norm(m, 2))
-                      for m in (*a.maps.values(), *b.maps.values())), default=0.0)
-    null = nullspace(system, tol, scale=arrow_norm)
+    null = nullspace(system, tol, scale=hom_scale(a, b))
     basis = []
     for vec in null.basis:
         t = {}
@@ -142,7 +141,7 @@ class IsoResult:
 
 
 def are_isomorphic(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL,
-                   seed: int = 0, samples: int = 8) -> IsoResult:
+                   seed: int = 0) -> IsoResult:
     """Decide isomorphism by sampling random combinations of a Hom basis."""
     if a.quiver != b.quiver:
         raise ValidationError("are_isomorphic requires representations over the same quiver")
@@ -155,7 +154,7 @@ def are_isomorphic(a: Representation, b: Representation, tol: Tolerances = DEFAU
     if basis.dimension == 0:
         return IsoResult("no", "hom space is zero", 0, seed=seed)
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
+    for _ in range(ISO_SAMPLES):
         coeff = random_complex(rng, (basis.dimension,))
         cand = {v: sum(c * t[v] for c, t in zip(coeff, basis.basis))
                 for v in a.quiver.vertices}
@@ -163,7 +162,7 @@ def are_isomorphic(a: Representation, b: Representation, tol: Tolerances = DEFAU
             return IsoResult("yes", "sampled invertible intertwiner", basis.dimension,
                              cand, seed)
     return IsoResult("probably_no",
-                     f"no invertible intertwiner in {samples} samples",
+                     f"no invertible intertwiner in {ISO_SAMPLES} samples",
                      basis.dimension, seed=seed)
 
 

@@ -113,7 +113,9 @@ def reduce_pencil(a: np.ndarray, b: np.ndarray, x: complex, y: complex,
     original = kronecker_rep(a, b)
     a = original.maps["a1"]
     b = original.maps["a2"]
-    pencil = x * a + y * b
+    # an entry that overflows is reported by is_invertible as a NumericalFailure
+    with np.errstate(over="ignore", invalid="ignore"):
+        pencil = x * a + y * b
     if not is_invertible(pencil, tol):
         raise ValidationError("pencil xA + yB is numerically singular")
     n = a.shape[0]

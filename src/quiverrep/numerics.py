@@ -1,16 +1,16 @@
 """Shared numerical policy: SVD rank thresholds, nullspaces, orthonormal bases.
 
-Every rank decision in the package takes one SVD step, with its overflow
-checks, and one of two rules: a singular value is discarded below
-``max(m, n) * eps * sigma_max * svd_factor``, with sigma_max floored by an
-optional reference scale (see :func:`nullspace`), or, for the trace-form
-Gram matrix of an End basis, below ``cluster_tol(1)^2 sigma_max``
-(:func:`gram_nullity`).
+Every rank decision in the package takes one SVD step with its overflow
+checks (:func:`_ranked_svd`) and one of three cutoffs:
+``max(m, n) * eps * sigma_max * svd_factor``, with sigma_max floored or
+replaced by a reference scale (see :func:`nullspace`); for the trace-form
+Gram matrix of an End basis, ``cluster_tol(1)^2 sigma_max``
+(:func:`gram_nullity`); for invertibility, ``inv_rel * sigma_max``.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -18,6 +18,16 @@ import numpy as np
 from .errors import NumericalFailure, ValidationError
 
 EPS = float(np.finfo(np.float64).eps)
+
+
+# Every threshold is one of these constants times ``Tolerances.global_scale``.
+SVD_FACTOR = 10.0     # multiplies the max(m,n)*eps*sigma_max cutoff
+HOM_REL = 1e-8        # intertwining residual, relative to the map scale
+INV_REL = 1e-8        # smallest/largest singular value for invertibility
+RANGE_REL = 1e-9      # invariance residual of restrict() and of a split's lift
+CLUSTER_REL = 1e-6    # eigenvalue clustering, relative to spectral radius
+IDEM_REL = 1e-6       # idempotent defect ||P^2 - P||, relative to ||P||
+WEIGHT_FLOOR = 1e-8   # smallest admissible realized weight
 
 
 @dataclass(frozen=True)
@@ -28,13 +38,6 @@ class Tolerances:
     CLI exposes as ``--tol-scale``.
     """
 
-    svd_factor: float = 10.0    # multiplies the max(m,n)*eps*sigma_max cutoff
-    hom_rel: float = 1e-8       # intertwining residual, relative to arrow scale
-    inv_rel: float = 1e-8       # smallest/largest singular value for invertibility
-    range_rel: float = 1e-9     # subspace-invariance residual in restrict()
-    cluster_rel: float = 1e-6   # eigenvalue clustering, relative to spectral radius
-    idem_rel: float = 1e-6      # acceptance bound for ||P^2 - P|| / ||P||
-    weight_floor: float = 1e-8  # smallest admissible realized weight
     global_scale: float = 1.0
 
     def rescaled(self, factor: float) -> "Tolerances":
@@ -43,22 +46,30 @@ class Tolerances:
         return replace(self, global_scale=self.global_scale * factor)
 
     def svd_cutoff(self, m: int, n: int, sigma_max: float) -> float:
-        return max(m, n, 1) * EPS * sigma_max * self.svd_factor * self.global_scale
+        return max(m, n, 1) * EPS * sigma_max * SVD_FACTOR * self.global_scale
 
     def hom_tol(self, scale: float) -> float:
-        return self.hom_rel * scale * self.global_scale
+        return HOM_REL * scale * self.global_scale
 
     def inv_tol(self, sigma_max: float) -> float:
-        return self.inv_rel * sigma_max * self.global_scale
+        return INV_REL * sigma_max * self.global_scale
 
     def range_tol(self, scale: float) -> float:
-        return self.range_rel * scale * self.global_scale
+        return RANGE_REL * scale * self.global_scale
 
     def cluster_tol(self, spectral_radius: float) -> float:
-        return self.cluster_rel * spectral_radius * self.global_scale
+        return CLUSTER_REL * spectral_radius * self.global_scale
+
+    def idem_tol(self, norm: float) -> float:
+        return IDEM_REL * norm * self.global_scale
+
+    def min_weight(self) -> float:
+        return WEIGHT_FLOOR * self.global_scale
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {"svd_factor": SVD_FACTOR, "hom_rel": HOM_REL, "inv_rel": INV_REL,
+                "range_rel": RANGE_REL, "cluster_rel": CLUSTER_REL, "idem_rel": IDEM_REL,
+                "weight_floor": WEIGHT_FLOOR, "global_scale": self.global_scale}
 
 
 DEFAULT_TOL = Tolerances()
@@ -183,11 +194,8 @@ def orthonormal_inclusion(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
 
 
 def is_invertible(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """sigma_min >= inv_rel * sigma_max (scaled); an empty matrix counts as invertible."""
-    if matrix.size == 0:
-        return True
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    return bool(svals[0] > 0.0 and svals[-1] >= tol.inv_tol(float(svals[0])))
+    """Full rank at the cutoff ``inv_tol(sigma_max)``; an empty matrix is invertible."""
+    return matrix.size == 0 or _ranked_svd(matrix, tol.inv_tol)[-1] == min(matrix.shape)
 
 
 def random_complex(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -129,7 +129,7 @@ def hrr_max_truncation(lam: float, tol: Tolerances = DEFAULT_TOL) -> int:
     """Largest n with lam^n <= ln(1/weight_floor), i.e. no weight underflows."""
     if lam <= 1:
         raise ValidationError(f"the weight base must satisfy lam > 1, got {lam}")
-    floor = min(tol.weight_floor * tol.global_scale, 0.5)
+    floor = min(tol.min_weight(), 0.5)
     budget = math.log(1.0 / floor)
     return int(math.floor(math.log(budget) / math.log(lam)))
 
@@ -246,11 +246,7 @@ def end_recursion_check(rep: Representation, lam: float,
         t1, t2 = t["1"], t["2"]
         diag = np.diag(t2)
         diag_res = float(np.max(np.abs(diag - diag.mean()))) if d else 0.0
-        rec_res = 0.0
-        for m in range(d - 1):
-            ratio = np.exp(log_w[m] - log_w[: d - 1])
-            rec_res = max(rec_res, float(np.max(np.abs(
-                t2[m + 1, 1:] - ratio * t2[m, : d - 1]))))
+        rec_res = _recursion_residual(t2, log_w, log_w)
         amp = np.exp(log_a[None, :] - log_a[:, None])
         first_res = float(np.max(np.abs(t1 - amp * t2)))
         checks.append(HrrElementCheck(diag_res <= tau, rec_res <= tau,
@@ -259,6 +255,14 @@ def end_recursion_check(rep: Representation, lam: float,
     svals = np.linalg.svd(rep.maps["a1"], compute_uv=False)
     ratio = float(svals[-1] / svals[0]) if svals.size and svals[0] > 0 else 0.0
     return HrrEndReport(n, lam, basis.dimension, tuple(checks), tau, ratio)
+
+
+def _recursion_residual(t2: np.ndarray, log_w_dst: np.ndarray,
+                        log_w_src: np.ndarray) -> float:
+    """Largest |t2[m+1, n+1] - (w_dst[m] / w_src[n]) t2[m, n]|, weights given by their logs."""
+    d = t2.shape[0]
+    ratio = np.exp(log_w_dst[:d - 1, None] - log_w_src[None, :d - 1])
+    return float(np.max(np.abs(t2[1:, 1:] - ratio * t2[:-1, :-1]), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,17 +285,10 @@ def cross_model_hom(lam: float, mu: float, n: int,
     rep_lam = hrr_model(n, lam, tol)
     rep_mu = hrr_model(n, mu, tol)
     basis = hom(rep_lam, rep_mu, tol)
-    d = 2 * n + 1
     log_w_lam = hrr_log_w(n, lam)
     log_w_mu = hrr_log_w(n, mu)
     tau = tol.hom_tol(hom_scale(rep_lam, rep_mu))
-    worst = 0.0
-    for t in basis:
-        t2 = t["2"]
-        for m in range(d - 1):
-            ratio = np.exp(log_w_mu[m] - log_w_lam[: d - 1])
-            worst = max(worst, float(np.max(np.abs(
-                t2[m + 1, 1:] - ratio * t2[m, : d - 1]))))
+    worst = max((_recursion_residual(t["2"], log_w_mu, log_w_lam) for t in basis), default=0.0)
     return CrossHomReport(n, lam, mu, basis.dimension, worst <= tau, worst, tau)
 
 

@@ -30,10 +30,10 @@ class Representation:
         if set(self.dims) - set(self.quiver.vertices):
             extra = sorted(set(self.dims) - set(self.quiver.vertices))
             raise ValidationError(f"dims given for unknown vertices {extra}")
-        dims = {v: int(self.dims[v]) for v in self.quiver.vertices}
-        for v, d in dims.items():
-            if d < 0:
+        for v, d in self.dims.items():
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 0:
                 raise ValidationError(f"vertex {v!r}: dimension must be a nonnegative integer")
+        dims = {v: int(self.dims[v]) for v in self.quiver.vertices}
         maps = {}
         seen = set(self.maps)
         for a in self.quiver.arrows:
@@ -102,15 +102,13 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
 
 
 def restrict(rep: Representation, inclusions: dict[str, np.ndarray],
-             tol: Tolerances = DEFAULT_TOL,
-             range_tol: float | None = None) -> Representation:
+             tol: Tolerances = DEFAULT_TOL) -> Representation:
     """Restrict to the subspaces spanned by per-vertex inclusion matrices.
 
     Each inclusion must have full column rank, and every arrow map must carry
     the source subspace into the range subspace: the restricted map g solves
     f iota_src = iota_dst g in the least-squares sense and the residual must
-    not exceed the invariance tolerance (1e-9 x map scale by default,
-    overridable via ``range_tol``).
+    not exceed ``tol.range_tol(rep.map_scale())``.
     """
     missing = [v for v in rep.quiver.vertices if v not in inclusions]
     if missing:
@@ -127,7 +125,7 @@ def restrict(rep: Representation, inclusions: dict[str, np.ndarray],
             if rank != m.shape[1]:
                 raise ValidationError(f"vertex {v!r}: inclusion is rank-deficient")
         incs[v] = m
-    threshold = tol.range_tol(rep.map_scale()) if range_tol is None else range_tol
+    threshold = tol.range_tol(rep.map_scale())
     dims = {v: incs[v].shape[1] for v in rep.quiver.vertices}
     maps = {}
     for a in rep.quiver.arrows:

@@ -87,6 +87,16 @@ def test_analyze_records_seed_and_tolerances(capsys):
     assert "note" in report
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_analyze_report_pins_tolerances(capsys, scale):
+    code, out, _ = run_cli(capsys, "--tol-scale", str(scale),
+                           "analyze", "--model", "ex3", "--param", "N=3")
+    assert code == 0
+    assert json.loads(out)["tolerances"] == {
+        "svd_factor": 10.0, "hom_rel": 1e-8, "inv_rel": 1e-8, "range_rel": 1e-9,
+        "cluster_rel": 1e-6, "idem_rel": 1e-6, "weight_floor": 1e-8, "global_scale": scale}
+
+
 def test_analyze_perturbation_not_transitive_and_flagged(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--model", "perturbation",
                            "--param", "N=4")
@@ -458,15 +468,15 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_generated_algebra_svd_failure_is_numerical_failure(tmp_path, capsys, monkeypatch):
-    # only the SVDs called from structure.py fail, so End is still computed
+    # only the SVDs of the spin fail, so End is still computed
     real_svd = np.linalg.svd
 
-    def svd_failing_in_structure(*args, **kwargs):
-        if sys._getframe(1).f_globals.get("__name__") == "quiverrep.structure":
+    def svd_failing_in_spin(*args, **kwargs):
+        if sys._getframe(2).f_code.co_name == "_new_directions":
             raise np.linalg.LinAlgError("SVD did not converge")
         return real_svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", svd_failing_in_structure)
+    monkeypatch.setattr(np.linalg, "svd", svd_failing_in_spin)
     with pytest.raises(NumericalFailure, match="SVD did not converge"):
         generated_algebra(example_reps("ex3", 3))
     path = build_doc(tmp_path, capsys, "ex3", "N=3")

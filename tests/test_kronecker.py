@@ -1,9 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
-from quiverrep import (KroneckerFamily, ValidationError, are_isomorphic,
+from quiverrep import (KroneckerFamily, NumericalFailure, ValidationError, are_isomorphic,
                        build_family, end, intertwining_residual,
                        is_indecomposable, is_strongly_irreducible, is_transitive,
                        jordan_block, polynomial_model, reduce_invertible_first,
@@ -129,6 +130,13 @@ def test_reduce_pencil_random_witness():
     tau = 1e-8 * max(hom_scale(red.original, red.reduced), 1.0)
     assert intertwining_residual(red.original, red.reduced, red.witness) <= tau
     assert are_isomorphic(red.original, red.reduced).verdict == "yes"
+
+
+def test_reduce_pencil_overflow_is_numerical_failure():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match="overflow"):
+            reduce_pencil(1e308 * np.eye(2), 1e308 * np.eye(2), 1e10, 1e10)
 
 
 def test_reduce_pencil_rejects_bad_values():

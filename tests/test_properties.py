@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverrep import (KroneckerFamily, Representation, are_isomorphic, build_family,
-                       decompose, direct_sum, end, from_operator, system_end)
+                       decompose, direct_sum, end, from_operator, hom, remove_loops,
+                       rep_to_system, system_end, system_to_rep)
 from quiverrep.kronecker import FAMILY_KINDS
 from quiverrep.numerics import random_complex
 from quiverrep.structure import widest_two_group_split
@@ -28,6 +29,15 @@ def test_end_preserved_through_from_operator(blocks, seed):
     mat, commutant = conjugated_jordan(np.random.default_rng(seed), blocks)
     assert end(loop_rep(mat)).dimension == commutant
     assert system_end(from_operator(mat)).dimension == commutant
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(blocks=jordan_types, seed=st.integers(0, 2**32 - 1))
+def test_end_preserved_through_rep_to_system_and_back(blocks, seed):
+    mat, commutant = conjugated_jordan(np.random.default_rng(seed), blocks)
+    system = rep_to_system(remove_loops(loop_rep(mat), check=False), check=False)
+    assert system_end(system).dimension == commutant
+    assert end(system_to_rep(system, check=False)).dimension == commutant
 
 
 def _cross_gap(first, second):
@@ -59,6 +69,13 @@ def test_widest_split_matches_agglomerative_reference(values, threshold):
         assert _cross_gap(first, second) == _cross_gap(*reference)
 
 
+def _sum(reps):
+    total = reps[0]
+    for part in reps[1:]:
+        total = direct_sum(total, part)
+    return total
+
+
 families = st.builds(KroneckerFamily, st.sampled_from(FAMILY_KINDS), st.integers(1, 3),
                      st.sampled_from([0.0, 1.0]))
 
@@ -67,18 +84,34 @@ families = st.builds(KroneckerFamily, st.sampled_from(FAMILY_KINDS), st.integers
 @given(parts=st.lists(families, min_size=2, max_size=3), seed=st.integers(0, 2**32 - 1))
 def test_decompose_leaves_rebuild_a_hidden_kronecker_sum(parts, seed):
     reps = [build_family(f) for f in parts]
-    total = reps[0]
-    for part in reps[1:]:
-        total = direct_sum(total, part)
+    total = _sum(reps)
     rng = np.random.default_rng(seed)
     unitary = {v: np.linalg.qr(random_complex(rng, (k, k)))[0] for v, k in total.dims.items()}
     rep = Representation(total.quiver, dict(total.dims),
                          {a.name: unitary[a.dst] @ total.maps[a.name] @ unitary[a.src].conj().T
                           for a in total.quiver.arrows})
     leaves = decompose(rep, seed=seed).leaf_reps()
-    rebuilt = leaves[0]
-    for leaf in leaves[1:]:
-        rebuilt = direct_sum(rebuilt, leaf)
-    assert are_isomorphic(rebuilt, rep).verdict == "yes"
+    assert are_isomorphic(_sum(leaves), rep).verdict == "yes"
     assert (sorted(tuple(l.dims.values()) for l in leaves)
             == sorted(tuple(r.dims.values()) for r in reps))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(parts=st.lists(families, min_size=3, max_size=3))
+def test_dim_hom_is_additive_over_direct_sums(parts):
+    a, b, c = (build_family(f) for f in parts)
+    ab = direct_sum(a, b)
+    assert hom(ab, c).dimension == hom(a, c).dimension + hom(b, c).dimension
+    assert hom(c, ab).dimension == hom(c, a).dimension + hom(c, b).dimension
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(parts=st.lists(families, min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_rep_is_isomorphic_to_its_conjugate(parts, seed):
+    rep = _sum([build_family(f) for f in parts])
+    rng = np.random.default_rng(seed)
+    change = {v: random_complex(rng, (k, k)) + 2.0 * np.eye(k) for v, k in rep.dims.items()}
+    conjugate = Representation(rep.quiver, dict(rep.dims),
+                               {a.name: change[a.dst] @ rep.maps[a.name]
+                                @ np.linalg.inv(change[a.src]) for a in rep.quiver.arrows})
+    assert are_isomorphic(rep, conjugate).verdict == "yes"

@@ -28,6 +28,18 @@ def test_nonfinite_entries_rejected():
         Representation(q, {"1": 1}, {"a1": np.array([[np.nan]])})
 
 
+@pytest.mark.parametrize("dim", [2.5, "2", True, None])
+def test_non_integer_dimension_rejected(dim):
+    q = build_canonical("loop", 1)
+    with pytest.raises(ValidationError, match="nonnegative integer"):
+        Representation(q, {"1": dim}, {"a1": np.eye(2)})
+
+
+def test_numpy_integer_dimension_accepted():
+    rep = Representation(build_canonical("loop", 1), {"1": np.int64(2)}, {"a1": np.eye(2)})
+    assert rep.dims == {"1": 2} and type(rep.dims["1"]) is int
+
+
 def test_missing_map_rejected():
     q = build_canonical("kronecker", 2)
     with pytest.raises(ValidationError):
