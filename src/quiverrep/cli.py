@@ -259,6 +259,8 @@ def analysis_report(rep: Representation, tol: Tolerances, seed: int,
             "star_closed_end_dim": result.star_dim,
             "svd_gap": _finite_or_str(basis.gap),
             "svd_cutoff": basis.cutoff,
+            "end_path": basis.path,
+            "end_unknowns": basis.unknowns,
         },
         "tolerances": tol.as_dict(),
         "finite_truncation": finite_truncation,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DEFAULT_TOL, Tolerances, is_invertible
+from .numerics import DEFAULT_TOL, Tolerances, inverse
 from .quiver import build_canonical
 from .rep import Representation
 
@@ -96,10 +96,10 @@ def reduce_invertible_first(a: np.ndarray, b: np.ndarray,
     original = kronecker_rep(a, b)
     a = original.maps["a1"]
     b = original.maps["a2"]
-    if not is_invertible(a, tol):
+    a_inv, _ = inverse(a, tol)
+    if a_inv is None:
         raise ValidationError("first arrow matrix is numerically singular")
     n = a.shape[0]
-    a_inv = np.linalg.inv(a)
     reduced = kronecker_rep(np.eye(n, dtype=complex), a_inv @ b)
     witness = {"1": np.eye(n, dtype=complex), "2": a_inv}
     return KroneckerReduction(original, reduced, witness)
@@ -113,13 +113,13 @@ def reduce_pencil(a: np.ndarray, b: np.ndarray, x: complex, y: complex,
     original = kronecker_rep(a, b)
     a = original.maps["a1"]
     b = original.maps["a2"]
-    # an entry that overflows is reported by is_invertible as a NumericalFailure
+    # an entry that overflows is reported by inverse as a NumericalFailure
     with np.errstate(over="ignore", invalid="ignore"):
         pencil = x * a + y * b
-    if not is_invertible(pencil, tol):
+    w, _ = inverse(pencil, tol)
+    if w is None:
         raise ValidationError("pencil xA + yB is numerically singular")
     n = a.shape[0]
-    w = np.linalg.inv(pencil)
     t = w @ a
     second = (1.0 / y) * np.eye(n, dtype=complex) - (x / y) * t
     reduced = kronecker_rep(t, second)

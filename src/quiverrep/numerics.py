@@ -5,7 +5,8 @@ checks (:func:`_ranked_svd`) and one of three cutoffs:
 ``max(m, n) * eps * sigma_max * svd_factor``, with sigma_max floored or
 replaced by a reference scale (see :func:`nullspace`); for the trace-form
 Gram matrix of an End basis, ``cluster_tol(1)^2 sigma_max``
-(:func:`gram_nullity`); for invertibility, ``inv_rel * sigma_max``.
+(:func:`gram_nullity`); for invertibility, ``inv_rel * sigma_max``
+(:func:`is_invertible`, :func:`inverse`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ RANGE_REL = 1e-9      # invariance residual of restrict() and of a split's lift
 CLUSTER_REL = 1e-6    # eigenvalue clustering, relative to spectral radius
 IDEM_REL = 1e-6       # idempotent defect ||P^2 - P||, relative to ||P||
 WEIGHT_FLOOR = 1e-8   # smallest admissible realized weight
+ELIM_GAP = 1e6        # smallest nullspace gap a forest-eliminated Hom solve may keep
+IDENTITY_REL = 1e-8   # distance of the identity to an algebra's span, relative to sqrt(d)
+ZERO_MAP = 1e-12      # largest map entry of a canonically simple representation
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,15 @@ class Tolerances:
     def inv_tol(self, sigma_max: float) -> float:
         return INV_REL * sigma_max * self.global_scale
 
+    def elim_tol(self, sigma_max: float) -> float:
+        """Smallest singular value of an arrow map that Hom eliminates through:
+        sqrt(inv_rel) of sigma_max, since the elimination's rounding error
+        grows with the map's condition number."""
+        return np.sqrt(INV_REL) * sigma_max * self.global_scale
+
+    def elim_gap(self) -> float:
+        return ELIM_GAP * self.global_scale
+
     def range_tol(self, scale: float) -> float:
         return RANGE_REL * scale * self.global_scale
 
@@ -66,10 +79,18 @@ class Tolerances:
     def min_weight(self) -> float:
         return WEIGHT_FLOOR * self.global_scale
 
+    def identity_tol(self, scale: float) -> float:
+        return IDENTITY_REL * scale * self.global_scale
+
+    def zero_map_tol(self) -> float:
+        return ZERO_MAP * self.global_scale
+
     def as_dict(self) -> dict:
         return {"svd_factor": SVD_FACTOR, "hom_rel": HOM_REL, "inv_rel": INV_REL,
                 "range_rel": RANGE_REL, "cluster_rel": CLUSTER_REL, "idem_rel": IDEM_REL,
-                "weight_floor": WEIGHT_FLOOR, "global_scale": self.global_scale}
+                "weight_floor": WEIGHT_FLOOR, "elim_gap": ELIM_GAP,
+                "identity_rel": IDENTITY_REL, "zero_map": ZERO_MAP,
+                "global_scale": self.global_scale}
 
 
 DEFAULT_TOL = Tolerances()
@@ -196,6 +217,24 @@ def orthonormal_inclusion(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
 def is_invertible(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Full rank at the cutoff ``inv_tol(sigma_max)``; an empty matrix is invertible."""
     return matrix.size == 0 or _ranked_svd(matrix, tol.inv_tol)[-1] == min(matrix.shape)
+
+
+def inverse(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL
+            ) -> tuple[np.ndarray | None, float]:
+    """Inverse of a square matrix, taken from the one SVD that decides its
+    invertibility as :func:`is_invertible` does, and its sigma_min / sigma_max.
+    The inverse is None when the matrix is singular at that cutoff; an empty
+    matrix is its own inverse, with ratio 1."""
+    n = matrix.shape[0]
+    if matrix.ndim != 2 or matrix.shape[1] != n:
+        raise ValidationError(f"inverse of a non-square {matrix.shape} matrix")
+    if n == 0:
+        return matrix.copy(), 1.0
+    u, svals, vh, sigma_max, _, rank = _ranked_svd(matrix, tol.inv_tol)
+    ratio = float(svals[-1]) / sigma_max if sigma_max > 0 else 0.0
+    if rank < n:
+        return None, ratio
+    return (vh.conj().T / svals) @ u.conj().T, ratio
 
 
 def random_complex(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -79,7 +79,7 @@ class AlgebraBasis:
     def contains_identity(self) -> bool:
         eye = np.eye(self.ambient_dim, dtype=complex)
         scale = max(1.0, float(np.sqrt(self.ambient_dim)))
-        return self.span_residual(eye) <= 1e-8 * scale
+        return self.span_residual(eye) <= DEFAULT_TOL.identity_tol(scale)
 
 
 def _generators(rep: Representation) -> np.ndarray:
@@ -456,7 +456,7 @@ def is_canonically_simple(rep: Representation) -> bool:
     dims = list(rep.dims.values())
     if sorted(dims) != [0] * (len(dims) - 1) + [1]:
         return False
-    return rep.map_scale() <= 1e-12
+    return rep.map_scale() <= DEFAULT_TOL.zero_map_tol()
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,8 @@ def test_analyze_report_pins_tolerances(capsys, scale):
     assert code == 0
     assert json.loads(out)["tolerances"] == {
         "svd_factor": 10.0, "hom_rel": 1e-8, "inv_rel": 1e-8, "range_rel": 1e-9,
-        "cluster_rel": 1e-6, "idem_rel": 1e-6, "weight_floor": 1e-8, "global_scale": scale}
+        "cluster_rel": 1e-6, "idem_rel": 1e-6, "weight_floor": 1e-8, "elim_gap": 1e6,
+        "identity_rel": 1e-8, "zero_map": 1e-12, "global_scale": scale}
 
 
 def test_analyze_perturbation_not_transitive_and_flagged(capsys):
@@ -105,6 +106,18 @@ def test_analyze_perturbation_not_transitive_and_flagged(capsys):
     assert report["verdicts"]["transitive"] is False
     assert report["finite_truncation"] is True
     assert report["evidence"]["dim_end"] == 4
+
+
+@pytest.mark.parametrize("model,params,path,unknowns", [
+    ("ex8", ["N=4", "lam=0.5"], "forest", 16), ("perturbation", ["N=5"], "forest", 25),
+    ("ex9", ["N=4"], "dense", 32), ("ex3", ["N=4"], "dense", 16),
+])
+def test_analyze_reports_the_end_path(capsys, model, params, path, unknowns):
+    args = [x for p in params for x in ("--param", p)]
+    code, out, _ = run_cli(capsys, "analyze", "--model", model, *args)
+    assert code == 0
+    evidence = json.loads(out)["evidence"]
+    assert (evidence["end_path"], evidence["end_unknowns"]) == (path, unknowns)
 
 
 @pytest.mark.parametrize("model,params", [

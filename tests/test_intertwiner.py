@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from quiverrep import (SizeLimitExceeded, ValidationError, are_isomorphic,
-                       build_canonical, canonically_simple, direct_sum, end,
-                       example_reps, hom, intertwining_residual, jordan_block,
-                       relatively_prime, Representation, shift,
-                       zero_representation)
-from quiverrep.intertwiner import hom_scale
+from quiverrep import (Arrow, KroneckerFamily, Quiver, SizeLimitExceeded, ValidationError,
+                       are_isomorphic, build_canonical, build_family, canonically_simple,
+                       direct_sum, end, example_reps, hom, intertwining_residual,
+                       jordan_block, kronecker_rep, perturbation_model, relatively_prime, Representation,
+                       shift, zero_representation)
+from quiverrep.intertwiner import _dense_hom, _solve, _spanning_forest, hom_scale
+from quiverrep.numerics import DEFAULT_TOL
 from quiverrep.numerics import random_complex
 
 from helpers import loop_rep, random_quiver, random_rep, two_subspace_rep
@@ -214,3 +215,101 @@ def test_hom_no_arrows_full_space():
     # only constraints vanish identically
     a = Representation(q, {"1": 1, "2": 0}, {"a1": np.zeros((0, 1)), "a2": np.zeros((0, 1))})
     assert end(a).dimension == 1
+
+
+def _orthonormality_defect(rep_a, rep_b, basis):
+    vecs = np.array([np.concatenate([t[v].reshape(-1) for v in rep_a.quiver.vertices])
+                     for t in basis])
+    return float(np.max(np.abs(vecs.conj() @ vecs.T - np.eye(len(vecs)))))
+
+
+@pytest.mark.parametrize("rep, n", [
+    (perturbation_model(6), 6), (example_reps("ex8", 5, 0.3), 5),
+    (example_reps("ex8*", 4, -1.0), 4), (example_reps("ex4", 5), 5),
+    (build_family(KroneckerFamily("jordan_first", 4, 0.0)), 4),
+    (build_family(KroneckerFamily("jordan_first", 3, 2.0)), 3),
+    (build_family(KroneckerFamily("jordan_second", 4, 0.0)), 4),
+    (build_family(KroneckerFamily("jordan_second", 3, 1.0)), 3),
+])
+def test_end_eliminates_one_vertex_of_kronecker_models(rep, n):
+    basis = end(rep)
+    assert (basis.path, basis.unknowns) == ("forest", n * n)
+    dense = _dense_hom(rep, rep)
+    assert (dense.path, dense.unknowns) == ("dense", 2 * n * n)
+    assert basis.dimension == dense.dimension
+    assert basis.gap >= dense.gap / 100
+    assert _orthonormality_defect(rep, rep, basis) < 1e-12
+    for t in basis:
+        assert intertwining_residual(rep, rep, t) <= 1e-12 * max(hom_scale(rep, rep), 1.0)
+
+
+@pytest.mark.parametrize("rep", [
+    build_family(KroneckerFamily("wide", 4)), build_family(KroneckerFamily("tall", 4)),
+    example_reps("ex2", 4), example_reps("ex3", 4), loop_rep(np.eye(3)),
+])
+def test_end_without_an_admissible_arrow_is_dense(rep):
+    basis = end(rep)
+    assert basis.path == "dense"
+    assert basis.unknowns == sum(d * d for d in rep.dims.values())
+
+
+def test_hom_size_limit_bounds_the_system_solved():
+    rep = example_reps("ex8", 4, 0.5)
+    basis = hom(rep, rep, max_unknowns=20)  # reduced 16, dense 32
+    assert (basis.path, basis.unknowns, basis.dimension) == ("forest", 16, 4)
+    with pytest.raises(SizeLimitExceeded, match="forest"):
+        hom(rep, rep, max_unknowns=15)
+    wide = build_family(KroneckerFamily("wide", 3))
+    with pytest.raises(SizeLimitExceeded, match="dense"):
+        hom(wide, wide, max_unknowns=20)
+
+
+def test_forest_keeps_one_arrow_into_each_vertex():
+    # arrows 1 -> 3 and 2 -> 3 are both invertible, but only one may
+    # determine T_3; the other stays an equation between two roots
+    rng = np.random.default_rng(3)
+    q = Quiver(("1", "2", "3"), (Arrow("a1", "1", "3"), Arrow("a2", "2", "3"),
+                                 Arrow("a3", "3", "3")))
+    maps = {name: random_complex(rng, (2, 2)) + 3.0 * np.eye(2) for name in ("a1", "a2")}
+    part = Representation(q, {"1": 2, "2": 2, "3": 2}, dict(maps, a3=np.diag([1.0, 2.0])))
+    rep = direct_sum(part, part)
+    basis = end(rep)
+    assert (basis.path, basis.unknowns) == ("forest", 32)
+    assert basis.dimension == _dense_hom(rep, rep).dimension == 8
+    assert _orthonormality_defect(rep, rep, basis) < 1e-12
+
+
+def test_forest_matches_dense_on_random_quivers_of_equal_dims():
+    rng = np.random.default_rng(21)
+    for _ in range(8):
+        q = random_quiver(rng, n_vertices=3, n_arrows=4)
+        a = random_rep(rng, q, max_dim=2, min_dim=2)
+        b = direct_sum(a, random_rep(rng, q, max_dim=1, min_dim=1))
+        for x, y in ((a, b), (b, a), (b, b)):
+            basis = hom(x, y)
+            assert basis.dimension == _dense_hom(x, y).dimension
+            for t in basis:
+                assert intertwining_residual(x, y, t) <= 1e-8 * hom_scale(x, y)
+
+
+def test_gap_guard_sends_a_cancelling_reduced_system_to_dense():
+    # (F, F) with cond(F) = 10^3.9, just inside admission: the reduced system
+    # kron(F, (F^-1 F)^T) - kron(F, I) is zero up to cond(F) * eps, above its
+    # cutoff, so the forest solve alone loses dimensions at a small gap
+    rng = np.random.default_rng(0)
+    u, v = (np.linalg.qr(random_complex(rng, (4, 4)))[0] for _ in range(2))
+    f = u @ np.diag(np.logspace(0, -3.9, 4)) @ v
+    rep = kronecker_rep(f, f)
+    reduced = _solve(rep, rep, DEFAULT_TOL, _spanning_forest(rep, rep, DEFAULT_TOL), 10**6)
+    assert reduced.path == "forest" and reduced.gap < DEFAULT_TOL.elim_gap()
+    basis = end(rep)
+    assert (basis.path, basis.dimension) == ("dense", 16)
+
+
+def test_residual_guard_falls_back_to_dense(monkeypatch):
+    import quiverrep.intertwiner as intertwiner
+    rep = example_reps("ex8", 4, 0.5)
+    assert end(rep).path == "forest"
+    monkeypatch.setattr(intertwiner, "intertwining_residual", lambda *args: np.inf)
+    basis = end(rep)
+    assert (basis.path, basis.unknowns, basis.dimension) == ("dense", 32, 4)

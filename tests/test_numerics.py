@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from quiverrep.numerics import DEFAULT_TOL, gram_nullity, nullspace, random_complex
+from quiverrep.errors import ValidationError
+from quiverrep.numerics import (DEFAULT_TOL, gram_nullity, inverse, is_invertible, nullspace,
+                                random_complex)
 
 
 def planted_rank(rng, m, n, r):
@@ -72,3 +74,21 @@ def test_gram_nullity_cuts_at_split_resolution():
     assert gram_nullity(np.diag([2.0, 1e-11, 0.5])) == 0
     assert gram_nullity(np.diag([2.0, 1e-11, 0.5]), DEFAULT_TOL.rescaled(10.0)) == 1
     assert gram_nullity(np.zeros((0, 0))) == 0
+
+
+def test_inverse_from_the_deciding_svd():
+    rng = np.random.default_rng(8)
+    matrix = planted_rank(rng, 6, 6, 6)  # singular values 1 .. 1e-3
+    inv, ratio = inverse(matrix)
+    assert np.allclose(inv @ matrix, np.eye(6), atol=1e-10)
+    assert ratio == pytest.approx(1e-3)
+    # singular at inv_rel = 1e-8: no inverse, and is_invertible agrees
+    singular = np.diag([1.0, 1e-9])
+    inv, ratio = inverse(singular)
+    assert inv is None and ratio == pytest.approx(1e-9)
+    assert not is_invertible(singular)
+    assert inverse(np.zeros((2, 2)))[0] is None
+    empty, ratio = inverse(np.zeros((0, 0), dtype=complex))
+    assert empty.shape == (0, 0) and ratio == 1.0
+    with pytest.raises(ValidationError):
+        inverse(np.ones((2, 3)))

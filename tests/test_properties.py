@@ -5,15 +5,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverrep import (KroneckerFamily, Representation, are_isomorphic, build_family,
-                       decompose, direct_sum, end, from_operator, hom, remove_loops,
-                       rep_to_system, system_end, system_to_rep)
+from quiverrep import (KroneckerFamily, Representation, analyze, are_isomorphic,
+                       build_family, decompose, direct_sum, end, from_operator, hom,
+                       jordan_block, kronecker_rep, remove_loops, rep_to_system, system_end,
+                       system_to_rep)
+from quiverrep.intertwiner import _dense_hom
 from quiverrep.kronecker import FAMILY_KINDS
 from quiverrep.numerics import random_complex
 from quiverrep.structure import widest_two_group_split
 
 from helpers import conjugated_jordan, loop_rep
-from oracles import agglomerative_two_group_split
+from oracles import agglomerative_two_group_split, exact_end_dim
 
 # Jordan types of total size 1..5 with eigenvalues in a small set, so that
 # blocks often share an eigenvalue
@@ -115,3 +117,84 @@ def test_rep_is_isomorphic_to_its_conjugate(parts, seed):
                                {a.name: change[a.dst] @ rep.maps[a.name]
                                 @ np.linalg.inv(change[a.src]) for a in rep.quiver.arrows})
     assert are_isomorphic(rep, conjugate).verdict == "yes"
+
+
+def _changed(rep, change):
+    """``rep`` under the per-vertex change of basis ``change``."""
+    return Representation(rep.quiver, dict(rep.dims),
+                          {a.name: change[a.dst] @ rep.maps[a.name] @ np.linalg.inv(change[a.src])
+                           for a in rep.quiver.arrows})
+
+
+def _unitary(rng, k):
+    return np.linalg.qr(random_complex(rng, (k, k)))[0]
+
+
+# a Jordan block of the pencil at eigenvalue lam: jordan_first(lam) carries it
+# as (lam I + J, I), jordan_second(1 / lam) as (I, I / lam + J), so the second
+# form puts the singular-looking arrow first; jordan_second(0) is lam = inf
+jordan_sums = st.lists(st.tuples(st.sampled_from([0.5, 1.0, 2.0, np.inf]), st.integers(1, 3),
+                                 st.booleans()),
+                       min_size=2, max_size=3)
+
+
+def _jordan_sum(blocks):
+    parts = []
+    for lam, p, second in blocks:
+        if lam == np.inf:
+            parts.append(KroneckerFamily("jordan_second", p, 0.0))
+        elif second:
+            parts.append(KroneckerFamily("jordan_second", p, 1.0 / lam))
+        else:
+            parts.append(KroneckerFamily("jordan_first", p, lam))
+    return _sum([build_family(f) for f in parts])
+
+
+def _hidden(rep, rng, log_cond):
+    """``rep`` under a change of basis of condition number 10**log_cond at every vertex."""
+    return _changed(rep, {v: _unitary(rng, k) @ np.diag(np.logspace(0, log_cond, k))
+                          @ _unitary(rng, k) for v, k in rep.dims.items()})
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(first=jordan_sums, second=jordan_sums, log_cond=st.floats(0.0, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_forest_hom_matches_dense_and_exact_on_hidden_jordan_sums(first, second, log_cond,
+                                                                   seed):
+    rng = np.random.default_rng(seed)
+    a = _hidden(_jordan_sum(first), rng, log_cond)
+    b = _hidden(_jordan_sum(second), rng, log_cond)
+    # dim Hom between Jordan blocks J_p(lam) and J_q(lam) is min(p, q), 0 across eigenvalues
+    exact = sum(min(p, q) for lam, p, _ in first for mu, q, _ in second if lam == mu)
+    assert hom(a, b).dimension == _dense_hom(a, b).dimension == exact
+    exact_end = sum(min(p, q) for lam, p, _ in first for mu, q, _ in first if lam == mu)
+    assert end(a).dimension == _dense_hom(a, a).dimension == exact_end
+
+
+# families with n = 0 too: wide(0) and tall(0) are canonically simple
+small_families = st.one_of(families, st.builds(KroneckerFamily, st.sampled_from(["wide", "tall"]),
+                                               st.just(0)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(parts=st.lists(small_families, min_size=1, max_size=2), seed=st.integers(0, 2**32 - 1))
+def test_verdicts_invariant_under_change_of_basis(parts, seed):
+    rep = _sum([build_family(f) for f in parts])
+    rng = np.random.default_rng(seed)
+    verdicts = analyze(rep).verdicts()
+    unitary = {v: _unitary(rng, k) for v, k in rep.dims.items()}
+    assert analyze(_changed(rep, unitary)).verdicts() == verdicts
+    # irreducibility reads the inner product, which an invertible change moves
+    invertible = {v: random_complex(rng, (k, k)) + 2.0 * np.eye(k) for v, k in rep.dims.items()}
+    changed = analyze(_changed(rep, invertible)).verdicts()
+    del verdicts["irreducible"], changed["irreducible"]
+    assert changed == verdicts
+
+
+def test_ill_conditioned_invertible_arrow_takes_dense_path():
+    # a1 is invertible at inv_rel = 1e-8 but its sigma_min / sigma_max = 1e-5
+    # is under sqrt(inv_rel); a2 is nilpotent
+    rep = kronecker_rep(np.diag([1.0, 1e-5]), jordan_block(0.0, 2))
+    basis = end(rep)
+    assert (basis.path, basis.unknowns) == ("dense", 8)
+    assert basis.dimension == exact_end_dim(rep) == 2
