@@ -9,7 +9,7 @@ from .rep import (Representation, canonically_simple, direct_sum,
 from .intertwiner import (HomBasis, IsoResult, are_isomorphic, end, hom,
                           intertwining_residual, relatively_prime)
 from .structure import (AlgebraBasis, Analysis, DecompositionTree, IndecomposableResult,
-                        SimpleResult, analyze, decompose, end_algebra, generated_algebra,
+                        SimpleResult, analyze, decompose, generated_algebra,
                         is_canonically_simple, is_indecomposable, is_irreducible,
                         is_simple, is_strongly_irreducible, is_transitive,
                         radical_dimension, single_jordan_block_criterion,
@@ -34,7 +34,7 @@ __all__ = [
     "HomBasis", "IsoResult", "hom", "end", "are_isomorphic",
     "relatively_prime", "intertwining_residual",
     "AlgebraBasis", "Analysis", "DecompositionTree", "IndecomposableResult",
-    "SimpleResult", "analyze", "decompose", "end_algebra", "generated_algebra",
+    "SimpleResult", "analyze", "decompose", "generated_algebra",
     "is_canonically_simple", "is_indecomposable", "is_irreducible", "is_simple",
     "is_strongly_irreducible", "is_transitive", "radical_dimension",
     "single_jordan_block_criterion", "star_closed_end_dim",

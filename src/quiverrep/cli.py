@@ -30,7 +30,7 @@ from .operators import (end_recursion_check, example_reps, hrr_max_truncation,
                         hrr_model, perturbation_model, perturbation_structure_residual)
 from .quiver import build_canonical
 from .rep import Representation
-from .structure import analyze, decompose
+from .structure import analyze
 from .subspaces import from_operator, remove_loops, rep_to_system, system_end, system_to_rep
 
 SWEEP_COLUMNS = ("model", "N", "params_hash", "dim_end", "dim_hom_cross",
@@ -290,6 +290,8 @@ def _read_json(path: str) -> Any:
                 text = fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -301,11 +303,15 @@ def _load_rep(path: str) -> tuple[Representation, dict]:
 
 
 def _write_out(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None or out == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +406,8 @@ def _sweep_row(spec: ModelSpec, cell: dict, n: int, partner: dict | None,
     try:
         params = dict(cell, N=n)
         rep = spec.build(params, tol)
-        basis = end(rep, tol)
+        result = analyze(rep, tol, seed)
+        basis = result.end_basis
         row["dim_end"] = basis.dimension
         if partner is not None:
             other = spec.build(dict(partner, N=n), tol)
@@ -408,7 +415,7 @@ def _sweep_row(spec: ModelSpec, cell: dict, n: int, partner: dict | None,
         if spec.recursion is not None:
             row["recursion_pass_rate"] = spec.recursion(rep, params, basis, tol)
         if spec.sweep_decompose:
-            leaves = decompose(rep, tol, seed).leaf_reps()
+            leaves = result.decomposition().leaf_reps()
             row["summand_dims"] = "|".join(
                 ",".join(str(leaf.dims[v]) for v in leaf.quiver.vertices)
                 for leaf in leaves)
@@ -509,8 +516,7 @@ def cmd_convert(args, tol: Tolerances) -> int:
         )
     _write_out(doc.dumps(out_doc), args.out)
     if args.out and args.out != "-":
-        with open(args.out + ".check.json", "w", encoding="utf-8") as fh:
-            fh.write(doc.dumps(sidecar) + "\n")
+        _write_out(doc.dumps(sidecar), args.out + ".check.json")
     else:
         sys.stderr.write(json.dumps(sidecar) + "\n")
     return 0

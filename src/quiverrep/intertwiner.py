@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeLimitExceeded, ValidationError
-from .numerics import (DEFAULT_TOL, Tolerances, frob, inverse, is_invertible, max_entry,
+from .numerics import (DEFAULT_TOL, Tolerances, inverse, is_invertible, max_entry,
                        nullspace, random_complex)
 from .quiver import Arrow
 from .rep import Representation
@@ -34,14 +34,17 @@ ISO_SAMPLES = 8
 class HomBasis:
     """Orthonormal basis of the space of intertwiners between two representations.
 
-    ``cutoff`` and ``gap`` are the evidence of the rank decision, taken on the
-    system that ``path`` names ("forest" for the eliminated one, "dense" for
-    one unknown matrix per vertex); ``unknowns`` is that system's column count.
+    ``stacks[v]`` holds the basis elements' blocks at vertex v, shape
+    (dimension, target.dims[v], source.dims[v]); iterating yields one vertex
+    tuple per element.  ``cutoff`` and ``gap`` are the evidence of the rank
+    decision, taken on the system that ``path`` names ("forest" for the
+    eliminated one, "dense" for one unknown matrix per vertex); ``unknowns``
+    is that system's column count.
     """
 
     source: Representation
     target: Representation
-    basis: tuple[dict[str, np.ndarray], ...]
+    stacks: dict[str, np.ndarray]
     dimension: int
     cutoff: float
     gap: float
@@ -49,7 +52,7 @@ class HomBasis:
     unknowns: int = 0
 
     def __iter__(self):
-        return iter(self.basis)
+        return ({v: b[i] for v, b in self.stacks.items()} for i in range(self.dimension))
 
 
 @dataclass(frozen=True)
@@ -124,12 +127,13 @@ def hom_scale(a: Representation, b: Representation) -> float:
 
 def intertwining_residual(a: Representation, b: Representation,
                           t: dict[str, np.ndarray]) -> float:
-    """max over arrows of || T_range f_a - g_a T_source ||_F for the tuple ``t``."""
+    """max over arrows of || T_range f_a - g_a T_source ||_F for the tuple
+    ``t``, or the max of that over the elements of a stack, shape
+    (k, b.dims[v], a.dims[v]) at every vertex v."""
     worst = 0.0
     for arr in a.quiver.arrows:
-        lhs = t[arr.dst] @ a.maps[arr.name]
-        rhs = b.maps[arr.name] @ t[arr.src]
-        worst = max(worst, frob(lhs - rhs))
+        diff = t[arr.dst] @ a.maps[arr.name] - b.maps[arr.name] @ t[arr.src]
+        worst = max(worst, float(np.max(np.linalg.norm(diff, axis=(-2, -1)), initial=0.0)))
     return worst
 
 
@@ -187,9 +191,10 @@ def _solve(a: Representation, b: Representation, tol: Tolerances, forest: _Fores
         sizes = np.cumsum([a.dims[v] * b.dims[v] for v in vertices])[:-1]
         stacks = {v: block.reshape(k, b.dims[v], a.dims[v])
                   for v, block in zip(vertices, np.split(q.T, sizes, axis=1))}
-    basis = tuple({v: np.ascontiguousarray(stacks[v][i]) for v in vertices}
-                  for i in range(k))
-    return HomBasis(a, b, basis, k, null.cutoff, null.gap, path, n_unknowns)
+    stacks = {v: np.ascontiguousarray(x) for v, x in stacks.items()}
+    for x in stacks.values():
+        x.flags.writeable = False  # iteration hands out views
+    return HomBasis(a, b, stacks, k, null.cutoff, null.gap, path, n_unknowns)
 
 
 def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL,
@@ -215,8 +220,7 @@ def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL,
     if forest.arrows:
         basis = _solve(a, b, tol, forest, max_unknowns)
         tau = tol.hom_tol(hom_scale(a, b))
-        if (basis.gap >= tol.elim_gap()
-                and all(intertwining_residual(a, b, t) <= tau for t in basis)):
+        if basis.gap >= tol.elim_gap() and intertwining_residual(a, b, basis.stacks) <= tau:
             return basis
     return _dense_hom(a, b, tol, max_unknowns)
 
@@ -267,8 +271,7 @@ def are_isomorphic(a: Representation, b: Representation, tol: Tolerances = DEFAU
     rng = np.random.default_rng(seed)
     for _ in range(ISO_SAMPLES):
         coeff = random_complex(rng, (basis.dimension,))
-        cand = {v: sum(c * t[v] for c, t in zip(coeff, basis.basis))
-                for v in a.quiver.vertices}
+        cand = {v: np.tensordot(coeff, b, axes=1) for v, b in basis.stacks.items()}
         if all(is_invertible(block, tol) for block in cand.values()):
             return IsoResult("yes", "sampled invertible intertwiner", basis.dimension,
                              cand, seed)

@@ -45,9 +45,10 @@ class Tolerances:
     global_scale: float = 1.0
 
     def rescaled(self, factor: float) -> "Tolerances":
-        if factor <= 0:
-            raise ValidationError(f"tolerance scale must be positive, got {factor}")
-        return replace(self, global_scale=self.global_scale * factor)
+        scale = self.global_scale * factor
+        if not (0 < factor < np.inf and 0 < scale < np.inf):
+            raise ValidationError(f"tolerance scale must be positive and finite, got {factor}")
+        return replace(self, global_scale=scale)
 
     def svd_cutoff(self, m: int, n: int, sigma_max: float) -> float:
         return max(m, n, 1) * EPS * sigma_max * SVD_FACTOR * self.global_scale

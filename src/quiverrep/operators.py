@@ -110,16 +110,13 @@ def perturbation_structure_residual(n: int, basis: HomBasis) -> float:
     those coordinate sets across the basis (phi's last row is the boundary row
     and is exempt).
     """
-    worst = 0.0
-    for t in basis:
-        phi, psi = t["1"], t["2"]
-        if n > 1:
-            worst = max(worst, float(np.max(np.abs(psi[0, 1:]))))
-            worst = max(worst, float(np.max(np.abs(psi[1:, 0]))))
-            off = np.abs(phi[: n - 1, :]).copy()
-            np.fill_diagonal(off, 0.0)
-            worst = max(worst, float(np.max(off)))
-    return worst
+    if n <= 1:
+        return 0.0
+    phi, psi = basis.stacks["1"], basis.stacks["2"]
+    off = np.abs(phi[:, :n - 1, :])
+    off[:, range(n - 1), range(n - 1)] = 0.0
+    return float(max(np.max(np.abs(psi[:, 0, 1:]), initial=0.0),
+                     np.max(np.abs(psi[:, 1:, 0]), initial=0.0), np.max(off, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------

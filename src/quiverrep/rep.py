@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import ValidationError
 from .numerics import DEFAULT_TOL, Tolerances, frob, max_entry, numerical_rank
-from .quiver import Quiver
+from .quiver import Arrow, Quiver
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +71,19 @@ class Representation:
         """Largest absolute matrix entry over all arrows (0 for a map-free rep)."""
         return max((max_entry(m) for m in self.maps.values()), default=0.0)
 
+    def blocks(self) -> dict[str, slice]:
+        """The coordinates of each vertex's space in the total space (+)_v H_v,
+        the vertices in declaration order."""
+        ends = np.cumsum([self.dims[v] for v in self.quiver.vertices]).tolist()
+        return {v: slice(end - self.dims[v], end) for v, end in zip(self.quiver.vertices, ends)}
+
+    def extended_map(self, arrow: Arrow) -> np.ndarray:
+        """The map of ``arrow`` extended by zero to the total space."""
+        blocks = self.blocks()
+        m = np.zeros((self.total_dim, self.total_dim), dtype=complex)
+        m[blocks[arrow.dst], blocks[arrow.src]] = self.maps[arrow.name]
+        return m
+
 
 def zero_representation(quiver: Quiver, dims: dict[str, int] | None = None) -> Representation:
     """All-zero maps; with default ``dims`` the zero representation itself."""
@@ -91,13 +105,7 @@ def direct_sum(a: Representation, b: Representation) -> Representation:
     if a.quiver != b.quiver:
         raise ValidationError("direct_sum requires representations over the same quiver")
     dims = {v: a.dims[v] + b.dims[v] for v in a.quiver.vertices}
-    maps = {}
-    for arr in a.quiver.arrows:
-        m = np.zeros((dims[arr.dst], dims[arr.src]), dtype=complex)
-        ra, ca = a.dims[arr.dst], a.dims[arr.src]
-        m[:ra, :ca] = a.maps[arr.name]
-        m[ra:, ca:] = b.maps[arr.name]
-        maps[arr.name] = m
+    maps = {name: sla.block_diag(a.maps[name], b.maps[name]) for name in a.maps}
     return Representation(a.quiver, dims, maps)
 
 

@@ -20,7 +20,7 @@ round multiplies only the newly added elements by the g generators, at a
 total cost of about g * d^6 for total dimension d.
 
 The verdict rules and the implications between them are stated once, in
-:class:`Analysis`; the ``is_*`` functions are views of it.
+:class:`Analysis`; the ``is_*`` functions and ``decompose`` are views of it.
 """
 
 from __future__ import annotations
@@ -41,31 +41,19 @@ from .rep import Representation, restrict
 
 
 # ---------------------------------------------------------------------------
-# block embedding of vertex tuples into B((+)_v H_v)
-
-def block_offsets(rep: Representation) -> dict[str, int]:
-    sizes = [rep.dims[v] for v in rep.quiver.vertices]
-    return dict(zip(rep.quiver.vertices, np.cumsum([0] + sizes[:-1]).tolist()))
-
-
-def embed_tuple(rep: Representation, t: dict[str, np.ndarray]) -> np.ndarray:
-    """Block-diagonal matrix of a vertex-indexed tuple on the total space."""
-    return sla.block_diag(*(t[v] for v in rep.quiver.vertices)).astype(complex)
-
-
-# ---------------------------------------------------------------------------
 # algebra bases
 
 @dataclass(frozen=True, eq=False)
 class AlgebraBasis:
-    """Orthonormal basis of a subalgebra of B(C^d), matrices viewed as vectors.
+    """Orthonormal basis of a subalgebra of B(C^d), matrices viewed as vectors,
+    stacked as one array of shape (dimension, d, d).
 
     ``cutoff`` and ``gap`` are the evidence behind the rank decisions that
     produced the basis; ``gap`` is ``inf`` where none was recorded.
     """
 
     ambient_dim: int
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
     dimension: int
     cutoff: float
     gap: float = np.inf
@@ -73,7 +61,7 @@ class AlgebraBasis:
     def span_residual(self, matrix: np.ndarray) -> float:
         """Distance from ``matrix`` to the span of the basis."""
         vec = matrix.reshape(-1)
-        rows = np.array(self.basis).reshape(len(self.basis), vec.size)
+        rows = self.basis.reshape(self.dimension, vec.size)
         return float(np.linalg.norm(vec - rows.T @ (rows.conj() @ vec)))
 
     def contains_identity(self) -> bool:
@@ -91,22 +79,14 @@ def _generators(rep: Representation) -> np.ndarray:
     makes the rank decisions independent of the overall scale of the maps.
     """
     d = rep.total_dim
-    off = block_offsets(rep)
     gens = []
-    for v in rep.quiver.vertices:
-        k = rep.dims[v]
-        if 0 < k < d:
+    for v, block in rep.blocks().items():
+        if 0 < rep.dims[v] < d:
             e = np.zeros((d, d), dtype=complex)
-            e[off[v]:off[v] + k, off[v]:off[v] + k] = np.eye(k)
+            e[block, block] = np.eye(rep.dims[v])
             gens.append(e)
     scale = rep.map_scale()
-    for a in rep.quiver.arrows:
-        f = rep.maps[a.name]
-        if f.size and np.any(f):
-            m = np.zeros((d, d), dtype=complex)
-            m[off[a.dst]:off[a.dst] + rep.dims[a.dst],
-              off[a.src]:off[a.src] + rep.dims[a.src]] = f / scale
-            gens.append(m)
+    gens += [rep.extended_map(a) / scale for a in rep.quiver.arrows if np.any(rep.maps[a.name])]
     return np.array(gens, dtype=complex).reshape(len(gens), d, d)
 
 
@@ -175,14 +155,6 @@ def _spin(start: np.ndarray, gens: np.ndarray,
     return basis, cutoff, gap
 
 
-def end_algebra(rep: Representation, tol: Tolerances = DEFAULT_TOL,
-                basis: HomBasis | None = None) -> AlgebraBasis:
-    """End(H,f) embedded block-diagonally as a subalgebra of B(C^d)."""
-    basis = end(rep, tol) if basis is None else basis
-    mats = tuple(embed_tuple(rep, t) for t in basis.basis)
-    return AlgebraBasis(rep.total_dim, mats, len(mats), basis.cutoff, basis.gap)
-
-
 def generated_algebra(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> AlgebraBasis:
     """Unital algebra generated by vertex idempotents and extended arrow maps.
 
@@ -204,13 +176,7 @@ def generated_algebra(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> Alg
         raise NumericalFailure(
             f"span closure exceeded ambient dimension squared ({d * d})"
         )
-    basis = tuple(np.ascontiguousarray(r.reshape(d, d)) for r in rows)
-    return AlgebraBasis(d, basis, len(basis), cutoff, gap)
-
-
-def _vertex_stacks(rep: Representation, basis: HomBasis) -> dict[str, np.ndarray]:
-    """The basis (dimension k > 0) at each vertex as one array, shape (k, d_v, d_v)."""
-    return {v: np.array([t[v] for t in basis.basis]) for v in rep.quiver.vertices}
+    return AlgebraBasis(d, rows.reshape(-1, d, d), rows.shape[0], cutoff, gap)
 
 
 def _radical_dim(stacks: dict[str, np.ndarray], tol: Tolerances) -> int:
@@ -227,7 +193,7 @@ def radical_dimension(rep: Representation, tol: Tolerances = DEFAULT_TOL,
     basis = end(rep, tol) if basis is None else basis
     if basis.dimension == 0:
         return 0
-    return _radical_dim(_vertex_stacks(rep, basis), tol)
+    return _radical_dim(basis.stacks, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +384,7 @@ def _invariant_subspace_witness(rep: Representation, alg: AlgebraBasis,
                                 tol: Tolerances, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     d = rep.total_dim
-    off = block_offsets(rep)
+    blocks = rep.blocks()
     gens = _generators(rep)
     best: dict[str, np.ndarray] | None = None
     best_dim = d
@@ -434,11 +400,10 @@ def _invariant_subspace_witness(rep: Representation, alg: AlgebraBasis,
                 continue
             cols = span.T
             inclusions, graded = {}, 0
-            for vertex in rep.quiver.vertices:
-                block = cols[off[vertex]:off[vertex] + rep.dims[vertex], :]
+            for vertex, block in blocks.items():
                 # rank must be judged against the unit columns of the whole
                 # subspace, not the block's own (possibly noise-level) scale
-                inc = orthonormal_range(block, tol, scale=1.0)
+                inc = orthonormal_range(cols[block], tol, scale=1.0)
                 inclusions[vertex] = inc
                 graded += inc.shape[1]
             if graded != r:
@@ -470,7 +435,7 @@ def star_closed_end_dim(rep: Representation, tol: Tolerances = DEFAULT_TOL,
     k = basis.dimension
     if k == 0:
         return 0
-    stacks = _vertex_stacks(rep, basis).values()
+    stacks = basis.stacks.values()
     vecs = np.hstack([b.reshape(k, -1) for b in stacks])
     star = np.hstack([b.conj().transpose(0, 2, 1).reshape(k, -1) for b in stacks])
     return 2 * k - numerical_rank(np.vstack([vecs, star]), tol)
@@ -557,14 +522,20 @@ class Analysis:
         if self.indecomposable:
             return None
         eye = _identities(self.rep)
-        return _splitting_idempotent(self.rep, _vertex_stacks(self.rep, self.end_basis),
-                                     (eye, eye), self.tol, self.seed)
+        return _splitting_idempotent(self.rep, self.end_basis.stacks, (eye, eye),
+                                     self.tol, self.seed)
 
     def invariant_subspace(self) -> dict[str, np.ndarray] | None:
         """Per-vertex inclusions of a proper subrepresentation; None when simple."""
         if self.simple:
             return None
         return _invariant_subspace_witness(self.rep, self.algebra, self.tol, self.seed)
+
+    def decomposition(self) -> DecompositionTree:
+        """The decomposition into indecomposables, split from this End basis
+        (see :func:`decompose`)."""
+        eye = _identities(self.rep)
+        return _corner_tree(self.rep, self.end_basis.stacks, (eye, eye), self.tol, self.seed)
 
 
 def analyze(rep: Representation, tol: Tolerances = DEFAULT_TOL, seed: int = 0) -> Analysis:
@@ -611,9 +582,7 @@ def decompose(rep: Representation, tol: Tolerances = DEFAULT_TOL,
     restricted to the range of U, and its ``idempotent`` is q, an idempotent
     endomorphism of that ``rep``.
     """
-    stacks = _vertex_stacks(rep, analyze(rep, tol, seed).end_basis)
-    eye = _identities(rep)
-    return _corner_tree(rep, stacks, (eye, eye), tol, seed)
+    return analyze(rep, tol, seed).decomposition()
 
 
 def _corner_tree(rep: Representation, stacks: dict[str, np.ndarray],

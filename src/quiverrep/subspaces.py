@@ -18,7 +18,7 @@ from .intertwiner import end
 from .numerics import (DEFAULT_TOL, Tolerances, nullspace, orthonormal_inclusion)
 from .quiver import Arrow, Quiver, build_canonical
 from .rep import Representation
-from .structure import AlgebraBasis, block_offsets
+from .structure import AlgebraBasis
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +68,7 @@ def system_end(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> Algebra
     """
     d = system.ambient_dim
     if d == 0:
-        return AlgebraBasis(0, (), 0, 0.0)
+        return AlgebraBasis(0, np.zeros((0, 0, 0), dtype=complex), 0, 0.0)
     blocks = [np.zeros((0, d * d), dtype=complex)]
     for inc in system.inclusions:
         k = inc.shape[1]
@@ -77,8 +77,7 @@ def system_end(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> Algebra
             # row-major vec(Q^H T U) = (Q^H (x) U^T) vec(T)
             blocks.append(np.kron(comp.conj().T, inc.T))
     null = nullspace(np.vstack(blocks), tol)
-    basis = tuple(np.ascontiguousarray(row.reshape(d, d)) for row in null.basis)
-    return AlgebraBasis(d, basis, len(basis), null.cutoff, null.gap)
+    return AlgebraBasis(d, null.basis.reshape(-1, d, d), null.dimension, null.cutoff, null.gap)
 
 
 def from_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SubspaceSystem:
@@ -143,19 +142,11 @@ def rep_to_system(rep: Representation, tol: Tolerances = DEFAULT_TOL,
             "the quiver has self-loops; apply remove_loops first"
         )
     d = rep.total_dim
-    offsets = block_offsets(rep)
-    inclusions = []
-    for v in rep.quiver.vertices:
-        k = rep.dims[v]
-        inc = np.zeros((d, k), dtype=complex)
-        inc[offsets[v]:offsets[v] + k, :] = np.eye(k)
-        inclusions.append(inc)
-    for a in rep.quiver.arrows:
-        k = rep.dims[a.src]
-        inc = np.zeros((d, k), dtype=complex)
-        inc[offsets[a.src]:offsets[a.src] + k, :] = np.eye(k)
-        inc[offsets[a.dst]:offsets[a.dst] + rep.dims[a.dst], :] = rep.maps[a.name]
-        inclusions.append(inc)
+    blocks = rep.blocks()
+    eye = np.eye(d, dtype=complex)
+    # the graph of f_a is the src columns of I + f_a extended by zero
+    inclusions = [eye[:, block] for block in blocks.values()]
+    inclusions += [(eye + rep.extended_map(a))[:, blocks[a.src]] for a in rep.quiver.arrows]
     system = make_system(d, inclusions, tol)
     if check:
         lhs = end(rep, tol).dimension

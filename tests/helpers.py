@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from quiverrep import Arrow, Quiver, Representation, direct_sum, jordan_block
+from quiverrep import (Arrow, Quiver, Representation, direct_sum, intertwining_residual,
+                       jordan_block)
 from quiverrep.numerics import random_complex
 
 
@@ -107,3 +108,12 @@ def conjugated_jordan(rng: np.random.Generator,
     s = random_complex(rng, (k, k)) + 2.0 * np.eye(k)
     commutant = sum(min(p, q) for lam, p in blocks for mu, q in blocks if lam == mu)
     return s @ jordan @ np.linalg.inv(s), commutant
+
+
+def assert_stacked(a: Representation, b: Representation, basis) -> None:
+    """A basis of Hom(a, b) holds one (dimension, b.dims[v], a.dims[v]) stack
+    per vertex, and its batched residual is the largest per-element one."""
+    for v in a.quiver.vertices:
+        assert basis.stacks[v].shape == (basis.dimension, b.dims[v], a.dims[v])
+    per_element = max((intertwining_residual(a, b, t) for t in basis), default=0.0)
+    assert np.isclose(intertwining_residual(a, b, basis.stacks), per_element, rtol=1e-12, atol=0)

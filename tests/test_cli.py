@@ -76,6 +76,29 @@ def test_analyze_parse_failure_exit_code(tmp_path, capsys):
     assert "error" in err
 
 
+def test_analyze_non_utf8_file_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert "not UTF-8" in err and str(path) in err
+
+
+def test_analyze_unwritable_out_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code, _, err = run_cli(capsys, "analyze", "--model", "ex6", "--out", str(out))
+    assert code == 2
+    assert "cannot write" in err and str(out) in err
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_tol_scale_must_be_positive_and_finite(capsys, scale):
+    code, out, err = run_cli(capsys, "--tol-scale", scale, "analyze", "--model", "ex6")
+    assert code == 2
+    assert out == ""
+    assert "tolerance scale must be positive and finite" in err
+
+
 def test_analyze_records_seed_and_tolerances(capsys):
     code, out, _ = run_cli(capsys, "--seed", "7", "--tol-scale", "2.0",
                            "analyze", "--model", "ex3", "--param", "N=3")
@@ -291,6 +314,21 @@ def test_sweep_ex9_summand_dims(capsys):
     assert leaves == [(2, 2), (2, 2)]
 
 
+def test_sweep_solves_end_once_per_row(capsys, monkeypatch):
+    calls = []
+    original = quiverrep.intertwiner.hom
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quiverrep.intertwiner, "hom", counted)
+    code, out, _ = run_cli(capsys, "sweep", "ex9", "--n-range", "4:5")
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 2
+    assert len(calls) == 2
+
+
 def test_sweep_deterministic_and_json_format(capsys):
     code1, out1, _ = run_cli(capsys, "sweep", "perturbation", "--n-range", "2:4")
     code2, out2, _ = run_cli(capsys, "sweep", "perturbation", "--n-range", "2:4")
@@ -365,6 +403,17 @@ def test_convert_operator_to_four_subspaces(tmp_path, capsys):
     assert len(doc["inclusions"]) == 4
     sidecar = json.loads(err.strip().splitlines()[-1])
     assert sidecar["dim_end_before"] == sidecar["dim_end_after"] == 2
+
+
+def test_convert_unwritable_sidecar_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text(dumps(operator_to_json(jordan_block(0.0, 2))))
+    out = tmp_path / "sys.json"
+    (tmp_path / "sys.json.check.json").mkdir()
+    code, _, err = run_cli(capsys, "convert", "--operator-to-4system", str(path),
+                           "--out", str(out))
+    assert code == 2
+    assert "cannot write" in err and "sys.json.check.json" in err
 
 
 def test_convert_system_to_rep_roundtrip(tmp_path, capsys):

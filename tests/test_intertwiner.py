@@ -10,7 +10,7 @@ from quiverrep.intertwiner import _dense_hom, _solve, _spanning_forest, hom_scal
 from quiverrep.numerics import DEFAULT_TOL
 from quiverrep.numerics import random_complex
 
-from helpers import loop_rep, random_quiver, random_rep, two_subspace_rep
+from helpers import assert_stacked, loop_rep, random_quiver, random_rep, two_subspace_rep
 from oracles import exact_end_dim, exact_hom_dim
 
 
@@ -290,6 +290,7 @@ def test_forest_matches_dense_on_random_quivers_of_equal_dims():
             assert basis.dimension == _dense_hom(x, y).dimension
             for t in basis:
                 assert intertwining_residual(x, y, t) <= 1e-8 * hom_scale(x, y)
+            assert_stacked(x, y, basis)
 
 
 def test_gap_guard_sends_a_cancelling_reduced_system_to_dense():

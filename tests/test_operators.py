@@ -5,7 +5,7 @@ from quiverrep import (ValidationError, bilateral_shift,
                        cross_model_hom, decompose, diagonal, end,
                        end_recursion_check, example_reps, hrr_max_truncation,
                        hrr_model, is_indecomposable, is_simple, is_transitive,
-                       perturbation_model, rank_one, relatively_prime, shift,
+                       kronecker_rep, perturbation_model, rank_one, relatively_prime, shift,
                        weighted_shift_similarity)
 from quiverrep.intertwiner import hom_scale
 from quiverrep.operators import (bilateral_index, hrr_log_w, hrr_weight_logs,
@@ -63,6 +63,13 @@ def test_perturbation_matrix_layout():
     assert np.allclose(rep.maps["a1"], shift(3))
 
 
+def _stray(n, t):
+    """The largest stray coordinate of one End element (phi, psi), as documented."""
+    phi, psi = t["1"], t["2"]
+    return max(np.abs(psi[0, 1:]).max(), np.abs(psi[1:, 0]).max(),
+               np.abs(phi[:n - 1] * (1 - np.eye(n)[:n - 1])).max())
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_perturbation_end_dimension(n):
     rep = perturbation_model(n)
@@ -70,6 +77,9 @@ def test_perturbation_end_dimension(n):
     assert basis.dimension == n
     tau = 1e-8 * max(hom_scale(rep, rep), 1.0)
     assert perturbation_structure_residual(n, basis) <= tau
+    # the stacked reading is the per-element one, also on a basis far from the structure
+    for b in (basis, end(kronecker_rep(np.eye(n), np.eye(n)))):
+        assert perturbation_structure_residual(n, b) == max(_stray(n, t) for t in b)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -14,7 +14,7 @@ from quiverrep.kronecker import FAMILY_KINDS
 from quiverrep.numerics import random_complex
 from quiverrep.structure import widest_two_group_split
 
-from helpers import conjugated_jordan, loop_rep
+from helpers import assert_stacked, conjugated_jordan, loop_rep
 from oracles import agglomerative_two_group_split, exact_end_dim
 
 # Jordan types of total size 1..5 with eigenvalues in a small set, so that
@@ -166,7 +166,9 @@ def test_forest_hom_matches_dense_and_exact_on_hidden_jordan_sums(first, second,
     b = _hidden(_jordan_sum(second), rng, log_cond)
     # dim Hom between Jordan blocks J_p(lam) and J_q(lam) is min(p, q), 0 across eigenvalues
     exact = sum(min(p, q) for lam, p, _ in first for mu, q, _ in second if lam == mu)
-    assert hom(a, b).dimension == _dense_hom(a, b).dimension == exact
+    basis = hom(a, b)
+    assert basis.dimension == _dense_hom(a, b).dimension == exact
+    assert_stacked(a, b, basis)
     exact_end = sum(min(p, q) for lam, p, _ in first for mu, q, _ in first if lam == mu)
     assert end(a).dimension == _dense_hom(a, a).dimension == exact_end
 

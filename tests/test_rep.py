@@ -69,6 +69,18 @@ def test_direct_sum_with_zero_is_identity():
     rep = loop_rep(np.array([[2.0, 1.0], [0.0, 2.0]]))
     zero = zero_representation(rep.quiver)
     assert rep_allclose(direct_sum(rep, zero), rep)
+    # a vertex that is zero-dimensional on one side only
+    q = build_canonical("kronecker", 2)
+    left = zero_representation(q, {"1": 1, "2": 0})
+    right = kron_rep(np.array([[1.0, 2.0], [3.0, 4.0]]), np.eye(2))
+    s = direct_sum(left, right)
+    assert s.dims == {"1": 3, "2": 2}
+    for name in ("a1", "a2"):
+        assert np.array_equal(s.maps[name], np.hstack([np.zeros((2, 1)), right.maps[name]]))
+    flipped = direct_sum(right, left)
+    assert flipped.dims == s.dims
+    for name in ("a1", "a2"):
+        assert np.array_equal(flipped.maps[name], np.hstack([right.maps[name], np.zeros((2, 1))]))
 
 
 def test_direct_sum_one_dimensional_blocks():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from quiverrep import (Arrow, NumericalFailure, Quiver, ValidationError, end,
-                       example_reps, from_operator, is_indecomposable,
+from quiverrep import (Arrow, NumericalFailure, Quiver, Representation, ValidationError,
+                       end, example_reps, from_operator, is_indecomposable,
                        is_strongly_irreducible, jordan_block, kronecker_rep,
                        make_system, remove_loops, rep_to_system, shift, diagonal,
                        system_end, system_to_rep)
 from quiverrep.numerics import random_complex
-from quiverrep.structure import embed_tuple
 
 from helpers import (conjugated_jordan, example6, loop_rep, random_quiver, random_rep,
                      two_subspace_rep)
@@ -117,6 +117,12 @@ def test_rep_to_system_kronecker():
     assert sys1.ambient_dim == 4
     assert sys1.n_subspaces == 4  # 2 vertices + 2 graph subspaces
     assert system_end(sys1).dimension == end(rep).dimension
+    # a zero-dimensional range: the graphs are the source coordinates
+    src_only = Representation(rep.quiver, {"1": 2, "2": 0},
+                              {"a1": np.zeros((0, 2)), "a2": np.zeros((0, 2))})
+    sys0 = rep_to_system(src_only)
+    assert (sys0.ambient_dim, sys0.subspace_dims()) == (2, (2, 0, 2, 2))
+    assert system_end(sys0).dimension == end(src_only).dimension == 4
 
 
 def test_rep_to_system_zero_maps_duplicate_coordinates():
@@ -202,7 +208,7 @@ def test_block_diagonal_embedding_lands_in_system_end():
     sys1 = rep_to_system(rep)
     alg = system_end(sys1)
     for t in end(rep):
-        embedded = embed_tuple(rep, t)
+        embedded = sla.block_diag(*(t[v] for v in rep.quiver.vertices))
         assert alg.span_residual(embedded) <= 1e-8
 
 
