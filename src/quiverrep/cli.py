@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -242,8 +243,13 @@ def analysis_report(rep: Representation, tol: Tolerances, seed: int,
     """
     t_start = time.perf_counter()
     result = analyze(rep, tol, seed)
+    stages = {}
+    for key, stage in (("end_s", "end_basis"), ("radical_s", "radical_dim"),
+                       ("algebra_s", "algebra"), ("star_s", "star_dim")):
+        t_stage = time.perf_counter()
+        getattr(result, stage)
+        stages[key] = round(time.perf_counter() - t_stage, 6)
     basis = result.end_basis
-    t_end = time.perf_counter()
     verdicts = result.verdicts()
     report = {
         "input": dict(source, seed=seed),
@@ -265,8 +271,7 @@ def analysis_report(rep: Representation, tol: Tolerances, seed: int,
         "tolerances": tol.as_dict(),
         "finite_truncation": finite_truncation,
         "seed": seed,
-        "timings": {"end_s": round(t_end - t_start, 6),
-                    "total_s": round(time.perf_counter() - t_start, 6)},
+        "timings": dict(stages, total_s=round(time.perf_counter() - t_start, 6)),
     }
     if finite_truncation:
         report["note"] = ("verdicts describe the finite truncation only, not the "
@@ -415,10 +420,10 @@ def _sweep_row(spec: ModelSpec, cell: dict, n: int, partner: dict | None,
         if spec.recursion is not None:
             row["recursion_pass_rate"] = spec.recursion(rep, params, basis, tol)
         if spec.sweep_decompose:
-            leaves = result.decomposition().leaf_reps()
-            row["summand_dims"] = "|".join(
-                ",".join(str(leaf.dims[v]) for v in leaf.quiver.vertices)
-                for leaf in leaves)
+            # sorted: the leaf order follows a random split, not the summands
+            leaves = sorted(tuple(leaf.dims[v] for v in leaf.quiver.vertices)
+                            for leaf in result.decomposition().leaf_reps())
+            row["summand_dims"] = "|".join(",".join(map(str, dims)) for dims in leaves)
     except (ValidationError, NumericalFailure, SizeLimitExceeded) as exc:
         row["error"] = str(exc)
     row["wall_time_s"] = round(time.perf_counter() - started, 4)
@@ -516,7 +521,12 @@ def cmd_convert(args, tol: Tolerances) -> int:
         )
     _write_out(doc.dumps(out_doc), args.out)
     if args.out and args.out != "-":
-        _write_out(doc.dumps(sidecar), args.out + ".check.json")
+        try:
+            _write_out(doc.dumps(sidecar), args.out + ".check.json")
+        except ValidationError:
+            # a converted document is never left on disk without its check
+            os.remove(args.out)
+            raise
     else:
         sys.stderr.write(json.dumps(sidecar) + "\n")
     return 0

@@ -7,6 +7,12 @@ replaced by a reference scale (see :func:`nullspace`); for the trace-form
 Gram matrix of an End basis, ``cluster_tol(1)^2 sigma_max``
 (:func:`gram_nullity`); for invertibility, ``inv_rel * sigma_max``
 (:func:`is_invertible`, :func:`inverse`).
+
+Two rules keep that step from doing arithmetic no decision reads.  Real data
+takes real LAPACK: a complex matrix whose imaginary part is exactly zero is
+factored as a real one, and its factors are cast back to complex, so callers
+see the same dtypes.  Rank-only decisions (:func:`numerical_rank`,
+:func:`is_invertible`, :func:`gram_nullity`) compute singular values only.
 """
 
 from __future__ import annotations
@@ -118,18 +124,30 @@ class NullspaceResult:
 
 
 def _ranked_svd(matrix: np.ndarray, cutoff_at: Callable[[float], float],
-                full_matrices: bool = False
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float, int]:
+                full_matrices: bool = False, compute_uv: bool = True
+                ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, float, float, int]:
     """U, singular values, V^H, sigma_max, cutoff ``cutoff_at(sigma_max)`` and
-    rank of ``matrix``.  Raises NumericalFailure when the matrix or
-    the cutoff is not finite, or when the SVD does not converge."""
+    rank of ``matrix``; U and V^H are None when ``compute_uv`` is false.  A
+    complex matrix whose imaginary part is exactly zero is factored by real
+    LAPACK and its factors are cast back to complex: its singular values are
+    the same over R and C, and its real singular vectors are complex ones.
+    Raises NumericalFailure when the matrix or the cutoff is not finite, or
+    when the SVD does not converge."""
     m, n = matrix.shape
     if not np.isfinite(matrix).all():
         raise NumericalFailure(f"overflow: the {m} x {n} system has non-finite entries")
+    real = np.iscomplexobj(matrix) and not matrix.imag.any()
     try:
-        u, svals, vh = np.linalg.svd(matrix, full_matrices=full_matrices)
+        factors = np.linalg.svd(matrix.real if real else matrix,
+                                full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD of a {m} x {n} system: {exc}") from None
+    if compute_uv:
+        u, svals, vh = factors
+        if real:
+            u, vh = u.astype(complex), vh.astype(complex)
+    else:
+        u, svals, vh = None, factors, None
     sigma_max = float(svals[0]) if svals.size else 0.0
     cutoff = cutoff_at(sigma_max)
     if not np.isfinite(cutoff):
@@ -171,7 +189,12 @@ def nullspace(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
 
 
 def numerical_rank(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    return nullspace(matrix, tol).rank
+    """Rank of ``matrix`` at the cutoff of :func:`nullspace` (with ``scale``
+    0), read from the singular values alone; an empty matrix has rank 0."""
+    m, n = matrix.shape
+    if m == 0 or n == 0:
+        return 0
+    return _ranked_svd(matrix, lambda s: tol.svd_cutoff(m, n, s), compute_uv=False)[-1]
 
 
 def gram_nullity(gram: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -186,7 +209,8 @@ def gram_nullity(gram: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     a split is reported only where a witness can be found."""
     k = gram.shape[0]
     return k - _ranked_svd(gram, lambda s: max(tol.cluster_tol(1.0) ** 2 * s,
-                                               tol.svd_cutoff(k, k, s)))[-1]
+                                               tol.svd_cutoff(k, k, s)),
+                           compute_uv=False)[-1]
 
 
 def orthonormal_range(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
@@ -217,7 +241,8 @@ def orthonormal_inclusion(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
 
 def is_invertible(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Full rank at the cutoff ``inv_tol(sigma_max)``; an empty matrix is invertible."""
-    return matrix.size == 0 or _ranked_svd(matrix, tol.inv_tol)[-1] == min(matrix.shape)
+    return (matrix.size == 0
+            or _ranked_svd(matrix, tol.inv_tol, compute_uv=False)[-1] == min(matrix.shape))
 
 
 def inverse(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL

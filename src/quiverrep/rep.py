@@ -129,7 +129,7 @@ def restrict(rep: Representation, inclusions: dict[str, np.ndarray],
                 f"vertex {v!r}: inclusion must have {rep.dims[v]} rows, got shape {m.shape}"
             )
         if m.shape[1] > 0:
-            rank = numerical_rank(m, tol) if m.size else 0
+            rank = numerical_rank(m, tol)
             if rank != m.shape[1]:
                 raise ValidationError(f"vertex {v!r}: inclusion is rank-deficient")
         incs[v] = m

@@ -94,18 +94,26 @@ def random_decomposable(rng: np.random.Generator, quiver: Quiver,
     return conjugate(direct_sum(a, b), rng)
 
 
-def conjugated_jordan(rng: np.random.Generator,
-                      blocks: list[tuple[complex, int]]) -> tuple[np.ndarray, int]:
+def real_well_conditioned(rng: np.random.Generator, k: int) -> np.ndarray:
+    """A random real k x k matrix of condition number 10, stored as complex."""
+    left, right = (np.linalg.qr(rng.standard_normal((k, k)))[0] for _ in range(2))
+    return (left @ np.diag(np.logspace(0, 1, k)) @ right).astype(complex)
+
+
+def conjugated_jordan(rng: np.random.Generator, blocks: list[tuple[complex, int]],
+                      real: bool = False) -> tuple[np.ndarray, int]:
     """S J S^-1 for the Jordan matrix J with the given (eigenvalue, size) blocks
     and a random well-conditioned S, with the dimension of its commutant: the
-    sum over pairs of blocks at one eigenvalue of the smaller size."""
+    sum over pairs of blocks at one eigenvalue of the smaller size.  With
+    ``real`` S is real (:func:`real_well_conditioned`), so for real
+    eigenvalues the result is real."""
     k = sum(p for _, p in blocks)
     jordan = np.zeros((k, k), dtype=complex)
     pos = 0
     for lam, p in blocks:
         jordan[pos:pos + p, pos:pos + p] = jordan_block(lam, p)
         pos += p
-    s = random_complex(rng, (k, k)) + 2.0 * np.eye(k)
+    s = real_well_conditioned(rng, k) if real else random_complex(rng, (k, k)) + 2.0 * np.eye(k)
     commutant = sum(min(p, q) for lam, p in blocks for mu, q in blocks if lam == mu)
     return s @ jordan @ np.linalg.inv(s), commutant
 

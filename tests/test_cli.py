@@ -59,6 +59,20 @@ def test_analyze_example7_builder_model(capsys):
     assert report["evidence"]["generated_algebra_dim"] == 4
 
 
+@pytest.mark.parametrize("model,params", [("ex3", ["N=4"]), ("ex7", []),
+                                          ("perturbation", ["N=5"])])
+def test_analyze_stage_timings(capsys, model, params):
+    code, out, _ = run_cli(capsys, "analyze", "--model", model,
+                           *(a for p in params for a in ("--param", p)))
+    assert code == 0
+    timings = json.loads(out)["timings"]
+    stages = ("end_s", "radical_s", "algebra_s", "star_s")
+    assert set(timings) == set(stages) | {"total_s"}
+    assert all(timings[k] >= 0 for k in timings)
+    # each key is rounded to 1e-6 s, so the disjoint stages may overshoot by that
+    assert sum(timings[k] for k in stages) <= timings["total_s"] + 5 * 5e-7
+
+
 def test_analyze_zero_dim_document_is_validation_error(tmp_path, capsys):
     doc = {"quiver": {"vertices": ["1"], "arrows": []}, "dims": {"1": 0}, "maps": {}}
     path = tmp_path / "zero.json"
@@ -314,6 +328,16 @@ def test_sweep_ex9_summand_dims(capsys):
     assert leaves == [(2, 2), (2, 2)]
 
 
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_sweep_ex9_summand_dims_are_sorted(capsys, seed):
+    # odd N splits into leaves of dims (k + 1, k) and (k, k + 1), listed in
+    # one order whichever side a random split puts first
+    code, out, _ = run_cli(capsys, "--seed", seed, "sweep", "ex9", "--n-range", "3:7")
+    assert code == 0
+    rows = {int(r["N"]): r["summand_dims"] for r in csv.DictReader(io.StringIO(out))}
+    assert rows[3] == "1,2|2,1" and rows[5] == "2,3|3,2" and rows[7] == "3,4|4,3"
+
+
 def test_sweep_solves_end_once_per_row(capsys, monkeypatch):
     calls = []
     original = quiverrep.intertwiner.hom
@@ -414,6 +438,17 @@ def test_convert_unwritable_sidecar_is_validation_error(tmp_path, capsys):
                            "--out", str(out))
     assert code == 2
     assert "cannot write" in err and "sys.json.check.json" in err
+
+
+def test_convert_unwritable_sidecar_leaves_no_document(tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text(dumps(operator_to_json(jordan_block(0.0, 2))))
+    out = tmp_path / "sys.json"
+    (tmp_path / "sys.json.check.json").mkdir()
+    code, _, _ = run_cli(capsys, "convert", "--operator-to-4system", str(path),
+                         "--out", str(out))
+    assert code == 2
+    assert not out.exists()
 
 
 def test_convert_system_to_rep_roundtrip(tmp_path, capsys):

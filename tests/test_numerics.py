@@ -3,21 +3,23 @@ import pytest
 
 from quiverrep.errors import ValidationError
 from quiverrep.numerics import (DEFAULT_TOL, gram_nullity, inverse, is_invertible, nullspace,
-                                random_complex)
+                                numerical_rank, random_complex)
 
 
-def planted_rank(rng, m, n, r):
-    """An m x n matrix of rank r with singular values spread over 1e-3..1."""
-    left = np.linalg.qr(random_complex(rng, (m, r)))[0]
-    right = np.linalg.qr(random_complex(rng, (n, r)))[0]
-    return left @ np.diag(np.logspace(0, -3, r)) @ right.conj().T
+def planted_rank(rng, m, n, r, real=False):
+    """An m x n complex matrix of rank r with singular values spread over
+    1e-3..1; with ``real`` its imaginary part is exactly zero."""
+    draw = rng.standard_normal if real else (lambda shape: random_complex(rng, shape))
+    left = np.linalg.qr(draw((m, r)))[0]
+    right = np.linalg.qr(draw((n, r)))[0]
+    return (left @ np.diag(np.logspace(0, -3, r)) @ right.conj().T).astype(complex)
 
 
-def full_svd_decision(matrix):
+def full_svd_decision(matrix, tol=DEFAULT_TOL):
     """Rank, cutoff, gap and nullspace rows from the SVD with the full U."""
     m, n = matrix.shape
     _, svals, vh = np.linalg.svd(matrix, full_matrices=True)
-    cutoff = DEFAULT_TOL.svd_cutoff(m, n, float(svals[0]))
+    cutoff = tol.svd_cutoff(m, n, float(svals[0]))
     rank = int(np.count_nonzero(svals > cutoff))
     kept = svals[rank - 1] if rank else np.inf
     discarded = svals[rank] if rank < svals.size else 0.0
@@ -92,3 +94,90 @@ def test_inverse_from_the_deciding_svd():
     assert empty.shape == (0, 0) and ratio == 1.0
     with pytest.raises(ValidationError):
         inverse(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("m, n, r", [(60, 12, 7), (12, 12, 5), (7, 15, 4)])
+def test_real_data_nullspace_matches_complex_lapack(m, n, r):
+    # stored as complex with a zero imaginary part: nullspace factors it with
+    # real LAPACK, while np.linalg.svd of the same array runs complex LAPACK.
+    # The discarded singular values sit at 1e-7, under the cutoff of a 1e8
+    # tolerance scale: unlike rounding noise they are accurate to about 1e-9
+    # relative, so the two gaps must agree.
+    rng = np.random.default_rng(m * 10 + n)
+    k = min(m, n)
+    left = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    right = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    svals = np.concatenate([np.logspace(0, -3, r), np.full(k - r, 1e-7)])
+    matrix = (left @ np.diag(svals) @ right.T).astype(complex)
+    assert matrix.dtype == complex and not matrix.imag.any()
+    tol = DEFAULT_TOL.rescaled(1e8)
+    res = nullspace(matrix, tol)
+    rank, cutoff, gap, basis = full_svd_decision(matrix, tol)
+    assert res.rank == rank == r
+    assert res.cutoff == pytest.approx(cutoff, rel=1e-12)
+    assert res.gap == pytest.approx(gap, rel=1e-6)
+    assert res.gap == pytest.approx(1e-3 / 1e-7, rel=1e-3)
+    assert np.allclose(res.basis.conj().T @ res.basis, basis.conj().T @ basis, atol=1e-10)
+    assert res.basis.dtype == complex and not res.basis.imag.any()
+    # exactly rank r at the default scale: the discarded values are rounding
+    # noise, which differs between the two LAPACK paths, so the gap is not compared
+    exact = planted_rank(rng, m, n, r, real=True)
+    res = nullspace(exact)
+    rank, cutoff, _, basis = full_svd_decision(exact)
+    assert res.rank == rank == r
+    assert res.cutoff == pytest.approx(cutoff, rel=1e-12)
+    assert np.allclose(res.basis.conj().T @ res.basis, basis.conj().T @ basis, atol=1e-10)
+    assert res.basis.dtype == complex
+
+
+def test_real_data_takes_real_lapack(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append((a.dtype, kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    rng = np.random.default_rng(5)
+    real = planted_rank(rng, 6, 6, 6, real=True)
+    inv, _ = inverse(real)
+    assert inv.dtype == complex and not inv.imag.any()
+    assert np.allclose(inv @ real, np.eye(6), atol=1e-10)
+    nullspace(real)
+    numerical_rank(real)
+    is_invertible(real)
+    gram_nullity(real @ real.T)
+    numerical_rank(planted_rank(rng, 6, 6, 6))
+    assert calls == [(np.float64, True), (np.float64, True), (np.float64, False),
+                     (np.float64, False), (np.float64, False), (complex, False)]
+
+
+def full_svd_rank(matrix, cutoff_at):
+    svals = np.linalg.svd(matrix, full_matrices=True)[1]
+    return int(np.count_nonzero(svals > cutoff_at(float(svals[0]))))
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("m, n, r", [
+    (40, 9, 5), (12, 12, 7), (12, 12, 12), (7, 15, 4),
+    (36, 648, 30),  # the stacked star matrix of an 18-dimensional End at N = 18
+])
+def test_rank_only_decisions_match_full_svd(real, m, n, r):
+    rng = np.random.default_rng(m + n + r)
+    matrix = planted_rank(rng, m, n, r, real=real)
+    k = min(m, n)
+    rank = full_svd_rank(matrix, lambda s: DEFAULT_TOL.svd_cutoff(m, n, s))
+    assert numerical_rank(matrix) == rank == r
+    assert numerical_rank(matrix) == nullspace(matrix).rank
+    inv_rank = full_svd_rank(matrix, DEFAULT_TOL.inv_tol)
+    assert is_invertible(matrix) == (inv_rank == k) == (r == k)
+    gram = matrix[:, :k].conj().T @ matrix[:, :k]
+    gram_rank = full_svd_rank(gram, lambda s: max(DEFAULT_TOL.cluster_tol(1.0) ** 2 * s,
+                                                  DEFAULT_TOL.svd_cutoff(k, k, s)))
+    assert gram_nullity(gram) == k - gram_rank
+
+
+def test_numerical_rank_of_empty_shapes():
+    for shape in [(0, 0), (3, 0), (0, 4)]:
+        assert numerical_rank(np.zeros(shape, dtype=complex)) == 0

@@ -14,7 +14,7 @@ from quiverrep.kronecker import FAMILY_KINDS
 from quiverrep.numerics import random_complex
 from quiverrep.structure import widest_two_group_split
 
-from helpers import assert_stacked, conjugated_jordan, loop_rep
+from helpers import assert_stacked, conjugated_jordan, loop_rep, real_well_conditioned
 from oracles import agglomerative_two_group_split, exact_end_dim
 
 # Jordan types of total size 1..5 with eigenvalues in a small set, so that
@@ -40,6 +40,30 @@ def test_end_preserved_through_rep_to_system_and_back(blocks, seed):
     system = rep_to_system(remove_loops(loop_rep(mat), check=False), check=False)
     assert system_end(system).dimension == commutant
     assert end(system_to_rep(system, check=False)).dimension == commutant
+
+
+# real eigenvalues and a real S: every SVD behind these answers runs real LAPACK
+real_jordan_types = st.lists(
+    st.tuples(st.sampled_from([0.0, 1.0, -2.0]), st.integers(1, 3)),
+    min_size=1, max_size=4,
+).filter(lambda blocks: sum(p for _, p in blocks) <= 5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(blocks=real_jordan_types, seed=st.integers(0, 2**32 - 1))
+def test_real_jordan_types_give_the_exact_commutant(blocks, seed):
+    rng = np.random.default_rng(seed)
+    mat, commutant = conjugated_jordan(rng, blocks, real=True)
+    assert not mat.imag.any()
+    assert end(loop_rep(mat)).dimension == commutant
+    assert system_end(from_operator(mat)).dimension == commutant
+    # (P, P M) is a Kronecker rep whose End is the commutant of M, solved
+    # through the invertible arrow P
+    p = real_well_conditioned(rng, mat.shape[0])
+    rep = kronecker_rep(p, p @ mat)
+    basis = hom(rep, rep)
+    assert basis.path == "forest"
+    assert basis.dimension == _dense_hom(rep, rep).dimension == commutant
 
 
 def _cross_gap(first, second):
@@ -178,19 +202,40 @@ small_families = st.one_of(families, st.builds(KroneckerFamily, st.sampled_from(
                                                st.just(0)))
 
 
+def _assert_verdicts_invariant(rep, rng):
+    result = analyze(rep)
+    verdicts = result.verdicts()
+    unitary = {v: _unitary(rng, k) for v, k in rep.dims.items()}
+    conjugate = analyze(_changed(rep, unitary))
+    assert conjugate.verdicts() == verdicts
+    assert conjugate.end_basis.dimension == result.end_basis.dimension
+    return verdicts
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(parts=st.lists(small_families, min_size=1, max_size=2), seed=st.integers(0, 2**32 - 1))
 def test_verdicts_invariant_under_change_of_basis(parts, seed):
     rep = _sum([build_family(f) for f in parts])
     rng = np.random.default_rng(seed)
-    verdicts = analyze(rep).verdicts()
-    unitary = {v: _unitary(rng, k) for v, k in rep.dims.items()}
-    assert analyze(_changed(rep, unitary)).verdicts() == verdicts
+    verdicts = _assert_verdicts_invariant(rep, rng)
     # irreducibility reads the inner product, which an invertible change moves
     invertible = {v: random_complex(rng, (k, k)) + 2.0 * np.eye(k) for v, k in rep.dims.items()}
     changed = analyze(_changed(rep, invertible)).verdicts()
     del verdicts["irreducible"], changed["irreducible"]
     assert changed == verdicts
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(parts=st.lists(small_families, min_size=1, max_size=2), seed=st.integers(0, 2**32 - 1))
+def test_real_and_complex_paths_agree_under_unitary_change(parts, seed):
+    # a real orthogonal change keeps the maps real but dense, so the real rep
+    # runs real LAPACK and its complex unitary conjugate complex LAPACK
+    total = _sum([build_family(f) for f in parts])
+    rng = np.random.default_rng(seed)
+    rep = _changed(total, {v: np.linalg.qr(rng.standard_normal((k, k)))[0]
+                           for v, k in total.dims.items()})
+    assert not any(m.imag.any() for m in rep.maps.values())
+    _assert_verdicts_invariant(rep, rng)
 
 
 def test_ill_conditioned_invertible_arrow_takes_dense_path():
