@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -245,11 +246,11 @@ def analysis_report(rep: Representation, tol: Tolerances, seed: int,
     result = analyze(rep, tol, seed)
     stages = {}
     for key, stage in (("end_s", "end_basis"), ("radical_s", "radical_dim"),
-                       ("algebra_s", "algebra"), ("star_s", "star_dim")):
+                       ("algebra_s", "simplicity"), ("star_s", "star_dim")):
         t_stage = time.perf_counter()
         getattr(result, stage)
         stages[key] = round(time.perf_counter() - t_stage, 6)
-    basis = result.end_basis
+    basis, simplicity = result.end_basis, result.simplicity
     verdicts = result.verdicts()
     report = {
         "input": dict(source, seed=seed),
@@ -260,13 +261,14 @@ def analysis_report(rep: Representation, tol: Tolerances, seed: int,
             "dim_end": basis.dimension,
             "dim_radical": result.radical_dim,
             "semisimple_quotient_dim": result.semisimple_dim,
-            "generated_algebra_dim": result.algebra.dimension,
-            "generated_algebra_svd_gap": _finite_or_str(result.algebra.gap),
+            "generated_algebra_dim": simplicity.algebra_dim,
+            "generated_algebra_svd_gap": _finite_or_str(simplicity.gap),
             "star_closed_end_dim": result.star_dim,
             "svd_gap": _finite_or_str(basis.gap),
             "svd_cutoff": basis.cutoff,
             "end_path": basis.path,
             "end_unknowns": basis.unknowns,
+            "simple_path": simplicity.path,
         },
         "tolerances": tol.as_dict(),
         "finite_truncation": finite_truncation,
@@ -535,7 +537,11 @@ def cmd_convert(args, tol: Tolerances) -> int:
 # ---------------------------------------------------------------------------
 # argument parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Reuse is safe: argparse
+    copies an ``append`` default before extending it, so ``--param`` lists
+    never carry over between calls."""
     parser = argparse.ArgumentParser(
         prog="quiverrep",
         description="Quiver representations: intertwiner spaces, structural "

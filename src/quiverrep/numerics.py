@@ -35,7 +35,7 @@ RANGE_REL = 1e-9      # invariance residual of restrict() and of a split's lift
 CLUSTER_REL = 1e-6    # eigenvalue clustering, relative to spectral radius
 IDEM_REL = 1e-6       # idempotent defect ||P^2 - P||, relative to ||P||
 WEIGHT_FLOOR = 1e-8   # smallest admissible realized weight
-ELIM_GAP = 1e6        # smallest nullspace gap a forest-eliminated Hom solve may keep
+ELIM_GAP = 1e6        # smallest gap a fast path keeps: forest-eliminated Hom, Norton's spins
 IDENTITY_REL = 1e-8   # distance of the identity to an algebra's span, relative to sqrt(d)
 ZERO_MAP = 1e-12      # largest map entry of a canonically simple representation
 

@@ -14,10 +14,20 @@ Simplicity follows the literal subrepresentation definition: the unital
 algebra generated by the vertex coordinate idempotents and the arrow maps
 (extended by zero) has the graded subrepresentations as its invariant
 subspaces, so the representation is simple iff that algebra is the full
-matrix algebra on the total space.  The algebra is computed by spinning from
-the identity under the generators (the spin step of Parker's MeatAxe): each
-round multiplies only the newly added elements by the g generators, at a
-total cost of about g * d^6 for total dimension d.
+matrix algebra on the total space (Burnside).  The verdict takes up to three
+steps.  The support check: a proper set of nonzero vertices that no nonzero
+arrow map leaves spans a subrepresentation, so the verdict is "not simple"
+at no numerical cost; this settles every Kronecker representation with both
+vertices nonzero.  Norton's irreducibility test from Parker's MeatAxe (Holt
+& Rees 1994): the spin of a kernel vector of a random algebra element x -
+lambda I, and the spin of a kernel vector of its adjoint under the adjoint
+generators, are both the whole space exactly when the representation is
+simple, provided the kernel is one-dimensional.  A simple verdict then gives
+the algebra dimension d^2 by Burnside, for one d x d eigenvalue problem and
+two vector spins per draw.  The full spin of the algebra, from the identity
+under the generators (each round multiplies only the newly added elements by
+the g generators, about g * d^6 for total dimension d), runs only for the
+dimension of a proper algebra, or when the draws leave the verdict open.
 
 The verdict rules and the implications between them are stated once, in
 :class:`Analysis`; the ``is_*`` functions and ``decompose`` are views of it.
@@ -28,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,7 +46,7 @@ import scipy.linalg as sla
 from .errors import NumericalFailure, ValidationError
 from .intertwiner import HomBasis, end, intertwining_residual
 from .numerics import (DEFAULT_TOL, Tolerances, _ranked_svd, frob, gram_nullity,
-                       numerical_rank, orthonormal_range, random_complex)
+                       numerical_rank, random_complex)
 from .quiver import Quiver, Arrow
 from .rep import Representation, restrict
 
@@ -90,7 +101,8 @@ def _generators(rep: Representation) -> np.ndarray:
     return np.array(gens, dtype=complex).reshape(len(gens), d, d)
 
 
-def _new_directions(basis: np.ndarray, block: np.ndarray, tol: Tolerances
+def _new_directions(basis: np.ndarray, block: np.ndarray,
+                    cutoff_at: Callable[[int, int, float], float]
                     ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """What the rows of ``block`` add to the span of the orthonormal rows ``basis``.
 
@@ -115,7 +127,7 @@ def _new_directions(basis: np.ndarray, block: np.ndarray, tol: Tolerances
     for _ in range(2):
         resid = resid - (resid @ basis.conj().T) @ basis
     u, svals, vh, _, cutoff, rank = _ranked_svd(
-        resid, lambda _: tol.svd_cutoff(*block.shape, scale))
+        resid, lambda _: cutoff_at(*block.shape, scale))
     kept = float(svals[rank - 1]) if rank > 0 else scale
     discarded = float(svals[rank]) if rank < svals.size else 0.0
     gap = np.inf if discarded == 0.0 else kept / discarded
@@ -124,8 +136,8 @@ def _new_directions(basis: np.ndarray, block: np.ndarray, tol: Tolerances
     return vh[:rank], words, cutoff, gap
 
 
-def _spin(start: np.ndarray, gens: np.ndarray,
-          tol: Tolerances) -> tuple[np.ndarray, float, float]:
+def _spin(start: np.ndarray, gens: np.ndarray, cutoff_at: Callable[[int, int, float], float]
+          ) -> tuple[np.ndarray, float, float]:
     """Smallest subspace that contains ``start`` and is closed under ``gens``.
 
     ``start`` stacks k vectors, shape (k, d, 1), or matrices, shape (k, d, d);
@@ -143,15 +155,18 @@ def _spin(start: np.ndarray, gens: np.ndarray,
     block = start.reshape(k, n)
     cutoff, gap = 0.0, np.inf
     while True:
-        new, words, round_cutoff, round_gap = _new_directions(basis, block, tol)
+        new, words, round_cutoff, round_gap = _new_directions(basis, block, cutoff_at)
         cutoff, gap = max(cutoff, round_cutoff), min(gap, round_gap)
         if new.shape[0] == 0:
             break
         basis = np.vstack([basis, new])
         if basis.shape[0] >= n:
             break
-        block = np.einsum("gab,kbm->gkam", gens, words.reshape(-1, d, m),
-                          optimize=True).reshape(-1, n)
+        if m == 1:  # vectors: one batched product, without einsum's path search
+            block = (gens @ words.T).transpose(0, 2, 1).reshape(-1, n)
+        else:
+            block = np.einsum("gab,kbm->gkam", gens, words.reshape(-1, d, m),
+                              optimize=True).reshape(-1, n)
     return basis, cutoff, gap
 
 
@@ -171,7 +186,7 @@ def generated_algebra(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> Alg
     d = rep.total_dim
     gens = _generators(rep)
     start = np.concatenate([np.eye(d, dtype=complex)[None], gens])
-    rows, cutoff, gap = _spin(start, gens, tol)
+    rows, cutoff, gap = _spin(start, gens, tol.svd_cutoff)
     if rows.shape[0] > d * d:
         raise NumericalFailure(
             f"span closure exceeded ambient dimension squared ({d * d})"
@@ -362,10 +377,26 @@ def is_transitive(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SimpleResult:
+    """The simplicity verdict and the evidence behind it.
+
+    ``path`` names the step that decided it: "support" (a set of vertices no
+    nonzero arrow map leaves), "norton" (Norton's test) or "spin" (the full
+    spin of the generated algebra, when the draws left the verdict open, or
+    when it fills M_d although a draw found a subspace invariant at
+    ``restrict``'s coarser bound).  ``algebra_dim`` and ``gap`` describe the
+    generated algebra: on a simple Norton verdict, d^2 by Burnside and the
+    smaller gap of the two spins; otherwise the dimension and the smallest
+    gap of the full spin.  ``witness`` holds per-vertex inclusions of a
+    proper nonzero subrepresentation: None when simple, and on the "spin"
+    path.
+    """
+
     simple: bool
     algebra_dim: int
     witness: dict[str, np.ndarray] | None
     seed: int
+    path: str
+    gap: float
 
     def __bool__(self) -> bool:
         return self.simple
@@ -373,47 +404,126 @@ class SimpleResult:
 
 def is_simple(rep: Representation, tol: Tolerances = DEFAULT_TOL,
               seed: int = 0) -> SimpleResult:
-    """Burnside test on the generated algebra; a negative verdict carries a
-    proper nonzero invariant graded subspace as per-vertex inclusions."""
+    """Simplicity by the support check, then Norton's test, with the full spin
+    of the generated algebra as the last resort (see :class:`SimpleResult`).
+
+    A negative verdict carries a proper nonzero invariant graded subspace as
+    per-vertex inclusions, and the dimension of the generated algebra from its
+    full spin; a positive one gives that dimension as d^2 by Burnside's
+    theorem, and costs one d x d eigenvalue problem and two vector spins per
+    Norton draw instead of the g * d^6 of the full spin.  Raises
+    NumericalFailure when the verdict is negative but no witness was found.
+    """
     result = analyze(rep, tol, seed)
-    return SimpleResult(result.simple, result.algebra.dimension,
-                        result.invariant_subspace(), seed)
+    result.invariant_subspace()
+    return result.simplicity
 
 
-def _invariant_subspace_witness(rep: Representation, alg: AlgebraBasis,
-                                tol: Tolerances, seed: int) -> dict[str, np.ndarray]:
+def _support_witness(rep: Representation) -> dict[str, np.ndarray] | None:
+    """The vertex spaces reachable from one vertex along nonzero arrow maps
+    (nonzero by ``_generators``' rule), as per-vertex inclusions, when they
+    are a proper nonzero part of the total space: no generator leaves their
+    sum, so it is a graded subrepresentation.  None when every nonzero vertex
+    reaches every other."""
+    live = [v for v in rep.quiver.vertices if rep.dims[v]]
+    succ: dict[str, set[str]] = {v: set() for v in live}
+    for a in rep.quiver.arrows:
+        if np.any(rep.maps[a.name]):
+            succ[a.src].add(a.dst)
+    for start in live:
+        reached, todo = {start}, [start]
+        while todo:
+            new = succ[todo.pop()] - reached
+            reached |= new
+            todo += new
+        if len(reached) < len(live):
+            return {v: np.eye(k, dtype=complex)[:, :k if v in reached else 0]
+                    for v, k in rep.dims.items()}
+    return None
+
+
+def _witness(rep: Representation, rows: np.ndarray, tol: Tolerances,
+             complement: bool = False) -> dict[str, np.ndarray] | None:
+    """Per-vertex orthonormal inclusions of the span of the orthonormal
+    ``rows`` that a Norton spin returned, or of its orthogonal complement;
+    None unless that span is graded and :func:`restrict` accepts the
+    inclusions.  Each vertex's rank is judged at the spin's resolution,
+    ``range_tol(1)`` on the unit rows."""
+    inclusions = {}
+    for v, b in rep.blocks().items():
+        u, *_, rank = _ranked_svd(rows.T[b], lambda _: tol.range_tol(1.0))
+        inclusions[v] = u[:, :rank]
+    if sum(m.shape[1] for m in inclusions.values()) != rows.shape[0]:
+        return None
+    if complement:
+        inclusions = {v: np.linalg.svd(m)[0][:, m.shape[1]:] for v, m in inclusions.items()}
+    try:
+        restrict(rep, inclusions, tol)
+    except ValidationError:
+        return None
+    return inclusions
+
+
+def _norton(rep: Representation, tol: Tolerances, seed: int
+            ) -> tuple[dict[str, np.ndarray] | None, float] | None:
+    """Norton's irreducibility test (Parker's MeatAxe; Holt & Rees 1994).
+
+    A draw takes x, a random combination of the generators and their pairwise
+    products, and its best-separated eigenvalue lambda.  The spin of v in
+    ker(x - lambda I) under the generators is invariant.  If it is full and
+    ker(x - lambda I) has dimension one at the SVD cutoff, the spin of w in
+    ker((x - lambda I)^H) under the adjoint generators decides: its orthogonal
+    complement is invariant too, and when both spins are full the
+    representation is simple.  Both spins are graded, since the vertex
+    idempotents are generators.
+
+    The spins resolve directions at :func:`restrict`'s bound: a direction the
+    generators add with a smaller singular value leaves a subspace that
+    ``restrict`` accepts as invariant.  The generators carry the factor
+    1 / ``map_scale``, so that bound is ``range_tol(1)`` on unit vectors.
+    A full spin counts only with a gap of at least ``elim_gap`` and exactly d
+    directions: a rank decision closer than that is one a rounding error in
+    v or w can flip, and more than d directions mean the basis lost its
+    orthogonality.  A draw with another kernel dimension or a full spin that
+    does not count is redrawn, up to ``_MAX_TRIES`` draws.
+
+    Returns (witness, gap of its spin) when a spin is proper and its
+    inclusions pass ``restrict``, and (None, the smaller gap of the two
+    spins) when simple.  Returns None, leaving the verdict to the full spin,
+    when a proper spin gives no witness or every draw was redrawn.
+    """
     rng = np.random.default_rng(seed)
     d = rep.total_dim
-    blocks = rep.blocks()
     gens = _generators(rep)
-    best: dict[str, np.ndarray] | None = None
-    best_dim = d
+    words = np.concatenate([gens, np.einsum("iab,jbc->ijac", gens, gens).reshape(-1, d, d)])
+
+    def spin(start: np.ndarray, by: np.ndarray) -> tuple[np.ndarray, float]:
+        span, _, gap = _spin(start.reshape(1, d, 1), by, lambda *_: tol.range_tol(1.0))
+        return span, gap
+
+    def counts_as_full(span: np.ndarray, gap: float) -> bool:
+        return span.shape[0] == d and gap >= tol.elim_gap()
+
     for _ in range(_MAX_TRIES):
-        coeff = random_complex(rng, (alg.dimension,))
-        x = sum(c * b for c, b in zip(coeff, alg.basis))
-        _, vectors = np.linalg.eig(x)
-        for idx in range(vectors.shape[1]):
-            # the orbit of v under the unital algebra is its spin under the generators
-            span, _, _ = _spin(vectors[:, idx].reshape(1, d, 1), gens, tol)
-            r = span.shape[0]
-            if not 0 < r < min(d, best_dim + 1):
-                continue
-            cols = span.T
-            inclusions, graded = {}, 0
-            for vertex, block in blocks.items():
-                # rank must be judged against the unit columns of the whole
-                # subspace, not the block's own (possibly noise-level) scale
-                inc = orthonormal_range(cols[block], tol, scale=1.0)
-                inclusions[vertex] = inc
-                graded += inc.shape[1]
-            if graded != r:
-                continue  # not graded, numerical accident; try another vector
-            best, best_dim = inclusions, r
-        if best is not None:
-            return best
-    raise NumericalFailure(
-        "generated algebra is proper but no invariant subspace witness was found"
-    )
+        x = np.tensordot(random_complex(rng, (len(words),)), words, axes=1)
+        eigs = np.linalg.eigvals(x)
+        dist = np.abs(eigs[:, None] - eigs[None, :]) + np.diag(np.full(d, np.inf))
+        lam = eigs[np.argmax(dist.min(axis=1))]
+        u, _, vh, _, _, rank = _ranked_svd(x - lam * np.eye(d),
+                                           lambda s: tol.svd_cutoff(d, d, s))
+        span, gap_v = spin(vh[-1].conj(), gens)
+        if span.shape[0] < d:
+            witness = _witness(rep, span, tol)
+            return None if witness is None else (witness, gap_v)
+        if rank != d - 1 or not counts_as_full(span, gap_v):
+            continue
+        span, gap_w = spin(u[:, -1], gens.conj().transpose(0, 2, 1))
+        if span.shape[0] < d:
+            witness = _witness(rep, span, tol, complement=True)
+            return None if witness is None else (witness, gap_w)
+        if counts_as_full(span, gap_w):
+            return None, min(gap_v, gap_w)
+    return None
 
 
 def is_canonically_simple(rep: Representation) -> bool:
@@ -456,9 +566,10 @@ def is_irreducible(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> bool:
 @dataclass(frozen=True, eq=False)
 class Analysis:
     """The five structural verdicts of a nonzero representation, each rule
-    stated once.  End is solved at most once; the radical, the generated
-    algebra and the star-closed core are computed when first read.  Built by
-    :func:`analyze`; ``seed`` drives the randomized witness searches."""
+    stated once.  End is solved at most once; the radical, the simplicity
+    record, the generated algebra and the star-closed core are computed when
+    first read.  Built by :func:`analyze`; ``seed`` drives the randomized
+    witness searches."""
 
     rep: Representation
     tol: Tolerances = DEFAULT_TOL
@@ -492,9 +603,30 @@ class Analysis:
     def transitive(self) -> bool:
         return self.end_basis.dimension == 1
 
+    @cached_property
+    def simplicity(self) -> SimpleResult:
+        """The support check, then Norton's draws (:func:`_norton`); the full
+        spin runs only for the dimension of a proper algebra, or when the
+        draws leave the verdict open.  Whenever it runs, the full spin decides
+        the verdict: should it fill M_d, a witness found at ``restrict``'s
+        coarser resolution is dropped."""
+        d = self.rep.total_dim
+        witness, path = _support_witness(self.rep), "support"
+        if witness is None:
+            found = _norton(self.rep, self.tol, self.seed)
+            path = "spin" if found is None else "norton"
+            if found is not None:
+                witness, gap = found
+                if witness is None:
+                    return SimpleResult(True, d * d, None, self.seed, path, gap)
+        alg = self.algebra
+        if alg.dimension == d * d:
+            return SimpleResult(True, alg.dimension, None, self.seed, "spin", alg.gap)
+        return SimpleResult(False, alg.dimension, witness, self.seed, path, alg.gap)
+
     @property
     def simple(self) -> bool:
-        return self.algebra.dimension == self.rep.total_dim ** 2
+        return self.simplicity.simple
 
     @property
     def canonically_simple(self) -> bool:
@@ -527,9 +659,13 @@ class Analysis:
 
     def invariant_subspace(self) -> dict[str, np.ndarray] | None:
         """Per-vertex inclusions of a proper subrepresentation; None when simple."""
-        if self.simple:
+        record = self.simplicity
+        if record.simple:
             return None
-        return _invariant_subspace_witness(self.rep, self.algebra, self.tol, self.seed)
+        if record.witness is None:
+            raise NumericalFailure(
+                "generated algebra is proper but no invariant subspace witness was found")
+        return record.witness
 
     def decomposition(self) -> DecompositionTree:
         """The decomposition into indecomposables, split from this End basis

@@ -157,6 +157,32 @@ def test_analyze_reports_the_end_path(capsys, model, params, path, unknowns):
     assert (evidence["end_path"], evidence["end_unknowns"]) == (path, unknowns)
 
 
+@pytest.mark.parametrize("model,params,path,simple", [
+    ("ex3", ["N=4"], "norton", True), ("ex7", [], "norton", True),
+    ("jordan_first", ["n=3"], "support", False),
+])
+def test_analyze_reports_the_simple_path(capsys, model, params, path, simple):
+    args = [x for p in params for x in ("--param", p)]
+    code, out, _ = run_cli(capsys, "analyze", "--model", model, *args)
+    assert code == 0
+    report = json.loads(out)
+    assert report["evidence"]["simple_path"] == path
+    assert report["verdicts"]["simple"] is simple
+
+
+def test_parser_is_built_once_and_param_lists_stay_apart(capsys):
+    assert _build_parser() is _build_parser()
+    _, first, _ = run_cli(capsys, "analyze", "--model", "ex3", "--param", "N=3")
+    _, second, _ = run_cli(capsys, "analyze", "--model", "ex8", "--param", "N=2",
+                           "--param", "lam=0.5")
+    _, third, _ = run_cli(capsys, "analyze", "--model", "ex3", "--param", "N=4")
+    reports = [json.loads(out) for out in (first, second, third)]
+    assert [r["input"]["params"] for r in reports] == [{"N": 3}, {"lam": 0.5, "N": 2},
+                                                        {"N": 4}]
+    assert [r["evidence"]["total_dim"] for r in reports] == [3, 4, 4]
+    assert _build_parser().parse_args(["analyze"]).param == []
+
+
 @pytest.mark.parametrize("model,params", [
     ("ex1", []), ("ex3", ["N=4"]), ("ex6", []), ("ex7", []), ("ex9", ["N=4"]),
     ("perturbation", ["N=4"]), ("jordan_first", ["n=3"]), ("wide", ["n=2"])])

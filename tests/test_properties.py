@@ -5,9 +5,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiverrep import (KroneckerFamily, Representation, analyze, are_isomorphic,
-                       build_family, decompose, direct_sum, end, from_operator, hom,
-                       jordan_block, kronecker_rep, remove_loops, rep_to_system, system_end,
+from quiverrep import (Arrow, KroneckerFamily, NumericalFailure, Quiver, Representation,
+                       analyze, are_isomorphic, build_canonical, build_family, decompose,
+                       direct_sum, end, from_operator, generated_algebra, hom, jordan_block,
+                       kronecker_rep, remove_loops, rep_to_system, restrict, system_end,
                        system_to_rep)
 from quiverrep.intertwiner import _dense_hom
 from quiverrep.kronecker import FAMILY_KINDS
@@ -245,3 +246,99 @@ def test_ill_conditioned_invertible_arrow_takes_dense_path():
     basis = end(rep)
     assert (basis.path, basis.unknowns) == ("dense", 8)
     assert basis.dimension == exact_end_dim(rep) == 2
+
+
+# -- simplicity: the support check and Norton's test against the full spin ----
+
+def _loops(maps):
+    return Representation(build_canonical("loop", len(maps)), {"1": maps[0].shape[0]},
+                          {f"a{i + 1}": m for i, m in enumerate(maps)})
+
+
+def _generic_loops(rng, d, loops):
+    return _loops([random_complex(rng, (d, d)) for _ in range(loops)])
+
+
+def _hidden_block_triangular_pair(rng, d, k, log_cond):
+    """A generic pair fixing the span of the first k coordinates, under a
+    change of basis of condition number 10**log_cond: not simple."""
+    pair = [random_complex(rng, (d, d)) for _ in range(2)]
+    for m in pair:
+        m[k:, :k] = 0
+    change = _unitary(rng, d) @ np.diag(np.logspace(0, log_cond, d)) @ _unitary(rng, d)
+    return _loops([change @ m @ np.linalg.inv(change) for m in pair])
+
+
+def _cyclic(rng, dims):
+    """1 -> 2 -> 3 -> 1 with every map nonzero."""
+    q = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3"), Arrow("c", "3", "1")))
+    dims = dict(zip(q.vertices, dims))
+    return Representation(q, dims, {a.name: random_complex(rng, (dims[a.dst], dims[a.src]))
+                                    for a in q.arrows})
+
+
+def _or_failure(compute):
+    try:
+        return compute()
+    except NumericalFailure:
+        return "NumericalFailure"
+
+
+def _assert_simplicity_matches_the_full_spin(rep):
+    """The record's verdict is the full spin's on every seed, or both raise,
+    and every witness is a proper nonzero subrepresentation."""
+    d = rep.total_dim
+    expected = _or_failure(lambda: generated_algebra(rep).dimension == d * d)
+    records = [_or_failure(lambda: analyze(rep, seed=seed).simplicity) for seed in range(4)]
+    for record in records:
+        if isinstance(record, str):
+            assert record == expected
+            continue
+        assert record.simple == expected
+        if record.witness is not None:
+            assert 0 < restrict(rep, record.witness).total_dim < d
+    return records
+
+
+simple_inputs = st.one_of(
+    st.tuples(st.just("loops"), st.integers(1, 7), st.integers(2, 3)),
+    st.tuples(st.just("cyclic"), st.tuples(*[st.integers(1, 3)] * 3), st.just(0)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=simple_inputs, seed=st.integers(0, 2**32 - 1))
+def test_norton_matches_the_full_spin_on_generic_reps(case, seed):
+    kind, size, loops = case
+    rng = np.random.default_rng(seed)
+    rep = _generic_loops(rng, size, loops) if kind == "loops" else _cyclic(rng, size)
+    records = _assert_simplicity_matches_the_full_spin(rep)
+    # generic loops generate M_d; around the cycle, an eigenvector of the
+    # composite map spans a subrepresentation of dimension (1, 1, 1).  Norton
+    # decides both without the full spin.
+    simple = kind == "loops" or size == (1, 1, 1)
+    assert all(r.simple == simple and r.path == "norton" for r in records)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(d=st.integers(2, 12), data=st.data(), log_cond=st.floats(0.0, 4.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_norton_matches_the_full_spin_on_hidden_block_triangular_pairs(d, data, log_cond,
+                                                                      seed):
+    k = data.draw(st.integers(1, d - 1))
+    rep = _hidden_block_triangular_pair(np.random.default_rng(seed), d, k, log_cond)
+    _assert_simplicity_matches_the_full_spin(rep)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(parts=st.lists(small_families, min_size=1, max_size=2), seed=st.integers(0, 2**32 - 1))
+def test_support_check_matches_the_full_spin_on_kronecker_families(parts, seed):
+    rep = _sum([build_family(f) for f in parts])
+    rng = np.random.default_rng(seed)
+    rep = _changed(rep, {v: random_complex(rng, (k, k)) + 2.0 * np.eye(k)
+                         for v, k in rep.dims.items()})
+    records = _assert_simplicity_matches_the_full_spin(rep)
+    # with both vertices nonzero the sink's space is a subrepresentation;
+    # wide(0) and tall(0) live on one vertex, which Norton decides
+    live = sum(1 for k in rep.dims.values() if k)
+    assert all(r.path == ("support" if live == 2 else "norton") for r in records)

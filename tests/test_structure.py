@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from quiverrep import (ValidationError, are_isomorphic,
+from quiverrep import (ValidationError, analyze, are_isomorphic,
                        build_canonical, canonically_simple, decompose,
                        direct_sum, end, example_reps, intertwining_residual,
                        is_canonically_simple, is_indecomposable, is_irreducible,
@@ -148,6 +148,35 @@ def test_canonically_simple_is_simple():
 def test_simple_zero_rep_rejected():
     with pytest.raises(ValidationError):
         is_simple(zero_representation(build_canonical("loop", 1)))
+
+
+def _forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+    return call
+
+
+def test_simple_verdicts_never_spin_the_generated_algebra(monkeypatch):
+    monkeypatch.setattr(structure, "generated_algebra", _forbidden("generated_algebra"))
+    rng = np.random.default_rng(0)
+    pair = Representation(build_canonical("loop", 2), {"1": 10},
+                          {"a1": random_complex(rng, (10, 10)),
+                           "a2": random_complex(rng, (10, 10))})
+    for rep in (example_reps("ex3", 8), pair):
+        assert analyze(rep).verdicts()["simple"]
+        res = is_simple(rep)
+        assert res.simple and res.algebra_dim == rep.total_dim ** 2 and res.witness is None
+
+
+def test_support_check_solves_no_eigenproblem(monkeypatch):
+    rep = build_family(KroneckerFamily("jordan_first", 4, 1.0))
+    monkeypatch.setattr(np.linalg, "eig", _forbidden("np.linalg.eig"))
+    monkeypatch.setattr(np.linalg, "eigvals", _forbidden("np.linalg.eigvals"))
+    record = analyze(rep).simplicity
+    # e_1, e_2 and the two arrow maps span the algebra
+    assert (record.simple, record.path, record.algebra_dim) == (False, "support", 4)
+    # the sink's space: no arrow leaves it
+    assert restrict(rep, record.witness).dims == {"1": 0, "2": 4}
 
 
 # -- generated algebra -------------------------------------------------------
