@@ -23,7 +23,8 @@ from .operators import (CrossHomReport, HrrEndReport, SimilarityEvidence,
                         hrr_model, perturbation_model, rank_one, shift,
                         weighted_shift_similarity)
 from .subspaces import (SubspaceSystem, from_operator, make_system,
-                        remove_loops, rep_to_system, system_end, system_to_rep)
+                        remove_loops, rep_to_system, system_end, system_end_dimension,
+                        system_to_rep)
 
 __version__ = "0.1.0"
 
@@ -45,7 +46,7 @@ __all__ = [
     "perturbation_model", "hrr_model", "hrr_max_truncation",
     "end_recursion_check", "cross_model_hom", "weighted_shift_similarity",
     "example_reps",
-    "SubspaceSystem", "make_system", "system_end", "from_operator",
+    "SubspaceSystem", "make_system", "system_end", "system_end_dimension", "from_operator",
     "system_to_rep", "rep_to_system", "remove_loops",
     "Tolerances", "DEFAULT_TOL",
     "ValidationError", "NumericalFailure", "SizeLimitExceeded",

@@ -33,7 +33,8 @@ from .operators import (end_recursion_check, example_reps, hrr_max_truncation,
 from .quiver import build_canonical
 from .rep import Representation
 from .structure import analyze
-from .subspaces import from_operator, remove_loops, rep_to_system, system_end, system_to_rep
+from .subspaces import (from_operator, remove_loops, rep_to_system, system_end_dimension,
+                        system_to_rep)
 
 SWEEP_COLUMNS = ("model", "N", "params_hash", "dim_end", "dim_hom_cross",
                  "recursion_pass_rate", "summand_dims", "flags", "wall_time_s", "error")
@@ -487,13 +488,13 @@ def cmd_convert(args, tol: Tolerances) -> int:
             )
         before = end(rep, tol).dimension
         system = rep_to_system(rep, tol, check=False)
-        after = system_end(system, tol).dimension
+        after = system_end_dimension(system, tol)
         out_doc = doc.system_to_json(system)
     elif args.system_to_rep:
         if kind != "system":
             raise ValidationError("--system-to-rep expects a system document")
         system, _ = doc.system_from_json(data, tol)
-        before = system_end(system, tol).dimension
+        before = system_end_dimension(system, tol)
         rep = system_to_rep(system, tol, check=False)
         after = end(rep, tol).dimension
         out_doc = doc.rep_to_json(rep)
@@ -513,7 +514,7 @@ def cmd_convert(args, tol: Tolerances) -> int:
         commutant = end(Representation(loop, {"1": matrix.shape[0]}, {"a1": matrix}),
                         tol).dimension
         system = from_operator(matrix, tol)
-        before, after = commutant, system_end(system, tol).dimension
+        before, after = commutant, system_end_dimension(system, tol)
         out_doc = doc.system_to_json(system)
     sidecar = {"dim_end_before": before, "dim_end_after": after,
                "equal": before == after}

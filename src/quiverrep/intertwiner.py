@@ -1,16 +1,18 @@
 """Intertwiner (Hom/End) spaces between Hilbert representations.
 
 Hom((H,f),(K,g)) is the nullspace of the stacked linear system
-T_range(a) . f_a - g_a . T_source(a) = 0 over all arrows a.  An arrow whose
-source map f is square and well conditioned determines its range's unknown
-from its source's: T_range = g T_source f^-1, the paper's reduction
-(A, B) -> (I, A^-1 B) applied to Hom.  Hom eliminates along a spanning forest
-of such arrows, so every vertex has T_v = L_v T_root R_v, and solves the
-remaining arrows' equations in the root unknowns only; the dense system, one
-unknown matrix per vertex, is the fallback.  Unknowns are vectorized
-row-major; the numerical nullspace follows the package-wide SVD threshold
-policy and the returned basis is orthonormal under the entrywise inner
-product summed over vertices.
+T_range(a) . f_a - g_a . T_source(a) = 0 over all arrows a.  An arrow can
+determine one end's unknown from the other's: a square, well conditioned f
+gives T_range = g T_source f^-1, the paper's reduction (A, B) -> (I, A^-1 B)
+applied to Hom; a surjective f gives T_range = g T_source f^+ and an
+injective g gives T_source = g^+ T_range f, each leaving the part of the
+arrow's equation the one-sided inverse cannot see.  Hom eliminates along a
+spanning forest of such steps, so every vertex has T_v = L_v T_root R_v,
+and solves the remaining equations in the root unknowns only; the dense
+system, one unknown matrix per vertex, is the fallback.  Unknowns are
+vectorized row-major; the numerical nullspace follows the package-wide SVD
+threshold policy and the returned basis is orthonormal under the entrywise
+inner product summed over vertices.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import numpy as np
 from .errors import SizeLimitExceeded, ValidationError
 from .numerics import (DEFAULT_TOL, Tolerances, inverse, is_invertible, max_entry,
                        nullspace, random_complex)
-from .quiver import Arrow
 from .rep import Representation
 
 MAX_UNKNOWNS = 250_000
@@ -56,67 +57,111 @@ class HomBasis:
 
 
 @dataclass(frozen=True)
+class _Step:
+    """T_child = left @ T_parent @ right, the elimination through ``arrow``;
+    ``leftover`` is the part (v, lhs, rhs) of the arrow's equation it leaves,
+    lhs T_v rhs = 0, with no rows when the arrow is square."""
+
+    arrow: str
+    parent: str
+    child: str
+    left: np.ndarray
+    right: np.ndarray
+    leftover: tuple[str, np.ndarray, np.ndarray]
+
+
+@dataclass(frozen=True)
 class _Forest:
     """T_v = left[v] @ X @ right[v] for the unknown X of ``root[v]``; a root
-    has identity factors.  ``arrows`` are the eliminated arrows."""
+    has identity factors.  ``arrows`` are the eliminated arrows and
+    ``leftover`` the equations their eliminations leave (with no rows for a
+    square arrow)."""
 
     root: dict[str, str]
     left: dict[str, np.ndarray]
     right: dict[str, np.ndarray]
     arrows: frozenset[str]
+    leftover: tuple[tuple[str, np.ndarray, np.ndarray], ...]
 
 
-def _forest(a: Representation, b: Representation,
-            incoming: dict[str, tuple[Arrow, np.ndarray]]) -> _Forest:
-    """The factors of the forest whose arrows are ``incoming``, which maps a
-    vertex to its one kept incoming arrow and that arrow's f^-1 in ``a``.
-    With no arrows every vertex is its own root: the dense system."""
+def _forest(a: Representation, b: Representation, incoming: dict[str, _Step]) -> _Forest:
+    """The factors of the forest whose steps are ``incoming``, which maps a
+    vertex to the one kept step into it.  With no steps every vertex is its
+    own root: the dense system."""
     vertices = a.quiver.vertices
     root = {v: v for v in vertices}
     left = {v: np.eye(b.dims[v]) for v in vertices}
     right = {v: np.eye(a.dims[v]) for v in vertices}
 
     def settle(v):
-        # along src -> v: T_v = g T_src f^-1 = (g L_src) X (R_src f^-1)
+        # T_v = S_l T_parent S_r = (S_l L_parent) X (R_parent S_r)
         if v in incoming and root[v] == v:
-            arr, f_inv = incoming[v]
-            settle(arr.src)
-            root[v] = root[arr.src]
-            left[v] = b.maps[arr.name] @ left[arr.src]
-            right[v] = right[arr.src] @ f_inv
+            step = incoming[v]
+            settle(step.parent)
+            root[v] = root[step.parent]
+            left[v] = step.left @ left[step.parent]
+            right[v] = right[step.parent] @ step.right
 
     for v in incoming:
         settle(v)
-    return _Forest(root, left, right, frozenset(arr.name for arr, _ in incoming.values()))
+    return _Forest(root, left, right, frozenset(s.arrow for s in incoming.values()),
+                   tuple(s.leftover for s in incoming.values()))
+
+
+def _admits(m: np.ndarray, ratio: float, tol: Tolerances) -> bool:
+    """Whether Hom eliminates through the full-rank map ``m`` of singular
+    value ratio ``ratio``: a square map when sigma_min >= ``elim_tol(sigma_max)``,
+    a one-sided map only when all its singular values are equal at the
+    ``inv_tol`` resolution (an isometry up to scale)."""
+    if m.shape[0] == m.shape[1]:
+        return ratio >= tol.elim_tol(1.0)
+    return 1.0 - ratio <= tol.inv_tol(1.0)
 
 
 def _spanning_forest(a: Representation, b: Representation, tol: Tolerances) -> _Forest:
-    """A spanning forest of the arrows Hom(a, b) may eliminate through, by Kruskal.
+    """A spanning forest of the steps Hom(a, b) may eliminate through, by Kruskal.
 
-    An arrow is admitted when it is no loop and its map f in ``a`` is square
-    and nonempty with sigma_min >= ``elim_tol(sigma_max)``.  Arrows are taken
-    best conditioned first (declaration order breaks ties).  One is kept when
-    its range has no kept incoming arrow yet and is not the root of its
-    source's tree; so every tree has one root, and every kept arrow points
-    away from it.
+    An arrow src -> dst that is no loop, with maps f in ``a`` and g in ``b``,
+    offers a step through a nonempty map that :func:`_admits`:
+
+    - f square or wide (surjective): T_dst = g T_src f^+, leaving
+      g T_src Q = 0 for Q spanning ker f;
+    - g tall (injective): T_src = g^+ T_dst f, leaving Q^H T_dst f = 0 for
+      Q spanning range(g)^perp, so the step runs against the arrow.
+
+    A square arrow leaves nothing, and a square g offers no step.  The
+    leftover equations are the arrow's own, projected onto Q: the residual
+    is -g T_src Q Q^H (or Q Q^H T_dst f), whose norm is that of the
+    leftover, so its singular values are unchanged.  Steps are taken best
+    conditioned first (declaration order breaks ties).  One is kept when its
+    child has no kept step into it yet and is not the root of its parent's
+    tree; so every tree has one root, and every kept step points away from it.
     """
     admitted = []
     for arr in a.quiver.arrows:
-        f = a.maps[arr.name]
-        if arr.src != arr.dst and f.size and f.shape[0] == f.shape[1]:
-            f_inv, ratio = inverse(f, tol)
-            if f_inv is not None and ratio >= tol.elim_tol(1.0):
-                admitted.append((ratio, arr, f_inv))
+        if arr.src == arr.dst:
+            continue
+        f, g = a.maps[arr.name], b.maps[arr.name]
+        if f.size and f.shape[0] <= f.shape[1]:
+            f_inv, kernel, ratio = inverse(f, tol)
+            if f_inv is not None and _admits(f, ratio, tol):
+                leftover = (arr.src, g, kernel)
+                admitted.append((ratio, _Step(arr.name, arr.src, arr.dst, g, f_inv, leftover)))
+        if g.size and g.shape[0] > g.shape[1]:
+            g_inv, cokernel, ratio = inverse(g, tol)
+            if g_inv is not None and _admits(g, ratio, tol):
+                leftover = (arr.dst, cokernel.conj().T, f)
+                admitted.append((ratio, _Step(arr.name, arr.dst, arr.src, g_inv, f, leftover)))
     incoming = {}
 
     def root_of(v):
         while v in incoming:
-            v = incoming[v][0].src
+            v = incoming[v].parent
         return v
 
-    for _, arr, f_inv in sorted(admitted, key=lambda item: -item[0]):
-        if arr.dst not in incoming and root_of(arr.src) != arr.dst:
-            incoming[arr.dst] = (arr, f_inv)
+    for _, step in sorted(admitted, key=lambda item: -item[0]):
+        if step.child not in incoming and root_of(step.parent) != step.child:
+            incoming[step.child] = step
     return _forest(a, b, incoming)
 
 
@@ -140,8 +185,9 @@ def intertwining_residual(a: Representation, b: Representation,
 def _solve(a: Representation, b: Representation, tol: Tolerances, forest: _Forest,
            max_unknowns: int) -> HomBasis:
     """Hom(a, b) from the equations of the arrows ``forest`` did not
-    eliminate, in its roots' unknowns.  Raises SizeLimitExceeded before the
-    system is allocated when it has more than ``max_unknowns`` columns."""
+    eliminate and the leftover of those it did, in its roots' unknowns.
+    Raises SizeLimitExceeded before the system is allocated when it has more
+    than ``max_unknowns`` columns."""
     path = "forest" if forest.arrows else "dense"
     vertices = a.quiver.vertices
     offsets, n_unknowns = {}, 0
@@ -153,8 +199,16 @@ def _solve(a: Representation, b: Representation, tol: Tolerances, forest: _Fores
         raise SizeLimitExceeded(
             f"{path} intertwiner system has {n_unknowns} unknowns > limit {max_unknowns}"
         )
-    rest = [arr for arr in a.quiver.arrows if arr.name not in forest.arrows]
-    rows = sum(b.dims[arr.dst] * a.dims[arr.src] for arr in rest)
+    # each equation is a sum of terms lhs T_v rhs, where None stands for an identity
+    equations = [((arr.dst, None, a.maps[arr.name]), (arr.src, -b.maps[arr.name], None))
+                 for arr in a.quiver.arrows if arr.name not in forest.arrows]
+    equations += [(term,) for term in forest.leftover]
+
+    def height(v, lhs, rhs):
+        return ((b.dims[v] if lhs is None else lhs.shape[0])
+                * (a.dims[v] if rhs is None else rhs.shape[1]))
+
+    rows = sum(height(*terms[0]) for terms in equations)
     system = np.zeros((rows, n_unknowns), dtype=complex)
     # the scale floors sigma_max in the cutoff: a loop system
     # kron(I, f^T) - kron(g, I) cancels to rounding noise when f = g is scalar
@@ -162,20 +216,18 @@ def _solve(a: Representation, b: Representation, tol: Tolerances, forest: _Fores
     row = 0
     # an entry that overflows is reported by nullspace as a NumericalFailure
     with np.errstate(over="ignore", invalid="ignore"):
-        for arr in rest:
-            f = a.maps[arr.name]
-            g = b.maps[arr.name]
-            height = b.dims[arr.dst] * a.dims[arr.src]
-            if height:
-                # row-major vec: vec(L X R) = (L (x) R^T) vec(X), so
-                # T_dst f = L X (R f) and g T_src = (g L) X R
-                for v, term in (
-                        (arr.dst, np.kron(forest.left[arr.dst], (forest.right[arr.dst] @ f).T)),
-                        (arr.src, -np.kron(g @ forest.left[arr.src], forest.right[arr.src].T))):
+        for terms in equations:
+            h = height(*terms[0])
+            if h:
+                for v, lhs, rhs in terms:
+                    # row-major vec: vec(lhs L X R rhs) = (lhs L (x) (R rhs)^T) vec(X)
+                    left = forest.left[v] if lhs is None else lhs @ forest.left[v]
+                    right = forest.right[v] if rhs is None else forest.right[v] @ rhs
+                    term = np.kron(left, right.T)
                     c = offsets[forest.root[v]]
-                    system[row:row + height, c:c + term.shape[1]] += term
+                    system[row:row + h, c:c + term.shape[1]] += term
                     scale = max(scale, max_entry(term))
-            row += height
+            row += h
 
     null = nullspace(system, tol, scale=scale)
     k = null.dimension
@@ -201,12 +253,13 @@ def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL,
         max_unknowns: int | None = None) -> HomBasis:
     """Orthonormal basis of Hom(a, b).
 
-    Solves by elimination along a spanning forest of invertible arrows
-    (:func:`_spanning_forest`) when one exists.  Its answer is kept only when
-    its nullspace gap is at least ``elim_gap`` and every basis element's
-    intertwining residual is at most ``hom_tol(hom_scale)``: the
-    elimination's rounding error grows with the arrows' condition numbers,
-    the cutoff does not.  Otherwise the dense system is solved.
+    Solves by elimination along a spanning forest of square invertible and
+    one-sided isometric arrows (:func:`_spanning_forest`) when one exists.
+    Its answer is kept only when its nullspace gap is at least ``elim_gap``
+    and every basis element's intertwining residual is at most
+    ``hom_tol(hom_scale)``: the elimination's rounding error grows with the
+    arrows' condition numbers, the cutoff does not.  Otherwise the dense
+    system is solved.
 
     A degenerate system (no unknowns) yields a dimension-0 basis, not an
     error.  Raises SizeLimitExceeded when the system about to be solved has

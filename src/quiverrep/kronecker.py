@@ -96,7 +96,7 @@ def reduce_invertible_first(a: np.ndarray, b: np.ndarray,
     original = kronecker_rep(a, b)
     a = original.maps["a1"]
     b = original.maps["a2"]
-    a_inv, _ = inverse(a, tol)
+    a_inv, _, _ = inverse(a, tol)
     if a_inv is None:
         raise ValidationError("first arrow matrix is numerically singular")
     n = a.shape[0]
@@ -116,7 +116,7 @@ def reduce_pencil(a: np.ndarray, b: np.ndarray, x: complex, y: complex,
     # an entry that overflows is reported by inverse as a NumericalFailure
     with np.errstate(over="ignore", invalid="ignore"):
         pencil = x * a + y * b
-    w, _ = inverse(pencil, tol)
+    w, _, _ = inverse(pencil, tol)
     if w is None:
         raise ValidationError("pencil xA + yB is numerically singular")
     n = a.shape[0]

@@ -246,21 +246,32 @@ def is_invertible(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def inverse(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL
-            ) -> tuple[np.ndarray | None, float]:
-    """Inverse of a square matrix, taken from the one SVD that decides its
-    invertibility as :func:`is_invertible` does, and its sigma_min / sigma_max.
-    The inverse is None when the matrix is singular at that cutoff; an empty
-    matrix is its own inverse, with ratio 1."""
-    n = matrix.shape[0]
-    if matrix.ndim != 2 or matrix.shape[1] != n:
-        raise ValidationError(f"inverse of a non-square {matrix.shape} matrix")
-    if n == 0:
-        return matrix.copy(), 1.0
-    u, svals, vh, sigma_max, _, rank = _ranked_svd(matrix, tol.inv_tol)
+            ) -> tuple[np.ndarray | None, np.ndarray | None, float]:
+    """One-sided inverse of a matrix of full rank, the orthonormal complement
+    its inverse leaves out, and its sigma_min / sigma_max, all from the one
+    SVD that decides its rank at the cutoff of :func:`is_invertible`.
+
+    A square matrix has its inverse and an empty complement.  A wide
+    (surjective) f has the right inverse f^+ with f f^+ = I, and a basis of
+    ker f as columns; a tall (injective) g has the left inverse g^+ with
+    g^+ g = I, and a basis of range(g)^perp as columns.  Inverse and
+    complement are None when the matrix is rank-deficient at that cutoff.  A
+    matrix with no entries has full rank, ratio 1, and the identity as its
+    complement when it is not square.
+    """
+    if matrix.ndim != 2:
+        raise ValidationError(f"inverse of an array of shape {matrix.shape}")
+    m, n = matrix.shape
+    if m == 0 or n == 0:
+        complement = np.eye(max(m, n), dtype=complex)[:, min(m, n):]
+        return np.zeros((n, m), dtype=complex), complement, 1.0
+    u, svals, vh, sigma_max, _, rank = _ranked_svd(matrix, tol.inv_tol, full_matrices=m != n)
     ratio = float(svals[-1]) / sigma_max if sigma_max > 0 else 0.0
-    if rank < n:
-        return None, ratio
-    return (vh.conj().T / svals) @ u.conj().T, ratio
+    k = min(m, n)
+    if rank < k:
+        return None, None, ratio
+    complement = vh[k:].conj().T if m < n else u[:, k:]
+    return (vh[:k].conj().T / svals) @ u[:, :k].conj().T, complement, ratio
 
 
 def random_complex(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

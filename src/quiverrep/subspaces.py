@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, ValidationError
+from . import intertwiner
+from .errors import NumericalFailure, SizeLimitExceeded, ValidationError
 from .intertwiner import end
-from .numerics import (DEFAULT_TOL, Tolerances, nullspace, orthonormal_inclusion)
+from .numerics import (DEFAULT_TOL, Tolerances, nullspace, numerical_rank,
+                       orthonormal_inclusion)
 from .quiver import Arrow, Quiver, build_canonical
 from .rep import Representation
 from .structure import AlgebraBasis
@@ -55,6 +57,25 @@ def make_system(ambient_dim: int, inclusions,
     return SubspaceSystem(ambient_dim, tuple(stored))
 
 
+def _system_matrix(system: SubspaceSystem) -> np.ndarray:
+    """The d^2-column system whose nullspace is the endomorphism algebra: the
+    rows Q_i^H (x) U_i^T of every proper nonzero subspace, stacked (see
+    :func:`system_end`).  Raises SizeLimitExceeded before it is allocated
+    when d^2 exceeds ``intertwiner.MAX_UNKNOWNS``."""
+    d = system.ambient_dim
+    if d * d > intertwiner.MAX_UNKNOWNS:
+        raise SizeLimitExceeded(f"subspace system has {d * d} unknowns "
+                                f"> limit {intertwiner.MAX_UNKNOWNS}")
+    blocks = [np.zeros((0, d * d), dtype=complex)]
+    for inc in system.inclusions:
+        k = inc.shape[1]
+        if 0 < k < d:
+            comp = np.linalg.qr(inc, mode="complete")[0][:, k:]
+            # row-major vec(Q^H T U) = (Q^H (x) U^T) vec(T)
+            blocks.append(np.kron(comp.conj().T, inc.T))
+    return np.vstack(blocks)
+
+
 def system_end(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> AlgebraBasis:
     """Orthonormal basis of { T : (I - P_i) T P_i = 0 for every subspace }.
 
@@ -64,20 +85,22 @@ def system_end(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> Algebra
     it has sum_i k_i (d - k_i) rows instead of one d^2 x d^2 projector block
     per subspace.  The projector block is kron(Q_i, conj U_i) times this one,
     a factor with orthonormal columns, so the singular values and the right
-    singular vectors are the same.
+    singular vectors are the same.  Raises SizeLimitExceeded when the d^2
+    unknowns exceed ``MAX_UNKNOWNS``.
     """
     d = system.ambient_dim
     if d == 0:
         return AlgebraBasis(0, np.zeros((0, 0, 0), dtype=complex), 0, 0.0)
-    blocks = [np.zeros((0, d * d), dtype=complex)]
-    for inc in system.inclusions:
-        k = inc.shape[1]
-        if 0 < k < d:
-            comp = np.linalg.qr(inc, mode="complete")[0][:, k:]
-            # row-major vec(Q^H T U) = (Q^H (x) U^T) vec(T)
-            blocks.append(np.kron(comp.conj().T, inc.T))
-    null = nullspace(np.vstack(blocks), tol)
+    null = nullspace(_system_matrix(system), tol)
     return AlgebraBasis(d, null.basis.reshape(-1, d, d), null.dimension, null.cutoff, null.gap)
+
+
+def system_end_dimension(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> int:
+    """``system_end(system, tol).dimension`` from the singular values alone:
+    d^2 minus the rank of the same system at the same cutoff, since
+    :func:`system_end` takes its nullspace with scale 0."""
+    d = system.ambient_dim
+    return d * d - numerical_rank(_system_matrix(system), tol)
 
 
 def from_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SubspaceSystem:
@@ -119,7 +142,7 @@ def system_to_rep(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL,
     maps = {f"a{i + 1}": np.asarray(inc) for i, inc in enumerate(system.inclusions)}
     rep = Representation(q, dims, maps)
     if check:
-        lhs = system_end(system, tol).dimension
+        lhs = system_end_dimension(system, tol)
         rhs = end(rep, tol).dimension
         if lhs != rhs:
             raise NumericalFailure(
@@ -150,7 +173,7 @@ def rep_to_system(rep: Representation, tol: Tolerances = DEFAULT_TOL,
     system = make_system(d, inclusions, tol)
     if check:
         lhs = end(rep, tol).dimension
-        rhs = system_end(system, tol).dimension
+        rhs = system_end_dimension(system, tol)
         if lhs != rhs:
             raise NumericalFailure(
                 f"End dimension mismatch across the bridge: representation {lhs}, system {rhs}"

@@ -11,9 +11,9 @@ import pytest
 
 import quiverrep.intertwiner
 from quiverrep import (NumericalFailure, Representation, build_canonical, example_reps,
-                       generated_algebra, is_canonically_simple, is_indecomposable,
+                       from_operator, generated_algebra, is_canonically_simple, is_indecomposable,
                        is_irreducible, is_simple, is_transitive, jordan_block,
-                       kronecker_rep)
+                       kronecker_rep, system_to_rep)
 from quiverrep.cli import _build_parser, build_model, main
 from quiverrep.document import dumps, operator_to_json, rep_to_json
 
@@ -148,6 +148,7 @@ def test_analyze_perturbation_not_transitive_and_flagged(capsys):
 @pytest.mark.parametrize("model,params,path,unknowns", [
     ("ex8", ["N=4", "lam=0.5"], "forest", 16), ("perturbation", ["N=5"], "forest", 25),
     ("ex9", ["N=4"], "dense", 32), ("ex3", ["N=4"], "dense", 16),
+    ("tall", ["n=3"], "forest", 16), ("ex1", [], "forest", 4),
 ])
 def test_analyze_reports_the_end_path(capsys, model, params, path, unknowns):
     args = [x for p in params for x in ("--param", p)]
@@ -475,6 +476,45 @@ def test_convert_unwritable_sidecar_leaves_no_document(tmp_path, capsys):
                          "--out", str(out))
     assert code == 2
     assert not out.exists()
+
+
+def _convert_inputs(tmp_path):
+    """(mode, document path, ambient dimension of the checked system)."""
+    mat = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.0, 3.0]])
+    op = tmp_path / "op.json"
+    op.write_text(dumps(operator_to_json(mat)))
+    rep = tmp_path / "rep.json"
+    rep.write_text(dumps(rep_to_json(system_to_rep(from_operator(jordan_block(0.0, 2))))))
+    return [("--operator-to-4system", op, 6), ("--rep-to-system", rep, 12)]
+
+
+def test_convert_checks_a_system_by_singular_values_only(tmp_path, capsys, monkeypatch):
+    # the system's End dimension is d^2 minus a rank: no singular vectors of
+    # a d^2-column system are computed
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append((a.shape[1], kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for mode, path, d in _convert_inputs(tmp_path):
+        calls.clear()
+        code, _, err = run_cli(capsys, "convert", mode, str(path))
+        assert code == 0, err
+        assert json.loads(err.strip().splitlines()[-1])["equal"] is True
+        assert (d * d, False) in calls
+        assert (d * d, True) not in calls
+
+
+def test_convert_size_limit_exit_code(tmp_path, capsys, monkeypatch):
+    # the operator's End has 9 unknowns, its 4-system 36
+    monkeypatch.setattr(quiverrep.intertwiner, "MAX_UNKNOWNS", 20)
+    mode, path, _ = _convert_inputs(tmp_path)[0]
+    code, _, err = run_cli(capsys, "convert", mode, str(path))
+    assert code == 4
+    assert "subspace system has 36 unknowns > limit 20" in err
 
 
 def test_convert_system_to_rep_roundtrip(tmp_path, capsys):

@@ -243,8 +243,18 @@ def test_end_eliminates_one_vertex_of_kronecker_models(rep, n):
         assert intertwining_residual(rep, rep, t) <= 1e-12 * max(hom_scale(rep, rep), 1.0)
 
 
+def _scaled_one_sided(kind, n):
+    """``kind``(n) with both maps scaled by diag(1..n) on their n-dimensional
+    side: full rank, but no isometry up to scale."""
+    rep = build_family(KroneckerFamily(kind, n))
+    scale = np.diag(np.arange(1.0, n + 1))
+    return Representation(rep.quiver, dict(rep.dims),
+                          {a: scale @ m if kind == "wide" else m @ scale
+                           for a, m in rep.maps.items()})
+
+
 @pytest.mark.parametrize("rep", [
-    build_family(KroneckerFamily("wide", 4)), build_family(KroneckerFamily("tall", 4)),
+    _scaled_one_sided("wide", 4), _scaled_one_sided("tall", 4),
     example_reps("ex2", 4), example_reps("ex3", 4), loop_rep(np.eye(3)),
 ])
 def test_end_without_an_admissible_arrow_is_dense(rep):
@@ -253,15 +263,30 @@ def test_end_without_an_admissible_arrow_is_dense(rep):
     assert basis.unknowns == sum(d * d for d in rep.dims.values())
 
 
+@pytest.mark.parametrize("kind", ["wide", "tall"])
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_end_eliminates_through_isometric_kronecker_arrows(kind, n):
+    # wide: T_2 = g T_1 f^+ through the co-isometry [I 0]; tall: T_1 = g^+ T_2 f
+    # through the isometry [I; 0], so the n+1 vertex keeps its unknowns
+    rep = build_family(KroneckerFamily(kind, n))
+    basis = end(rep)
+    assert (basis.path, basis.unknowns) == ("forest", (n + 1) ** 2)
+    assert basis.dimension == _dense_hom(rep, rep).dimension == 1
+    assert _orthonormality_defect(rep, rep, basis) < 1e-12
+    for t in basis:
+        assert intertwining_residual(rep, rep, t) <= 1e-12 * max(hom_scale(rep, rep), 1.0)
+
+
 def test_hom_size_limit_bounds_the_system_solved():
     rep = example_reps("ex8", 4, 0.5)
     basis = hom(rep, rep, max_unknowns=20)  # reduced 16, dense 32
     assert (basis.path, basis.unknowns, basis.dimension) == ("forest", 16, 4)
     with pytest.raises(SizeLimitExceeded, match="forest"):
         hom(rep, rep, max_unknowns=15)
-    wide = build_family(KroneckerFamily("wide", 3))
+    dense = example_reps("ex9", 4)
+    assert (end(dense).path, end(dense).unknowns) == ("dense", 32)
     with pytest.raises(SizeLimitExceeded, match="dense"):
-        hom(wide, wide, max_unknowns=20)
+        hom(dense, dense, max_unknowns=20)
 
 
 def test_forest_keeps_one_arrow_into_each_vertex():

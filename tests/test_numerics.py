@@ -81,19 +81,39 @@ def test_gram_nullity_cuts_at_split_resolution():
 def test_inverse_from_the_deciding_svd():
     rng = np.random.default_rng(8)
     matrix = planted_rank(rng, 6, 6, 6)  # singular values 1 .. 1e-3
-    inv, ratio = inverse(matrix)
+    inv, complement, ratio = inverse(matrix)
     assert np.allclose(inv @ matrix, np.eye(6), atol=1e-10)
-    assert ratio == pytest.approx(1e-3)
+    assert complement.shape == (6, 0) and ratio == pytest.approx(1e-3)
     # singular at inv_rel = 1e-8: no inverse, and is_invertible agrees
     singular = np.diag([1.0, 1e-9])
-    inv, ratio = inverse(singular)
-    assert inv is None and ratio == pytest.approx(1e-9)
+    inv, complement, ratio = inverse(singular)
+    assert inv is None and complement is None and ratio == pytest.approx(1e-9)
     assert not is_invertible(singular)
     assert inverse(np.zeros((2, 2)))[0] is None
-    empty, ratio = inverse(np.zeros((0, 0), dtype=complex))
-    assert empty.shape == (0, 0) and ratio == 1.0
+    empty, complement, ratio = inverse(np.zeros((0, 0), dtype=complex))
+    assert empty.shape == complement.shape == (0, 0) and ratio == 1.0
+    assert inverse(np.ones((2, 3)))[0] is None
     with pytest.raises(ValidationError):
-        inverse(np.ones((2, 3)))
+        inverse(np.ones(3))
+
+
+@pytest.mark.parametrize("m, n", [(3, 5), (5, 3), (0, 2), (2, 0)])
+def test_inverse_of_a_one_sided_matrix(m, n):
+    # a wide matrix has a right inverse and its kernel, a tall one a left
+    # inverse and the orthogonal complement of its range
+    rng = np.random.default_rng(m + n)
+    matrix = planted_rank(rng, m, n, min(m, n)) if m and n else np.zeros((m, n))
+    inv, complement, ratio = inverse(matrix)
+    k = min(m, n)
+    assert inv.shape == (n, m) and complement.shape == (max(m, n), max(m, n) - k)
+    assert np.allclose(complement.conj().T @ complement, np.eye(max(m, n) - k), atol=1e-12)
+    if m <= n:
+        assert np.allclose(matrix @ inv, np.eye(m), atol=1e-10)
+        assert np.allclose(matrix @ complement, 0, atol=1e-12)
+    else:
+        assert np.allclose(inv @ matrix, np.eye(n), atol=1e-10)
+        assert np.allclose(complement.conj().T @ matrix, 0, atol=1e-12)
+    assert ratio == (pytest.approx(1e-3) if k > 1 else 1.0)
 
 
 @pytest.mark.parametrize("m, n, r", [(60, 12, 7), (12, 12, 5), (7, 15, 4)])
@@ -141,7 +161,7 @@ def test_real_data_takes_real_lapack(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", spy)
     rng = np.random.default_rng(5)
     real = planted_rank(rng, 6, 6, 6, real=True)
-    inv, _ = inverse(real)
+    inv, _, _ = inverse(real)
     assert inv.dtype == complex and not inv.imag.any()
     assert np.allclose(inv @ real, np.eye(6), atol=1e-10)
     nullspace(real)

@@ -239,6 +239,61 @@ def test_real_and_complex_paths_agree_under_unitary_change(parts, seed):
     _assert_verdicts_invariant(rep, rng)
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(blocks=jordan_types, seed=st.integers(0, 2**32 - 1))
+def test_subspace_quiver_end_solves_in_the_sink_unknowns(blocks, seed):
+    # each inclusion is an isometry: T_i = U_i^H T_sink U_i, leaving
+    # Q_i^H T_sink U_i = 0, which is system_end's system
+    mat, commutant = conjugated_jordan(np.random.default_rng(seed), blocks)
+    system = from_operator(mat)
+    rep = system_to_rep(system, check=False)
+    basis = end(rep)
+    assert (basis.path, basis.unknowns) == ("forest", system.ambient_dim ** 2)
+    assert basis.dimension == _dense_hom(rep, rep).dimension == commutant
+    assert basis.dimension == system_end(system).dimension
+    assert_stacked(rep, rep, basis)
+
+
+one_sided_families = st.builds(KroneckerFamily, st.sampled_from(["wide", "tall"]),
+                               st.integers(1, 3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(first=st.lists(one_sided_families, min_size=1, max_size=3),
+       second=st.lists(one_sided_families, min_size=1, max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_forest_hom_matches_dense_on_unitarily_changed_wide_and_tall_sums(first, second, seed):
+    # a unitary change keeps an isometric arrow isometric; a sum of one kind
+    # has full-rank one-sided maps, a mixed sum singular ones
+    rng = np.random.default_rng(seed)
+    sums = [_sum([build_family(f) for f in parts]) for parts in (first, second)]
+    a, b = (_changed(rep, {v: _unitary(rng, k) for v, k in rep.dims.items()}) for rep in sums)
+    for x, y in ((a, a), (a, b), (b, a)):
+        basis = hom(x, y)
+        assert basis.dimension == _dense_hom(x, y).dimension
+        assert_stacked(x, y, basis)
+    one_kind = len({f.kind for f in first}) == 1
+    side = max(a.dims.values())
+    assert (end(a).path, end(a).unknowns) == (("forest", side ** 2) if one_kind
+                                              else ("dense", sum(k * k for k in a.dims.values())))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(kind=st.sampled_from(["wide", "tall"]),
+       # the one-sided map has sum(sizes) singular values; a single one is
+       # always equal to itself, so the map would stay isometric up to scale
+       sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda s: sum(s) >= 2),
+       log_cond=st.floats(0.5, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_hidden_sum_with_a_non_isometric_one_sided_arrow_stays_dense(kind, sizes, log_cond,
+                                                                      seed):
+    total = _sum([build_family(KroneckerFamily(kind, n)) for n in sizes])
+    rep = _hidden(total, np.random.default_rng(seed), log_cond)
+    basis = end(rep)
+    assert (basis.path, basis.unknowns) == ("dense", sum(k * k for k in rep.dims.values()))
+    assert end(total).path == "forest"
+    assert basis.dimension == end(total).dimension
+
+
 def test_ill_conditioned_invertible_arrow_takes_dense_path():
     # a1 is invertible at inv_rel = 1e-8 but its sigma_min / sigma_max = 1e-5
     # is under sqrt(inv_rel); a2 is nilpotent

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from quiverrep import (Arrow, NumericalFailure, Quiver, Representation, ValidationError,
-                       end, example_reps, from_operator, is_indecomposable,
+import quiverrep.intertwiner
+from quiverrep import (Arrow, NumericalFailure, Quiver, Representation, SizeLimitExceeded,
+                       ValidationError, end, example_reps, from_operator, is_indecomposable,
                        is_strongly_irreducible, jordan_block, kronecker_rep,
                        make_system, remove_loops, rep_to_system, shift, diagonal,
-                       system_end, system_to_rep)
+                       system_end, system_end_dimension, system_to_rep)
 from quiverrep.numerics import random_complex
 
 from helpers import (conjugated_jordan, example6, loop_rep, random_quiver, random_rep,
@@ -231,6 +232,7 @@ JORDAN_TYPES = [
 def assert_system_end_sound(system, expected=None):
     alg = system_end(system)
     assert alg.dimension == dense_system_end_dim(system)
+    assert system_end_dimension(system) == alg.dimension
     if expected is not None:
         assert alg.dimension == expected
     d = system.ambient_dim
@@ -291,3 +293,18 @@ def test_conjugated_scalar_operator_end_is_full(k):
     assert commutant == k * k
     assert end(loop_rep(mat)).dimension == k * k
     assert system_end(from_operator(mat)).dimension == k * k
+
+
+def test_system_end_size_limit_is_checked_before_the_system_is_built(monkeypatch):
+    system = from_operator(jordan_block(0.0, 3))  # d = 6, 36 unknowns
+    monkeypatch.setattr(quiverrep.intertwiner, "MAX_UNKNOWNS", 36)
+    assert system_end_dimension(system) == system_end(system).dimension == 3
+    monkeypatch.setattr(quiverrep.intertwiner, "MAX_UNKNOWNS", 35)
+
+    def no_blocks(*args, **kwargs):
+        raise AssertionError("a system block was built")
+
+    monkeypatch.setattr(np, "kron", no_blocks)
+    for solve in (system_end, system_end_dimension, lambda s: system_to_rep(s)):
+        with pytest.raises(SizeLimitExceeded, match="36 unknowns > limit 35"):
+            solve(system)
