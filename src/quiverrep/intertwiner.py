@@ -2,17 +2,17 @@
 
 Hom((H,f),(K,g)) is the nullspace of the stacked linear system
 T_range(a) . f_a - g_a . T_source(a) = 0 over all arrows a.  An arrow can
-determine one end's unknown from the other's: a square, well conditioned f
+determine one end's unknown from the other's: a square invertible f
 gives T_range = g T_source f^-1, the paper's reduction (A, B) -> (I, A^-1 B)
 applied to Hom; a surjective f gives T_range = g T_source f^+ and an
 injective g gives T_source = g^+ T_range f, each leaving the part of the
 arrow's equation the one-sided inverse cannot see.  Hom eliminates along a
 spanning forest of such steps, so every vertex has T_v = L_v T_root R_v,
 and solves the remaining equations in the root unknowns only; the dense
-system, one unknown matrix per vertex, is the fallback.  Unknowns are
-vectorized row-major; the numerical nullspace follows the package-wide SVD
-threshold policy and the returned basis is orthonormal under the entrywise
-inner product summed over vertices.
+system, one unknown matrix per vertex, is the fallback when that answer
+fails its guards.  Unknowns are vectorized row-major; the numerical
+nullspace follows the package-wide SVD threshold policy and the returned
+basis is orthonormal under the entrywise inner product summed over vertices.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeLimitExceeded, ValidationError
-from .numerics import (DEFAULT_TOL, Tolerances, inverse, is_invertible, max_entry,
+from .numerics import (DEFAULT_TOL, EPS, Tolerances, inverse, is_invertible, max_entry,
                        nullspace, random_complex)
 from .rep import Representation
 
@@ -108,14 +108,20 @@ def _forest(a: Representation, b: Representation, incoming: dict[str, _Step]) ->
                    tuple(s.leftover for s in incoming.values()))
 
 
-def _admits(m: np.ndarray, ratio: float, tol: Tolerances) -> bool:
-    """Whether Hom eliminates through the full-rank map ``m`` of singular
-    value ratio ``ratio``: a square map when sigma_min >= ``elim_tol(sigma_max)``,
-    a one-sided map only when all its singular values are equal at the
-    ``inv_tol`` resolution (an isometry up to scale)."""
-    if m.shape[0] == m.shape[1]:
-        return ratio >= tol.elim_tol(1.0)
-    return 1.0 - ratio <= tol.inv_tol(1.0)
+def _admits(m: np.ndarray, m_inv: np.ndarray, ratio: float, tol: Tolerances) -> bool:
+    """Whether Hom eliminates through ``m``, of full rank at ``inv_tol``, with
+    one-sided inverse ``m_inv`` and singular value ratio ``ratio``.
+
+    A one-sided map must be an isometry up to scale: singular values equal
+    at ``inv_tol``.  A square map's eliminated system is exact for maps
+    perturbed by the inverse's backward error ``m m_inv - I``, which spoils
+    a rank decision at a gap of about error / eps; :func:`hom` flags gaps
+    under ``elim_gap``, so the error may be at most ``elim_gap`` eps.  It is
+    measured, not bounded by the condition number: a diagonal inverse is
+    exact however ill conditioned."""
+    if m.shape[0] != m.shape[1]:
+        return 1.0 - ratio <= tol.inv_tol(1.0)
+    return max_entry(m @ m_inv - np.eye(len(m))) <= tol.elim_gap() * EPS
 
 
 def _spanning_forest(a: Representation, b: Representation, tol: Tolerances) -> _Forest:
@@ -144,12 +150,12 @@ def _spanning_forest(a: Representation, b: Representation, tol: Tolerances) -> _
         f, g = a.maps[arr.name], b.maps[arr.name]
         if f.size and f.shape[0] <= f.shape[1]:
             f_inv, kernel, ratio = inverse(f, tol)
-            if f_inv is not None and _admits(f, ratio, tol):
+            if f_inv is not None and _admits(f, f_inv, ratio, tol):
                 leftover = (arr.src, g, kernel)
                 admitted.append((ratio, _Step(arr.name, arr.src, arr.dst, g, f_inv, leftover)))
         if g.size and g.shape[0] > g.shape[1]:
             g_inv, cokernel, ratio = inverse(g, tol)
-            if g_inv is not None and _admits(g, ratio, tol):
+            if g_inv is not None and _admits(g, g_inv, ratio, tol):
                 leftover = (arr.dst, cokernel.conj().T, f)
                 admitted.append((ratio, _Step(arr.name, arr.dst, arr.src, g_inv, f, leftover)))
     incoming = {}
@@ -257,9 +263,9 @@ def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL,
     one-sided isometric arrows (:func:`_spanning_forest`) when one exists.
     Its answer is kept only when its nullspace gap is at least ``elim_gap``
     and every basis element's intertwining residual is at most
-    ``hom_tol(hom_scale)``: the elimination's rounding error grows with the
-    arrows' condition numbers, the cutoff does not.  Otherwise the dense
-    system is solved.
+    ``hom_tol(hom_scale)``: the elimination's rounding error grows with its
+    inverses' backward errors, the cutoff does not.  These two guards alone
+    judge the answer; otherwise the dense system is solved.
 
     A degenerate system (no unknowns) yields a dimension-0 basis, not an
     error.  Raises SizeLimitExceeded when the system about to be solved has

@@ -6,7 +6,10 @@ checks (:func:`_ranked_svd`) and one of three cutoffs:
 replaced by a reference scale (see :func:`nullspace`); for the trace-form
 Gram matrix of an End basis, ``cluster_tol(1)^2 sigma_max``
 (:func:`gram_nullity`); for invertibility, ``inv_rel * sigma_max``
-(:func:`is_invertible`, :func:`inverse`).
+(:func:`is_invertible`, :func:`inverse`).  No other module takes an SVD of
+its own: an orthonormal complement, a one-sided inverse or a condition ratio
+comes from :func:`inverse`, an orthonormal range from
+:func:`orthonormal_inclusion` or :func:`_ranked_svd`.
 
 Two rules keep that step from doing arithmetic no decision reads.  Real data
 takes real LAPACK: a complex matrix whose imaginary part is exactly zero is
@@ -64,12 +67,6 @@ class Tolerances:
 
     def inv_tol(self, sigma_max: float) -> float:
         return INV_REL * sigma_max * self.global_scale
-
-    def elim_tol(self, sigma_max: float) -> float:
-        """Smallest singular value of an arrow map that Hom eliminates through:
-        sqrt(inv_rel) of sigma_max, since the elimination's rounding error
-        grows with the map's condition number."""
-        return np.sqrt(INV_REL) * sigma_max * self.global_scale
 
     def elim_gap(self) -> float:
         return ELIM_GAP * self.global_scale
@@ -213,30 +210,22 @@ def gram_nullity(gram: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
                            compute_uv=False)[-1]
 
 
-def orthonormal_range(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
-                      scale: float = 0.0) -> np.ndarray:
-    """Orthonormal basis (as columns) of the column space of ``matrix``;
-    ``scale`` floors sigma_max in the cutoff as in :func:`nullspace`, and
-    overflow raises NumericalFailure as there."""
-    m, n = matrix.shape
-    if n == 0 or m == 0:
-        return np.zeros((m, 0), dtype=complex)
-    u, *_, rank = _ranked_svd(matrix, lambda s: tol.svd_cutoff(m, n, max(s, scale)))
-    return u[:, :rank]
-
-
 def orthonormal_inclusion(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
                           what: str = "inclusion") -> np.ndarray:
-    """Orthonormalize a full-column-rank inclusion; reject rank-deficient input."""
+    """Orthonormal basis (as columns) of the column space of a full-column-rank
+    inclusion, at the cutoff of :func:`nullspace`; rank-deficient input raises
+    ValidationError, and overflow NumericalFailure as there."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2:
         raise ValidationError(f"{what} must be a matrix, got ndim={matrix.ndim}")
-    basis = orthonormal_range(matrix, tol)
-    if basis.shape[1] != matrix.shape[1]:
-        raise ValidationError(
-            f"{what} is rank-deficient: {matrix.shape[1]} columns, rank {basis.shape[1]}"
-        )
-    return basis
+    m, n = matrix.shape
+    if m == 0 or n == 0:
+        rank, u = 0, np.zeros((m, 0), dtype=complex)
+    else:
+        u, *_, rank = _ranked_svd(matrix, lambda s: tol.svd_cutoff(m, n, s))
+    if rank != n:
+        raise ValidationError(f"{what} is rank-deficient: {n} columns, rank {rank}")
+    return u[:, :rank]
 
 
 def is_invertible(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:

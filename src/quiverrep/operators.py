@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .intertwiner import HomBasis, end, hom, hom_scale
-from .numerics import DEFAULT_TOL, Tolerances
+from .numerics import DEFAULT_TOL, Tolerances, inverse
 from .quiver import build_canonical
 from .rep import Representation
 from .kronecker import kronecker_rep
@@ -249,9 +249,8 @@ def end_recursion_check(rep: Representation, lam: float,
         checks.append(HrrElementCheck(diag_res <= tau, rec_res <= tau,
                                       first_res <= tau,
                                       max(diag_res, rec_res, first_res)))
-    svals = np.linalg.svd(rep.maps["a1"], compute_uv=False)
-    ratio = float(svals[-1] / svals[0]) if svals.size and svals[0] > 0 else 0.0
-    return HrrEndReport(n, lam, basis.dimension, tuple(checks), tau, ratio)
+    return HrrEndReport(n, lam, basis.dimension, tuple(checks), tau,
+                        inverse(rep.maps["a1"], tol)[2])
 
 
 def _recursion_residual(t2: np.ndarray, log_w_dst: np.ndarray,

@@ -45,7 +45,7 @@ import scipy.linalg as sla
 
 from .errors import NumericalFailure, ValidationError
 from .intertwiner import HomBasis, end, intertwining_residual
-from .numerics import (DEFAULT_TOL, Tolerances, _ranked_svd, frob, gram_nullity,
+from .numerics import (DEFAULT_TOL, Tolerances, _ranked_svd, frob, gram_nullity, inverse,
                        numerical_rank, random_complex)
 from .quiver import Quiver, Arrow
 from .rep import Representation, restrict
@@ -144,8 +144,9 @@ def _spin(start: np.ndarray, gens: np.ndarray, cutoff_at: Callable[[int, int, fl
     ``gens`` stacks g matrices, shape (g, d, d), that act by left
     multiplication.  This is the spin step of Parker's MeatAxe: each round
     multiplies only what the previous round added by every generator, in one
-    batched product of g * k_new terms, and keeps what is new.  It stops when
-    a round adds nothing or the subspace is the whole space.  Returns an
+    batched product of the generators with those words side by side as
+    columns, for vectors and matrices alike, and keeps what is new.  It stops
+    when a round adds nothing or the subspace is the whole space.  Returns an
     orthonormal basis as rows, the largest cutoff and the smallest gap over
     the rounds.
     """
@@ -162,11 +163,10 @@ def _spin(start: np.ndarray, gens: np.ndarray, cutoff_at: Callable[[int, int, fl
         basis = np.vstack([basis, new])
         if basis.shape[0] >= n:
             break
-        if m == 1:  # vectors: one batched product, without einsum's path search
-            block = (gens @ words.T).transpose(0, 2, 1).reshape(-1, n)
-        else:
-            block = np.einsum("gab,kbm->gkam", gens, words.reshape(-1, d, m),
-                              optimize=True).reshape(-1, n)
+        w = len(words)  # sizes, not -1: with no generators the product is empty
+        cols = words.reshape(w, d, m).transpose(1, 0, 2).reshape(d, w * m)
+        block = (gens @ cols).reshape(len(gens), d, w, m).transpose(0, 2, 1, 3)
+        block = block.reshape(len(gens) * w, n)
     return basis, cutoff, gap
 
 
@@ -456,7 +456,7 @@ def _witness(rep: Representation, rows: np.ndarray, tol: Tolerances,
     if sum(m.shape[1] for m in inclusions.values()) != rows.shape[0]:
         return None
     if complement:
-        inclusions = {v: np.linalg.svd(m)[0][:, m.shape[1]:] for v, m in inclusions.items()}
+        inclusions = {v: inverse(m, tol)[1] for v, m in inclusions.items()}
     try:
         restrict(rep, inclusions, tol)
     except ValidationError:
@@ -731,7 +731,7 @@ def _corner_tree(rep: Representation, stacks: dict[str, np.ndarray],
         return DecompositionTree(node, None, None)
     q = _splitting_idempotent(rep, corner, factors, tol, seed)
     parts = (q, {v: np.eye(len(m)) - m for v, m in q.items()})
-    ranges = [{v: _idempotent_range(m) for v, m in part.items()} for part in parts]
+    ranges = [{v: _idempotent_range(m, tol) for v, m in part.items()} for part in parts]
     if any(ranges[0][v].shape[1] + ranges[1][v].shape[1] != len(m) for v, m in q.items()):
         raise NumericalFailure("the ranges of a splitting idempotent do not complement each other")
     children = [_corner_tree(rep, stacks, ({v: u[v] @ x[v] for v in x},
@@ -741,9 +741,10 @@ def _corner_tree(rep: Representation, stacks: dict[str, np.ndarray],
     return DecompositionTree(node, q, tuple(children))
 
 
-def _idempotent_range(p: np.ndarray) -> np.ndarray:
+def _idempotent_range(p: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Orthonormal basis of the range of an idempotent; rank = trace."""
-    return np.linalg.svd(p)[0][:, :int(round(float(np.trace(p).real)))]
+    u, *_ = _ranked_svd(p, lambda s: tol.svd_cutoff(*p.shape, s))
+    return u[:, :int(round(float(np.trace(p).real)))]
 
 
 # ---------------------------------------------------------------------------

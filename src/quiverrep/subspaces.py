@@ -16,7 +16,7 @@ import numpy as np
 from . import intertwiner
 from .errors import NumericalFailure, SizeLimitExceeded, ValidationError
 from .intertwiner import end
-from .numerics import (DEFAULT_TOL, Tolerances, nullspace, numerical_rank,
+from .numerics import (DEFAULT_TOL, Tolerances, inverse, nullspace, numerical_rank,
                        orthonormal_inclusion)
 from .quiver import Arrow, Quiver, build_canonical
 from .rep import Representation
@@ -57,7 +57,7 @@ def make_system(ambient_dim: int, inclusions,
     return SubspaceSystem(ambient_dim, tuple(stored))
 
 
-def _system_matrix(system: SubspaceSystem) -> np.ndarray:
+def _system_matrix(system: SubspaceSystem, tol: Tolerances) -> np.ndarray:
     """The d^2-column system whose nullspace is the endomorphism algebra: the
     rows Q_i^H (x) U_i^T of every proper nonzero subspace, stacked (see
     :func:`system_end`).  Raises SizeLimitExceeded before it is allocated
@@ -70,7 +70,7 @@ def _system_matrix(system: SubspaceSystem) -> np.ndarray:
     for inc in system.inclusions:
         k = inc.shape[1]
         if 0 < k < d:
-            comp = np.linalg.qr(inc, mode="complete")[0][:, k:]
+            comp = inverse(inc, tol)[1]
             # row-major vec(Q^H T U) = (Q^H (x) U^T) vec(T)
             blocks.append(np.kron(comp.conj().T, inc.T))
     return np.vstack(blocks)
@@ -91,7 +91,7 @@ def system_end(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> Algebra
     d = system.ambient_dim
     if d == 0:
         return AlgebraBasis(0, np.zeros((0, 0, 0), dtype=complex), 0, 0.0)
-    null = nullspace(_system_matrix(system), tol)
+    null = nullspace(_system_matrix(system, tol), tol)
     return AlgebraBasis(d, null.basis.reshape(-1, d, d), null.dimension, null.cutoff, null.gap)
 
 
@@ -100,7 +100,7 @@ def system_end_dimension(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) 
     d^2 minus the rank of the same system at the same cutoff, since
     :func:`system_end` takes its nullspace with scale 0."""
     d = system.ambient_dim
-    return d * d - numerical_rank(_system_matrix(system), tol)
+    return d * d - numerical_rank(_system_matrix(system, tol), tol)
 
 
 def from_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SubspaceSystem:

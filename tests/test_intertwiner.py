@@ -318,16 +318,24 @@ def test_forest_matches_dense_on_random_quivers_of_equal_dims():
             assert_stacked(x, y, basis)
 
 
-def test_gap_guard_sends_a_cancelling_reduced_system_to_dense():
-    # (F, F) with cond(F) = 10^3.9, just inside admission: the reduced system
-    # kron(F, (F^-1 F)^T) - kron(F, I) is zero up to cond(F) * eps, above its
-    # cutoff, so the forest solve alone loses dimensions at a small gap
+@pytest.mark.parametrize("log_cond, admitted", [(3.9, True), (6.0, True), (7.9, False)])
+def test_gap_guard_sends_a_cancelling_reduced_system_to_dense(log_cond, admitted):
+    # (F, F) with cond(F) = 10**log_cond and End all of M_4.  F is invertible
+    # at inv_rel = 1e-8.  Up to 10^6 its backward error F F^-1 - I (3e3 and
+    # 2e5 eps) is within the gap guard's reach, so the forest admits F: the
+    # reduced system kron(F, (F^-1 F)^T) - kron(F, I) is zero only up to
+    # that error, above its cutoff, so the forest solve alone loses
+    # dimensions at a small gap.  At 10^7.9 the error is 1e7 eps, where a
+    # lost dimension can leave a large gap, and F is not admitted
     rng = np.random.default_rng(0)
     u, v = (np.linalg.qr(random_complex(rng, (4, 4)))[0] for _ in range(2))
-    f = u @ np.diag(np.logspace(0, -3.9, 4)) @ v
+    f = u @ np.diag(np.logspace(0, -log_cond, 4)) @ v
     rep = kronecker_rep(f, f)
-    reduced = _solve(rep, rep, DEFAULT_TOL, _spanning_forest(rep, rep, DEFAULT_TOL), 10**6)
-    assert reduced.path == "forest" and reduced.gap < DEFAULT_TOL.elim_gap()
+    forest = _spanning_forest(rep, rep, DEFAULT_TOL)
+    assert bool(forest.arrows) == admitted
+    if admitted:
+        reduced = _solve(rep, rep, DEFAULT_TOL, forest, 10**6)
+        assert reduced.gap < DEFAULT_TOL.elim_gap()
     basis = end(rep)
     assert (basis.path, basis.dimension) == ("dense", 16)
 

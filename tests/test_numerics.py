@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from quiverrep.errors import ValidationError
+from quiverrep.errors import NumericalFailure, ValidationError
 from quiverrep.numerics import (DEFAULT_TOL, gram_nullity, inverse, is_invertible, nullspace,
-                                numerical_rank, random_complex)
+                                numerical_rank, orthonormal_inclusion, random_complex)
 
 
 def planted_rank(rng, m, n, r, real=False):
@@ -114,6 +114,22 @@ def test_inverse_of_a_one_sided_matrix(m, n):
         assert np.allclose(inv @ matrix, np.eye(n), atol=1e-10)
         assert np.allclose(complement.conj().T @ matrix, 0, atol=1e-12)
     assert ratio == (pytest.approx(1e-3) if k > 1 else 1.0)
+
+
+def test_orthonormal_inclusion_spans_the_columns_or_rejects_them():
+    rng = np.random.default_rng(4)
+    matrix = planted_rank(rng, 7, 3, 3)
+    basis = orthonormal_inclusion(matrix)
+    assert basis.shape == (7, 3)
+    assert np.allclose(basis.conj().T @ basis, np.eye(3), atol=1e-12)
+    assert np.allclose(basis @ (basis.conj().T @ matrix), matrix, atol=1e-12)
+    assert orthonormal_inclusion(np.zeros((4, 0))).shape == (4, 0)
+    with pytest.raises(ValidationError, match="rank-deficient: 3 columns, rank 2"):
+        orthonormal_inclusion(planted_rank(rng, 7, 3, 2))
+    with pytest.raises(ValidationError, match="rank-deficient"):
+        orthonormal_inclusion(np.zeros((0, 2)))
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        orthonormal_inclusion(np.array([[1.0], [np.nan]]))
 
 
 @pytest.mark.parametrize("m, n, r", [(60, 12, 7), (12, 12, 5), (7, 15, 4)])

@@ -2,17 +2,18 @@
 draws the same examples."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverrep import (Arrow, KroneckerFamily, NumericalFailure, Quiver, Representation,
                        analyze, are_isomorphic, build_canonical, build_family, decompose,
-                       direct_sum, end, from_operator, generated_algebra, hom, jordan_block,
-                       kronecker_rep, remove_loops, rep_to_system, restrict, system_end,
-                       system_to_rep)
-from quiverrep.intertwiner import _dense_hom
+                       direct_sum, end, end_recursion_check, from_operator, generated_algebra,
+                       hom, hrr_model, jordan_block, kronecker_rep, remove_loops, rep_to_system,
+                       restrict, system_end, system_to_rep)
+from quiverrep.intertwiner import _dense_hom, _spanning_forest
 from quiverrep.kronecker import FAMILY_KINDS
-from quiverrep.numerics import random_complex
+from quiverrep.numerics import DEFAULT_TOL, random_complex
 from quiverrep.structure import widest_two_group_split
 
 from helpers import assert_stacked, conjugated_jordan, loop_rep, real_well_conditioned
@@ -198,6 +199,26 @@ def test_forest_hom_matches_dense_and_exact_on_hidden_jordan_sums(first, second,
     assert end(a).dimension == _dense_hom(a, a).dimension == exact_end
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(first=jordan_sums, second=jordan_sums, log_cond=st.floats(4.0, 8.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_ill_conditioned_hidden_jordan_sums_keep_an_exact_forest_or_go_dense(first, second,
+                                                                            log_cond, seed):
+    # a forest answer that stands is exact; any other is the dense one,
+    # which itself misses the exact value on most draws at these conditions
+    rng = np.random.default_rng(seed)
+    a = _hidden(_jordan_sum(first), rng, log_cond)
+    b = _hidden(_jordan_sum(second), rng, log_cond)
+    exact = sum(min(p, q) for lam, p, _ in first for mu, q, _ in second if lam == mu)
+    exact_end = sum(min(p, q) for lam, p, _ in first for mu, q, _ in first if lam == mu)
+    for x, y, want in ((a, b, exact), (a, a, exact_end)):
+        basis = hom(x, y)
+        if basis.path == "forest":
+            assert basis.dimension == want
+        else:
+            assert basis.dimension == _dense_hom(x, y).dimension
+
+
 # families with n = 0 too: wide(0) and tall(0) are canonically simple
 small_families = st.one_of(families, st.builds(KroneckerFamily, st.sampled_from(["wide", "tall"]),
                                                st.just(0)))
@@ -294,13 +315,38 @@ def test_hidden_sum_with_a_non_isometric_one_sided_arrow_stays_dense(kind, sizes
     assert basis.dimension == end(total).dimension
 
 
-def test_ill_conditioned_invertible_arrow_takes_dense_path():
-    # a1 is invertible at inv_rel = 1e-8 but its sigma_min / sigma_max = 1e-5
-    # is under sqrt(inv_rel); a2 is nilpotent
+def test_ill_conditioned_invertible_arrow_takes_forest_path():
+    # a1 is invertible at inv_rel = 1e-8 with sigma_min / sigma_max = 1e-5;
+    # a2 is nilpotent.  The diagonal inverse is exact per entry, so the
+    # eliminated answer passes both guards
     rep = kronecker_rep(np.diag([1.0, 1e-5]), jordan_block(0.0, 2))
     basis = end(rep)
-    assert (basis.path, basis.unknowns) == ("dense", 8)
+    assert (basis.path, basis.unknowns) == ("forest", 4)
     assert basis.dimension == exact_end_dim(rep) == 2
+
+
+def test_hidden_scalar_pencil_with_an_inaccurate_inverse_goes_dense():
+    # (0.5 I, I) on C^2 under a change of basis of condition 10^4 at each
+    # vertex: both arrows are invertible at inv_rel = 1e-8 with backward
+    # errors above elim_gap eps.  Eliminated, End came out of dimension 2,
+    # not 4, at a nullspace gap of 1.5e7 and with residuals under tau: the
+    # noise lifts whole directions, and neither guard sees a missing one
+    rep = _hidden(_jordan_sum([(0.5, 1, False)] * 2), np.random.default_rng(0), 4.0)
+    assert not _spanning_forest(rep, rep, DEFAULT_TOL).arrows
+    basis = end(rep)
+    assert (basis.path, basis.dimension) == ("dense", 4)
+
+
+def test_hrr_end_eliminates_through_its_double_exponential_arrow():
+    # a1's sigma_min / sigma_max is 1.1e-7; End is the 2N + 1 polynomials
+    # in the weighted shift, and every basis element meets the recursion
+    rep = hrr_model(4, 2.0)
+    basis = end(rep)
+    assert (basis.path, basis.unknowns, basis.dimension) == ("forest", 81, 9)
+    report = end_recursion_check(rep, 2.0, basis=basis)
+    assert report.range_ratio == pytest.approx(1.1e-7, rel=0.05)
+    assert report.pass_rate == 1.0
+    assert analyze(rep).star_dim == 1
 
 
 # -- simplicity: the support check and Norton's test against the full spin ----
