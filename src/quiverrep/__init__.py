@@ -22,7 +22,7 @@ from .operators import (CrossHomReport, HrrEndReport, SimilarityEvidence,
                         end_recursion_check, example_reps, hrr_max_truncation,
                         hrr_model, perturbation_model, rank_one, shift,
                         weighted_shift_similarity)
-from .subspaces import (SubspaceSystem, from_operator, make_system,
+from .subspaces import (SubspaceSystem, from_operator, make_system, preserved_end,
                         remove_loops, rep_to_system, system_end, system_end_dimension,
                         system_to_rep)
 
@@ -47,7 +47,7 @@ __all__ = [
     "end_recursion_check", "cross_model_hom", "weighted_shift_similarity",
     "example_reps",
     "SubspaceSystem", "make_system", "system_end", "system_end_dimension", "from_operator",
-    "system_to_rep", "rep_to_system", "remove_loops",
+    "system_to_rep", "rep_to_system", "remove_loops", "preserved_end",
     "Tolerances", "DEFAULT_TOL",
     "ValidationError", "NumericalFailure", "SizeLimitExceeded",
 ]

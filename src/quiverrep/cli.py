@@ -25,7 +25,7 @@ import numpy as np
 
 from . import document as doc
 from .errors import NumericalFailure, SizeLimitExceeded, ValidationError
-from .intertwiner import HomBasis, are_isomorphic, end, hom, hom_scale
+from .intertwiner import HomBasis, are_isomorphic, hom, hom_scale
 from .kronecker import KroneckerFamily, build_family
 from .numerics import DEFAULT_TOL, Tolerances
 from .operators import (end_recursion_check, example_reps, hrr_max_truncation,
@@ -33,8 +33,7 @@ from .operators import (end_recursion_check, example_reps, hrr_max_truncation,
 from .quiver import build_canonical
 from .rep import Representation
 from .structure import analyze
-from .subspaces import (from_operator, remove_loops, rep_to_system, system_end_dimension,
-                        system_to_rep)
+from .subspaces import from_operator, preserved_end, remove_loops, rep_to_system, system_to_rep
 
 SWEEP_COLUMNS = ("model", "N", "params_hash", "dim_end", "dim_hom_cross",
                  "recursion_pass_rate", "summand_dims", "flags", "wall_time_s", "error")
@@ -481,47 +480,34 @@ def cmd_convert(args, tol: Tolerances) -> int:
     if args.rep_to_system:
         if kind != "representation":
             raise ValidationError("--rep-to-system expects a representation document")
-        rep, _ = doc.rep_from_json(data)
-        if rep.quiver.has_loops():
+        source, _ = doc.rep_from_json(data)
+        if source.quiver.has_loops():
             raise ValidationError(
                 "the quiver has self-loops; run convert --remove-loops first"
             )
-        before = end(rep, tol).dimension
-        system = rep_to_system(rep, tol, check=False)
-        after = system_end_dimension(system, tol)
-        out_doc = doc.system_to_json(system)
+        target = rep_to_system(source, tol, check=False)
+        out_doc = doc.system_to_json(target)
     elif args.system_to_rep:
         if kind != "system":
             raise ValidationError("--system-to-rep expects a system document")
-        system, _ = doc.system_from_json(data, tol)
-        before = system_end_dimension(system, tol)
-        rep = system_to_rep(system, tol, check=False)
-        after = end(rep, tol).dimension
-        out_doc = doc.rep_to_json(rep)
+        source, _ = doc.system_from_json(data, tol)
+        target = system_to_rep(source, tol, check=False)
+        out_doc = doc.rep_to_json(target)
     elif args.remove_loops:
         if kind != "representation":
             raise ValidationError("--remove-loops expects a representation document")
-        rep, meta = doc.rep_from_json(data)
-        before = end(rep, tol).dimension
-        converted = remove_loops(rep, tol, check=False)
-        after = end(converted, tol).dimension
-        out_doc = doc.rep_to_json(converted, meta or None)
+        source, meta = doc.rep_from_json(data)
+        target = remove_loops(source, tol, check=False)
+        out_doc = doc.rep_to_json(target, meta or None)
     else:  # operator-to-4system
         if kind != "operator":
             raise ValidationError("--operator-to-4system expects an operator document")
         matrix = doc.operator_from_json(data)
-        loop = build_canonical("loop", 1)
-        commutant = end(Representation(loop, {"1": matrix.shape[0]}, {"a1": matrix}),
-                        tol).dimension
-        system = from_operator(matrix, tol)
-        before, after = commutant, system_end_dimension(system, tol)
-        out_doc = doc.system_to_json(system)
-    sidecar = {"dim_end_before": before, "dim_end_after": after,
-               "equal": before == after}
-    if not sidecar["equal"]:
-        raise NumericalFailure(
-            f"End dimension not preserved by conversion: {before} -> {after}"
-        )
+        source = Representation(build_canonical("loop", 1), {"1": len(matrix)}, {"a1": matrix})
+        target = from_operator(matrix, tol)
+        out_doc = doc.system_to_json(target)
+    before, after = preserved_end(source, target, tol)
+    sidecar = {"dim_end_before": before, "dim_end_after": after, "equal": True}
     _write_out(doc.dumps(out_doc), args.out)
     if args.out and args.out != "-":
         try:

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeLimitExceeded, ValidationError
-from .numerics import (DEFAULT_TOL, EPS, Tolerances, inverse, is_invertible, max_entry,
-                       nullspace, random_complex)
+from .errors import ValidationError
+from .numerics import (DEFAULT_TOL, EPS, Tolerances, check_unknowns, inverse, is_invertible,
+                       max_entry, nullspace, random_complex)
 from .rep import Representation
 
-MAX_UNKNOWNS = 250_000
 # Random Hom elements tried by are_isomorphic before it answers probably_no.
 ISO_SAMPLES = 8
 
@@ -188,12 +187,11 @@ def intertwining_residual(a: Representation, b: Representation,
     return worst
 
 
-def _solve(a: Representation, b: Representation, tol: Tolerances, forest: _Forest,
-           max_unknowns: int) -> HomBasis:
+def _solve(a: Representation, b: Representation, tol: Tolerances, forest: _Forest) -> HomBasis:
     """Hom(a, b) from the equations of the arrows ``forest`` did not
     eliminate and the leftover of those it did, in its roots' unknowns.
     Raises SizeLimitExceeded before the system is allocated when it has more
-    than ``max_unknowns`` columns."""
+    columns than :func:`numerics.check_unknowns` allows."""
     path = "forest" if forest.arrows else "dense"
     vertices = a.quiver.vertices
     offsets, n_unknowns = {}, 0
@@ -201,10 +199,7 @@ def _solve(a: Representation, b: Representation, tol: Tolerances, forest: _Fores
         if forest.root[v] == v:
             offsets[v] = n_unknowns
             n_unknowns += a.dims[v] * b.dims[v]
-    if n_unknowns > max_unknowns:
-        raise SizeLimitExceeded(
-            f"{path} intertwiner system has {n_unknowns} unknowns > limit {max_unknowns}"
-        )
+    check_unknowns(f"{path} intertwiner system", n_unknowns)
     # each equation is a sum of terms lhs T_v rhs, where None stands for an identity
     equations = [((arr.dst, None, a.maps[arr.name]), (arr.src, -b.maps[arr.name], None))
                  for arr in a.quiver.arrows if arr.name not in forest.arrows]
@@ -255,8 +250,7 @@ def _solve(a: Representation, b: Representation, tol: Tolerances, forest: _Fores
     return HomBasis(a, b, stacks, k, null.cutoff, null.gap, path, n_unknowns)
 
 
-def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL,
-        max_unknowns: int | None = None) -> HomBasis:
+def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL) -> HomBasis:
     """Orthonormal basis of Hom(a, b).
 
     Solves by elimination along a spanning forest of square invertible and
@@ -269,30 +263,26 @@ def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL,
 
     A degenerate system (no unknowns) yields a dimension-0 basis, not an
     error.  Raises SizeLimitExceeded when the system about to be solved has
-    more than ``max_unknowns`` unknowns (module default MAX_UNKNOWNS).
+    more unknowns than :func:`numerics.check_unknowns` allows.
     """
     if a.quiver != b.quiver:
         raise ValidationError("hom requires representations over the same quiver")
-    if max_unknowns is None:
-        max_unknowns = MAX_UNKNOWNS
     forest = _spanning_forest(a, b, tol)
     if forest.arrows:
-        basis = _solve(a, b, tol, forest, max_unknowns)
+        basis = _solve(a, b, tol, forest)
         tau = tol.hom_tol(hom_scale(a, b))
         if basis.gap >= tol.elim_gap() and intertwining_residual(a, b, basis.stacks) <= tau:
             return basis
-    return _dense_hom(a, b, tol, max_unknowns)
+    return _dense_hom(a, b, tol)
 
 
-def _dense_hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL,
-               max_unknowns: int = MAX_UNKNOWNS) -> HomBasis:
+def _dense_hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL) -> HomBasis:
     """Hom(a, b) from the dense system, one unknown matrix per vertex."""
-    return _solve(a, b, tol, _forest(a, b, {}), max_unknowns)
+    return _solve(a, b, tol, _forest(a, b, {}))
 
 
-def end(rep: Representation, tol: Tolerances = DEFAULT_TOL,
-        max_unknowns: int | None = None) -> HomBasis:
-    return hom(rep, rep, tol, max_unknowns)
+def end(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> HomBasis:
+    return hom(rep, rep, tol)
 
 
 @dataclass(frozen=True, eq=False)

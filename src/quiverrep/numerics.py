@@ -1,4 +1,5 @@
-"""Shared numerical policy: SVD rank thresholds, nullspaces, orthonormal bases.
+"""Shared numerical policy: SVD rank thresholds, nullspaces, orthonormal bases,
+and the size limit of every linear system a solve builds.
 
 Every rank decision in the package takes one SVD step with its overflow
 checks (:func:`_ranked_svd`) and one of three cutoffs:
@@ -9,7 +10,12 @@ Gram matrix of an End basis, ``cluster_tol(1)^2 sigma_max``
 (:func:`is_invertible`, :func:`inverse`).  No other module takes an SVD of
 its own: an orthonormal complement, a one-sided inverse or a condition ratio
 comes from :func:`inverse`, an orthonormal range from
-:func:`orthonormal_inclusion` or :func:`_ranked_svd`.
+:func:`orthonormal_inclusion` or :func:`_ranked_svd`, a pseudo-inverse from
+:func:`_pseudo_inverse` of its factors, and a rank or a spectral norm from
+:func:`_ranked_svd`.
+
+A system with more than :data:`MAX_UNKNOWNS` columns is refused by
+:func:`check_unknowns` before it is allocated; tests patch the constant.
 
 Two rules keep that step from doing arithmetic no decision reads.  Real data
 takes real LAPACK: a complex matrix whose imaginary part is exactly zero is
@@ -25,9 +31,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalFailure, ValidationError
+from .errors import NumericalFailure, SizeLimitExceeded, ValidationError
 
 EPS = float(np.finfo(np.float64).eps)
+MAX_UNKNOWNS = 250_000  # most columns of a Hom, End or subspace system
 
 
 # Every threshold is one of these constants times ``Tolerances.global_scale``.
@@ -120,6 +127,13 @@ class NullspaceResult:
         return self.basis.shape[0]
 
 
+def check_unknowns(system: str, unknowns: int) -> None:
+    """Raise SizeLimitExceeded when ``system`` would have more than
+    ``MAX_UNKNOWNS`` unknowns; callers check before they allocate it."""
+    if unknowns > MAX_UNKNOWNS:
+        raise SizeLimitExceeded(f"{system} has {unknowns} unknowns > limit {MAX_UNKNOWNS}")
+
+
 def _ranked_svd(matrix: np.ndarray, cutoff_at: Callable[[float], float],
                 full_matrices: bool = False, compute_uv: bool = True
                 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, float, float, int]:
@@ -128,8 +142,9 @@ def _ranked_svd(matrix: np.ndarray, cutoff_at: Callable[[float], float],
     complex matrix whose imaginary part is exactly zero is factored by real
     LAPACK and its factors are cast back to complex: its singular values are
     the same over R and C, and its real singular vectors are complex ones.
-    Raises NumericalFailure when the matrix or the cutoff is not finite, or
-    when the SVD does not converge."""
+    A matrix with no entries has rank 0 and empty factors.  Raises
+    NumericalFailure when the matrix or the cutoff is not finite, or when the
+    SVD does not converge."""
     m, n = matrix.shape
     if not np.isfinite(matrix).all():
         raise NumericalFailure(f"overflow: the {m} x {n} system has non-finite entries")
@@ -260,7 +275,14 @@ def inverse(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL
     if rank < k:
         return None, None, ratio
     complement = vh[k:].conj().T if m < n else u[:, k:]
-    return (vh[:k].conj().T / svals) @ u[:, :k].conj().T, complement, ratio
+    return _pseudo_inverse(u, svals, vh), complement, ratio
+
+
+def _pseudo_inverse(u: np.ndarray, svals: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """V S^-1 U^H, the (one-sided) inverse or least-squares solver of a matrix
+    of full rank k = min(m, n), from its SVD; U and V^H are read to rank k."""
+    k = svals.size
+    return (vh[:k].conj().T / svals) @ u[:, :k].conj().T
 
 
 def random_complex(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import ValidationError
-from .numerics import DEFAULT_TOL, Tolerances, frob, max_entry, numerical_rank
+from .numerics import DEFAULT_TOL, Tolerances, _pseudo_inverse, _ranked_svd, frob, max_entry
 from .quiver import Arrow, Quiver
 
 
@@ -113,48 +113,40 @@ def restrict(rep: Representation, inclusions: dict[str, np.ndarray],
              tol: Tolerances = DEFAULT_TOL) -> Representation:
     """Restrict to the subspaces spanned by per-vertex inclusion matrices.
 
-    Each inclusion must have full column rank, and every arrow map must carry
-    the source subspace into the range subspace: the restricted map g solves
-    f iota_src = iota_dst g in the least-squares sense and the residual must
-    not exceed ``tol.range_tol(rep.map_scale())``.
+    Each inclusion must have full column rank at the cutoff of
+    :func:`numerics.numerical_rank`.  The one SVD that decides it also gives
+    the pseudo-inverse iota^+, and the restricted map g = iota_dst^+ f
+    iota_src is the least-squares solution of f iota_src = iota_dst g.  Every
+    arrow map must carry the source subspace into the range subspace: the
+    residual of that equation must not exceed ``tol.range_tol(rep.map_scale())``.
     """
     missing = [v for v in rep.quiver.vertices if v not in inclusions]
     if missing:
         raise ValidationError(f"missing inclusion for vertices {missing}")
-    incs = {}
+    incs, pinvs = {}, {}
     for v in rep.quiver.vertices:
         m = np.asarray(inclusions[v], dtype=complex)
         if m.ndim != 2 or m.shape[0] != rep.dims[v]:
             raise ValidationError(
                 f"vertex {v!r}: inclusion must have {rep.dims[v]} rows, got shape {m.shape}"
             )
-        if m.shape[1] > 0:
-            rank = numerical_rank(m, tol)
-            if rank != m.shape[1]:
-                raise ValidationError(f"vertex {v!r}: inclusion is rank-deficient")
-        incs[v] = m
+        u, svals, vh, _, _, rank = _ranked_svd(m, lambda s: tol.svd_cutoff(*m.shape, s))
+        if rank != m.shape[1]:
+            raise ValidationError(f"vertex {v!r}: inclusion is rank-deficient")
+        incs[v], pinvs[v] = m, _pseudo_inverse(u, svals, vh)
     threshold = tol.range_tol(rep.map_scale())
-    dims = {v: incs[v].shape[1] for v in rep.quiver.vertices}
     maps = {}
     for a in rep.quiver.arrows:
         target = rep.maps[a.name] @ incs[a.src]
-        iota = incs[a.dst]
-        if iota.shape[1] == 0:
-            g = np.zeros((0, dims[a.src]), dtype=complex)
-            residual = frob(target)
-        elif target.shape[1] == 0:
-            g = np.zeros((iota.shape[1], 0), dtype=complex)
-            residual = 0.0
-        else:
-            g, *_ = np.linalg.lstsq(iota, target, rcond=None)
-            residual = frob(iota @ g - target)
+        g = pinvs[a.dst] @ target
+        residual = frob(incs[a.dst] @ g - target)
         if residual > threshold:
             raise ValidationError(
                 f"arrow {a.name!r}: subspaces are not invariant "
                 f"(residual {residual:.3e} > tolerance {threshold:.3e})"
             )
         maps[a.name] = g
-    return Representation(rep.quiver, dims, maps)
+    return Representation(rep.quiver, {v: m.shape[1] for v, m in incs.items()}, maps)
 
 
 def is_isomorphism_compatible(a: Representation, b: Representation) -> bool:

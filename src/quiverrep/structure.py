@@ -526,12 +526,13 @@ def _norton(rep: Representation, tol: Tolerances, seed: int
     return None
 
 
-def is_canonically_simple(rep: Representation) -> bool:
-    """Exactly one vertex of dimension 1, all others 0, all maps zero."""
+def is_canonically_simple(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Exactly one vertex of dimension 1, all others 0, all maps zero
+    (entries at most ``zero_map_tol``)."""
     dims = list(rep.dims.values())
     if sorted(dims) != [0] * (len(dims) - 1) + [1]:
         return False
-    return rep.map_scale() <= DEFAULT_TOL.zero_map_tol()
+    return rep.map_scale() <= tol.zero_map_tol()
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +631,7 @@ class Analysis:
 
     @property
     def canonically_simple(self) -> bool:
-        return is_canonically_simple(self.rep)
+        return is_canonically_simple(self.rep, self.tol)
 
     @property
     def irreducible(self) -> bool:
@@ -758,7 +759,9 @@ def single_jordan_block_criterion(matrix: np.ndarray,
     of x^(n-j) in the characteristic polynomial of N, taken from the computed
     eigenvalues, may be no larger than what their backward error
     eta = ``svd_cutoff(n, n, ||A||)`` can put there, j binom(n, j) eta
-    ||N||^(j-1).  Then A - cI must have nullity one at the SVD cutoff.
+    ||N||^(j-1).  Then A - cI must have nullity one at the SVD cutoff.  The
+    two spectral norms and that nullity come from two singular value
+    decompositions.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] == 0:
@@ -767,13 +770,17 @@ def single_jordan_block_criterion(matrix: np.ndarray,
     eigs = np.linalg.eigvals(matrix)
     center = complex(np.mean(eigs))
     shifted = matrix - center * np.eye(n)
-    eta = tol.svd_cutoff(n, n, float(np.linalg.norm(matrix, 2)))
+
+    def cutoff_at(sigma_max):
+        return tol.svd_cutoff(n, n, sigma_max)
+
+    eta = _ranked_svd(matrix, cutoff_at, compute_uv=False)[4]
+    *_, shifted_norm, _, rank = _ranked_svd(shifted, cutoff_at, compute_uv=False)
     j = np.arange(2, n + 1)
-    bound = j * np.array([comb(n, i) for i in j]) * eta \
-        * float(np.linalg.norm(shifted, 2)) ** (j - 1)
+    bound = j * np.array([comb(n, i) for i in j]) * eta * shifted_norm ** (j - 1)
     if np.any(np.abs(np.poly(eigs - center)[2:]) > bound):
         return False
-    return n - numerical_rank(shifted, tol) == 1
+    return n - rank == 1
 
 
 def is_strongly_irreducible(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,

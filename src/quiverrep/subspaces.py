@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import intertwiner
-from .errors import NumericalFailure, SizeLimitExceeded, ValidationError
+from .errors import NumericalFailure, ValidationError
 from .intertwiner import end
-from .numerics import (DEFAULT_TOL, Tolerances, inverse, nullspace, numerical_rank,
-                       orthonormal_inclusion)
+from .numerics import (DEFAULT_TOL, Tolerances, check_unknowns, inverse, nullspace,
+                       numerical_rank, orthonormal_inclusion)
 from .quiver import Arrow, Quiver, build_canonical
 from .rep import Representation
 from .structure import AlgebraBasis
@@ -61,11 +60,9 @@ def _system_matrix(system: SubspaceSystem, tol: Tolerances) -> np.ndarray:
     """The d^2-column system whose nullspace is the endomorphism algebra: the
     rows Q_i^H (x) U_i^T of every proper nonzero subspace, stacked (see
     :func:`system_end`).  Raises SizeLimitExceeded before it is allocated
-    when d^2 exceeds ``intertwiner.MAX_UNKNOWNS``."""
+    when its d^2 unknowns are more than :func:`numerics.check_unknowns` allows."""
     d = system.ambient_dim
-    if d * d > intertwiner.MAX_UNKNOWNS:
-        raise SizeLimitExceeded(f"subspace system has {d * d} unknowns "
-                                f"> limit {intertwiner.MAX_UNKNOWNS}")
+    check_unknowns("subspace system", d * d)
     blocks = [np.zeros((0, d * d), dtype=complex)]
     for inc in system.inclusions:
         k = inc.shape[1]
@@ -85,8 +82,8 @@ def system_end(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> Algebra
     it has sum_i k_i (d - k_i) rows instead of one d^2 x d^2 projector block
     per subspace.  The projector block is kron(Q_i, conj U_i) times this one,
     a factor with orthonormal columns, so the singular values and the right
-    singular vectors are the same.  Raises SizeLimitExceeded when the d^2
-    unknowns exceed ``MAX_UNKNOWNS``.
+    singular vectors are the same.  Raises SizeLimitExceeded, as
+    :func:`_system_matrix` does, when the d^2 unknowns are too many.
     """
     d = system.ambient_dim
     if d == 0:
@@ -101,6 +98,22 @@ def system_end_dimension(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) 
     :func:`system_end` takes its nullspace with scale 0."""
     d = system.ambient_dim
     return d * d - numerical_rank(_system_matrix(system, tol), tol)
+
+
+def preserved_end(source, target, tol: Tolerances = DEFAULT_TOL) -> tuple[int, int]:
+    """The End dimensions of a bridge's ``source`` and ``target``, each a
+    representation or a system, in that order; raises NumericalFailure when
+    they differ.  The bridges run it under ``check=True``."""
+
+    def dimension(x) -> int:
+        if isinstance(x, SubspaceSystem):
+            return system_end_dimension(x, tol)
+        return end(x, tol).dimension
+
+    before, after = dimension(source), dimension(target)
+    if before != after:
+        raise NumericalFailure(f"End dimension not preserved by conversion: {before} -> {after}")
+    return before, after
 
 
 def from_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SubspaceSystem:
@@ -142,12 +155,7 @@ def system_to_rep(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL,
     maps = {f"a{i + 1}": np.asarray(inc) for i, inc in enumerate(system.inclusions)}
     rep = Representation(q, dims, maps)
     if check:
-        lhs = system_end_dimension(system, tol)
-        rhs = end(rep, tol).dimension
-        if lhs != rhs:
-            raise NumericalFailure(
-                f"End dimension mismatch across the bridge: system {lhs}, representation {rhs}"
-            )
+        preserved_end(system, rep, tol)
     return rep
 
 
@@ -172,12 +180,7 @@ def rep_to_system(rep: Representation, tol: Tolerances = DEFAULT_TOL,
     inclusions += [(eye + rep.extended_map(a))[:, blocks[a.src]] for a in rep.quiver.arrows]
     system = make_system(d, inclusions, tol)
     if check:
-        lhs = end(rep, tol).dimension
-        rhs = system_end_dimension(system, tol)
-        if lhs != rhs:
-            raise NumericalFailure(
-                f"End dimension mismatch across the bridge: representation {lhs}, system {rhs}"
-            )
+        preserved_end(rep, system, tol)
     return system
 
 
@@ -235,10 +238,5 @@ def remove_loops(rep: Representation, tol: Tolerances = DEFAULT_TOL,
             dims[twin(v)] = rep.dims[v]
     out = Representation(Quiver(tuple(vertices), tuple(arrows)), dims, maps)
     if check:
-        lhs = end(rep, tol).dimension
-        rhs = end(out, tol).dimension
-        if lhs != rhs:
-            raise NumericalFailure(
-                f"loop removal changed the End dimension: {lhs} -> {rhs}"
-            )
+        preserved_end(rep, out, tol)
     return out

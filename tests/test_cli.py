@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import quiverrep.intertwiner
+import quiverrep.numerics
 from quiverrep import (NumericalFailure, Representation, build_canonical, example_reps,
                        from_operator, generated_algebra, is_canonically_simple, is_indecomposable,
                        is_irreducible, is_simple, is_transitive, jordan_block,
@@ -122,6 +123,17 @@ def test_analyze_records_seed_and_tolerances(capsys):
     assert report["tolerances"]["global_scale"] == 2.0
     assert report["finite_truncation"] is True
     assert "note" in report
+
+
+@pytest.mark.parametrize("scale, verdict", [("1", False), ("1e3", True)])
+def test_tol_scale_reaches_the_zero_map_rule(tmp_path, capsys, scale, verdict):
+    # zero_map is 1e-12 at scale 1, so a 1e-10 loop is a nonzero map there
+    path = tmp_path / "tiny.json"
+    rep = Representation(build_canonical("loop", 1), {"1": 1}, {"a1": [[1e-10]]})
+    path.write_text(dumps(rep_to_json(rep)))
+    code, out, err = run_cli(capsys, "--tol-scale", scale, "analyze", str(path))
+    assert code == 0, err
+    assert json.loads(out)["verdicts"]["canonically_simple"] is verdict
 
 
 @pytest.mark.parametrize("scale", [1.0, 2.0])
@@ -510,7 +522,7 @@ def test_convert_checks_a_system_by_singular_values_only(tmp_path, capsys, monke
 
 def test_convert_size_limit_exit_code(tmp_path, capsys, monkeypatch):
     # the operator's End has 9 unknowns, its 4-system 36
-    monkeypatch.setattr(quiverrep.intertwiner, "MAX_UNKNOWNS", 20)
+    monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 20)
     mode, path, _ = _convert_inputs(tmp_path)[0]
     code, _, err = run_cli(capsys, "convert", mode, str(path))
     assert code == 4
@@ -567,6 +579,18 @@ def test_convert_system_overflow_is_numerical_failure(tmp_path, capsys):
     assert out == ""
 
 
+def test_convert_end_mismatch_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    import quiverrep.subspaces as subspaces
+    inputs = _convert_inputs(tmp_path)
+    monkeypatch.setattr(subspaces, "system_end_dimension", lambda system, tol: -1)
+    for mode, path, _ in inputs:
+        out = tmp_path / "converted.json"
+        code, _, err = run_cli(capsys, "convert", mode, str(path), "--out", str(out))
+        assert code == 3
+        assert "End dimension not preserved by conversion" in err
+        assert not out.exists()
+
+
 def test_analyze_boolean_entry_is_validation_error(tmp_path, capsys):
     path = build_doc(tmp_path, capsys, "ex3", "N=3")
     rep = json.loads(path.read_text())
@@ -609,7 +633,7 @@ def test_readme_cli_examples_parse():
 # -- exit codes ------------------------------------------------------------------
 
 def test_size_limit_exit_code(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(quiverrep.intertwiner, "MAX_UNKNOWNS", 4)
+    monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 4)
     path = build_doc(tmp_path, capsys, "ex3", "N=3")
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == 4

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import quiverrep.numerics
 from quiverrep import (Arrow, KroneckerFamily, Quiver, SizeLimitExceeded, ValidationError,
                        are_isomorphic, build_canonical, build_family, canonically_simple,
                        direct_sum, end, example_reps, hom, intertwining_residual,
@@ -191,10 +192,11 @@ def test_hom_quiver_mismatch():
         hom(a, b)
 
 
-def test_hom_size_limit():
+def test_hom_size_limit(monkeypatch):
     rep = loop_rep(np.eye(4))
+    monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 8)
     with pytest.raises(SizeLimitExceeded):
-        hom(rep, rep, max_unknowns=8)
+        hom(rep, rep)
 
 
 def test_two_subspace_end_dimension():
@@ -277,16 +279,18 @@ def test_end_eliminates_through_isometric_kronecker_arrows(kind, n):
         assert intertwining_residual(rep, rep, t) <= 1e-12 * max(hom_scale(rep, rep), 1.0)
 
 
-def test_hom_size_limit_bounds_the_system_solved():
+def test_hom_size_limit_bounds_the_system_solved(monkeypatch):
     rep = example_reps("ex8", 4, 0.5)
-    basis = hom(rep, rep, max_unknowns=20)  # reduced 16, dense 32
-    assert (basis.path, basis.unknowns, basis.dimension) == ("forest", 16, 4)
-    with pytest.raises(SizeLimitExceeded, match="forest"):
-        hom(rep, rep, max_unknowns=15)
     dense = example_reps("ex9", 4)
     assert (end(dense).path, end(dense).unknowns) == ("dense", 32)
+    monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 20)
+    basis = hom(rep, rep)  # reduced 16, dense 32
+    assert (basis.path, basis.unknowns, basis.dimension) == ("forest", 16, 4)
     with pytest.raises(SizeLimitExceeded, match="dense"):
-        hom(dense, dense, max_unknowns=20)
+        hom(dense, dense)
+    monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 15)
+    with pytest.raises(SizeLimitExceeded, match="forest"):
+        hom(rep, rep)
 
 
 def test_forest_keeps_one_arrow_into_each_vertex():
@@ -334,7 +338,7 @@ def test_gap_guard_sends_a_cancelling_reduced_system_to_dense(log_cond, admitted
     forest = _spanning_forest(rep, rep, DEFAULT_TOL)
     assert bool(forest.arrows) == admitted
     if admitted:
-        reduced = _solve(rep, rep, DEFAULT_TOL, forest, 10**6)
+        reduced = _solve(rep, rep, DEFAULT_TOL, forest)
         assert reduced.gap < DEFAULT_TOL.elim_gap()
     basis = end(rep)
     assert (basis.path, basis.dimension) == ("dense", 16)

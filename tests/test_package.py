@@ -27,6 +27,46 @@ def test_public_names_resolve_and_are_listed_once():
 def test_every_svd_is_taken_in_numerics():
     # complements, condition ratios and ranges come from numerics' one SVD step
     assert {module for module, _ in _calls("np.linalg.svd")} == {"numerics.py"}
+    for name in ("sla.svd", "sla.svdvals"):
+        assert {module for module, _ in _calls(name)} <= {"numerics.py"}, name
+
+
+def _spectral_norms():
+    """Modules that call np.linalg.norm or sla.norm with order 2, a hidden SVD."""
+    hits = set()
+    for module, text in SOURCES.items():
+        for sub in ast.walk(ast.parse(text)):
+            if isinstance(sub, ast.Call) and ast.unparse(sub.func) in ("np.linalg.norm",
+                                                                      "sla.norm"):
+                order = [k.value for k in sub.keywords if k.arg == "ord"] + sub.args[1:2]
+                if any(ast.unparse(o) in ("2", "-2") for o in order):
+                    hits.add(module)
+    return hits
+
+
+def test_no_hidden_svd_outside_numerics():
+    # a least-squares solve, a pseudo-inverse, a rank, a condition number and
+    # an orthonormal basis are each one SVD; numerics takes it, at the
+    # package's cutoff
+    for name in ("np.linalg.lstsq", "np.linalg.pinv", "np.linalg.matrix_rank",
+                 "np.linalg.cond", "sla.lstsq", "sla.pinv", "sla.null_space", "sla.orth"):
+        assert {module for module, _ in _calls(name)} <= {"numerics.py"}, name
+
+
+def test_no_spectral_norm_outside_numerics():
+    assert _spectral_norms() <= {"numerics.py"}
+
+
+def test_size_limit_lives_in_numerics():
+    assert {module for module, text in SOURCES.items() if "MAX_UNKNOWNS" in text} \
+        == {"numerics.py"}
+
+
+def test_no_function_takes_a_size_limit():
+    assert [(module, node.name) for module, text in SOURCES.items()
+            for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)
+            and any(a.arg == "max_unknowns" for a in ast.walk(node.args)
+                    if isinstance(a, ast.arg))] == []
 
 
 def test_qr_only_reorthonormalises_the_eliminated_hom_basis():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from quiverrep import (Representation, ValidationError,
+from quiverrep import (Arrow, Quiver, Representation, ValidationError,
                        are_isomorphic, build_canonical, canonically_simple,
                        direct_sum, example_reps, is_isomorphism_compatible,
                        restrict, zero_representation)
+from quiverrep.numerics import random_complex
 from quiverrep.rep import rep_allclose
 
 from helpers import loop_rep
@@ -150,6 +151,41 @@ def test_restrict_then_embed_reproduces_map():
         lhs = rep.maps[name] @ inc["1"]
         rhs = inc["2"] @ sub.maps[name]
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def _conditioned(rng, n, log_cond):
+    u, v = (np.linalg.qr(random_complex(rng, (n, n)))[0] for _ in range(2))
+    return u @ np.diag(np.logspace(0, -log_cond, n)) @ v
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_restrict_non_orthonormal_inclusions_matches_least_squares(seed):
+    # block upper triangular maps leave the leading coordinates invariant;
+    # a basis change of condition 10 to 1e6 at each vertex and a random
+    # basis of each subspace make the inclusions far from orthonormal
+    rng = np.random.default_rng(seed)
+    q = Quiver(("1", "2"), (Arrow("a1", "1", "2"), Arrow("a2", "1", "2"),
+                            Arrow("a3", "2", "2")))
+    dims = {v: int(rng.integers(2, 7)) for v in q.vertices}
+    ks = {v: int(rng.integers(1, dims[v])) for v in q.vertices}
+    change = {v: _conditioned(rng, dims[v], rng.uniform(1, 6)) for v in q.vertices}
+    maps = {}
+    for a in q.arrows:
+        f = random_complex(rng, (dims[a.dst], dims[a.src]))
+        f[ks[a.dst]:, :ks[a.src]] = 0
+        maps[a.name] = change[a.dst] @ f @ np.linalg.inv(change[a.src])
+    rep = Representation(q, dims, maps)
+    inc = {v: change[v][:, :ks[v]] @ random_complex(rng, (ks[v], ks[v])) for v in q.vertices}
+    sub = restrict(rep, inc)
+    assert sub.dims == ks
+    for a in q.arrows:
+        ref = np.linalg.lstsq(inc[a.dst], maps[a.name] @ inc[a.src], rcond=None)[0]
+        assert np.linalg.norm(sub.maps[a.name] - ref) <= 1e-10 * np.linalg.norm(ref)
+    # one column short of full rank
+    short = inc["2"].copy()
+    short[:, -1] = short[:, :-1] @ random_complex(rng, (ks["2"] - 1,))
+    with pytest.raises(ValidationError, match="rank-deficient"):
+        restrict(rep, dict(inc, **{"2": short}))
 
 
 def test_canonically_simple_on_subspace_quiver():

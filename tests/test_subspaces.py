@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-import quiverrep.intertwiner
+import quiverrep.numerics
 from quiverrep import (Arrow, NumericalFailure, Quiver, Representation, SizeLimitExceeded,
                        ValidationError, end, example_reps, from_operator, is_indecomposable,
                        is_strongly_irreducible, jordan_block, kronecker_rep,
@@ -295,11 +297,31 @@ def test_conjugated_scalar_operator_end_is_full(k):
     assert system_end(from_operator(mat)).dimension == k * k
 
 
+def test_bridge_checks_raise_when_end_dimension_changes(monkeypatch):
+    import quiverrep.subspaces as subspaces
+    rep = example_reps("ex3", 3)
+    loop_free = remove_loops(rep, check=False)
+    system = from_operator(jordan_block(0.0, 2))
+    # every End dimension a check reads becomes the total dimension (plus one
+    # for a system), which every bridge changes
+    real_end = subspaces.end
+    monkeypatch.setattr(subspaces, "end", lambda rep, tol: dataclasses.replace(
+        real_end(rep, tol), dimension=rep.total_dim))
+    monkeypatch.setattr(subspaces, "system_end_dimension",
+                        lambda system, tol: system.ambient_dim + 1)
+    for bridge in (lambda: remove_loops(rep), lambda: rep_to_system(loop_free),
+                   lambda: system_to_rep(system)):
+        with pytest.raises(NumericalFailure, match="End dimension not preserved"):
+            bridge()
+    # check=False skips the check
+    assert system_to_rep(system, check=False).dims["5"] == 4
+
+
 def test_system_end_size_limit_is_checked_before_the_system_is_built(monkeypatch):
     system = from_operator(jordan_block(0.0, 3))  # d = 6, 36 unknowns
-    monkeypatch.setattr(quiverrep.intertwiner, "MAX_UNKNOWNS", 36)
+    monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 36)
     assert system_end_dimension(system) == system_end(system).dimension == 3
-    monkeypatch.setattr(quiverrep.intertwiner, "MAX_UNKNOWNS", 35)
+    monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 35)
 
     def no_blocks(*args, **kwargs):
         raise AssertionError("a system block was built")
