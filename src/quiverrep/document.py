@@ -86,6 +86,13 @@ def quiver_from_json(data: Any) -> Quiver:
     return Quiver(tuple(vertices), tuple(parsed))
 
 
+def _meta(data: dict) -> dict:
+    meta = data.get("meta") or {}
+    if not isinstance(meta, dict):
+        raise ValidationError("meta: expected an object")
+    return meta
+
+
 def rep_to_json(rep: Representation, meta: dict | None = None) -> dict:
     doc = {
         "quiver": quiver_to_json(rep.quiver),
@@ -126,10 +133,10 @@ def rep_from_json(data: Any) -> tuple[Representation, dict]:
             missing = a.dst if rows is None else a.src
             raise ValidationError(f"dims: missing vertex {missing!r}")
         maps[a.name] = matrix_from_json(maps_raw[a.name], rows, cols, f"maps[{a.name!r}]")
-    meta = data.get("meta") or {}
-    if not isinstance(meta, dict):
-        raise ValidationError("meta: expected an object")
-    return Representation(quiver, dims, maps), meta
+    extra = [name for name in maps_raw if name not in maps]
+    if extra:
+        raise ValidationError(f"maps[{extra[0]!r}]: the quiver has no arrow of that name")
+    return Representation(quiver, dims, maps), _meta(data)
 
 
 def system_to_json(system: SubspaceSystem, meta: dict | None = None) -> dict:
@@ -159,8 +166,7 @@ def system_from_json(data: Any, tol: Tolerances = DEFAULT_TOL) -> tuple[Subspace
             raise ValidationError(f"inclusions[{i}]: expected a list of rows")
         cols = len(inc[0]) if inc else 0
         mats.append(matrix_from_json(inc, d, cols, f"inclusions[{i}]"))
-    meta = data.get("meta") or {}
-    return make_system(d, mats, tol), meta
+    return make_system(d, mats, tol), _meta(data)
 
 
 def operator_from_json(data: Any) -> np.ndarray:

@@ -2,12 +2,15 @@
 and the size limit of every linear system a solve builds.
 
 Every rank decision in the package takes one SVD step with its overflow
-checks (:func:`_ranked_svd`) and one of three cutoffs:
+checks (:func:`_ranked_svd`) and one of four cutoffs:
 ``max(m, n) * eps * sigma_max * svd_factor``, with sigma_max floored or
 replaced by a reference scale (see :func:`nullspace`); for the trace-form
 Gram matrix of an End basis, ``cluster_tol(1)^2 sigma_max``
 (:func:`gram_nullity`); for invertibility, ``inv_rel * sigma_max``
-(:func:`is_invertible`, :func:`inverse`).  No other module takes an SVD of
+(:func:`is_invertible`, :func:`inverse`); for the spins of the generated
+algebra and of Norton's test, and the ranks of their witnesses,
+``range_tol(1)``, the invariance bound of ``rep.restrict`` on unit-scaled
+generators (``structure._new_directions``).  No other module takes an SVD of
 its own: an orthonormal complement, a one-sided inverse or a condition ratio
 comes from :func:`inverse`, an orthonormal range from
 :func:`orthonormal_inclusion` or :func:`_ranked_svd`, a pseudo-inverse from

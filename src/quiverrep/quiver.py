@@ -38,12 +38,6 @@ class Quiver:
             if a.dst not in vset:
                 raise ValidationError(f"arrow {a.name!r}: unknown range vertex {a.dst!r}")
 
-    def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise ValidationError(f"unknown arrow {name!r}")
-
     def loops_at(self, vertex: str) -> tuple[Arrow, ...]:
         """Arrows with source and range both equal to ``vertex``, in declaration order."""
         if vertex not in self.vertices:

@@ -28,6 +28,9 @@ two vector spins per draw.  The full spin of the algebra, from the identity
 under the generators (each round multiplies only the newly added elements by
 the g generators, about g * d^6 for total dimension d), runs only for the
 dimension of a proper algebra, or when the draws leave the verdict open.
+Every spin judges invariance by :func:`restrict`'s rule: a direction whose
+singular value is under ``range_tol(1)`` on the unit-scaled generators adds
+nothing, so an arrow map below ``range_rel`` of the map scale is invisible.
 
 The verdict rules and the implications between them are stated once, in
 :class:`Analysis`; the ``is_*`` functions and ``decompose`` are views of it.
@@ -38,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -47,7 +49,7 @@ from .errors import NumericalFailure, ValidationError
 from .intertwiner import HomBasis, end, intertwining_residual
 from .numerics import (DEFAULT_TOL, Tolerances, _ranked_svd, frob, gram_nullity, inverse,
                        numerical_rank, random_complex)
-from .quiver import Quiver, Arrow
+from .quiver import build_canonical
 from .rep import Representation, restrict
 
 
@@ -101,44 +103,43 @@ def _generators(rep: Representation) -> np.ndarray:
     return np.array(gens, dtype=complex).reshape(len(gens), d, d)
 
 
-def _new_directions(basis: np.ndarray, block: np.ndarray,
-                    cutoff_at: Callable[[int, int, float], float]
-                    ) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _new_directions(basis: np.ndarray, block: np.ndarray, tol: Tolerances
+                    ) -> tuple[np.ndarray, np.ndarray, float]:
     """What the rows of ``block`` add to the span of the orthonormal rows ``basis``.
 
     Classical Gram-Schmidt with one reorthogonalization, as two matrix
-    products, then one SVD of the residual.  The cutoff is measured against
-    the largest row norm of the unprojected block, so rounding noise left by
-    the projection is never taken for a new direction.  The gap is the
-    smallest kept singular value (the block's scale when nothing is kept) over
-    the largest discarded one.
+    products, then one SVD of the residual.  A direction counts as new when
+    its singular value exceeds :func:`restrict`'s bound, ``range_tol(1)``:
+    the block's rows are words in the generators, which carry the factor
+    1 / ``map_scale``, applied to unit combinations, so a smaller singular
+    value leaves a span that ``restrict`` accepts as invariant.  The gap is
+    the smallest kept singular value (the largest row norm of the block when
+    nothing is kept) over the largest discarded one.
 
     Returns the new directions as orthonormal rows, the same number of unit
-    combinations of the block's rows that span them modulo ``basis``, the
-    cutoff and the gap.  The combinations, not the new directions, are what
-    the next round multiplies: a new direction is a residual divided by its
-    singular value, which magnifies its rounding error, and over many rounds
-    that error grows until it passes the cutoff as a spurious direction.
+    combinations of the block's rows that span them modulo ``basis``, and
+    the gap.  The combinations, not the new directions, are what the next
+    round multiplies: a new direction is a residual divided by its singular
+    value, which magnifies its rounding error, and over many rounds that
+    error grows until it passes the cutoff as a spurious direction.
     """
     if block.shape[0] == 0 or not np.any(block):
-        return block[:0], block[:0], 0.0, np.inf
-    scale = float(np.max(np.linalg.norm(block, axis=1)))
+        return block[:0], block[:0], np.inf
     resid = block
     for _ in range(2):
         resid = resid - (resid @ basis.conj().T) @ basis
-    u, svals, vh, _, cutoff, rank = _ranked_svd(
-        resid, lambda _: cutoff_at(*block.shape, scale))
-    kept = float(svals[rank - 1]) if rank > 0 else scale
+    u, svals, vh, _, _, rank = _ranked_svd(resid, lambda _: tol.range_tol(1.0))
+    kept = float(svals[rank - 1]) if rank > 0 else float(np.max(np.linalg.norm(block, axis=1)))
     discarded = float(svals[rank]) if rank < svals.size else 0.0
     gap = np.inf if discarded == 0.0 else kept / discarded
     words = u[:, :rank].conj().T @ block
     words /= np.linalg.norm(words, axis=1, keepdims=True)
-    return vh[:rank], words, cutoff, gap
+    return vh[:rank], words, gap
 
 
-def _spin(start: np.ndarray, gens: np.ndarray, cutoff_at: Callable[[int, int, float], float]
-          ) -> tuple[np.ndarray, float, float]:
-    """Smallest subspace that contains ``start`` and is closed under ``gens``.
+def _spin(start: np.ndarray, gens: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, float]:
+    """Smallest subspace that contains ``start`` and is closed under ``gens``,
+    at the resolution of :func:`_new_directions`.
 
     ``start`` stacks k vectors, shape (k, d, 1), or matrices, shape (k, d, d);
     ``gens`` stacks g matrices, shape (g, d, d), that act by left
@@ -147,17 +148,16 @@ def _spin(start: np.ndarray, gens: np.ndarray, cutoff_at: Callable[[int, int, fl
     batched product of the generators with those words side by side as
     columns, for vectors and matrices alike, and keeps what is new.  It stops
     when a round adds nothing or the subspace is the whole space.  Returns an
-    orthonormal basis as rows, the largest cutoff and the smallest gap over
-    the rounds.
+    orthonormal basis as rows and the smallest gap over the rounds.
     """
     k, d, m = start.shape
     n = d * m
     basis = np.zeros((0, n), dtype=complex)
     block = start.reshape(k, n)
-    cutoff, gap = 0.0, np.inf
+    gap = np.inf
     while True:
-        new, words, round_cutoff, round_gap = _new_directions(basis, block, cutoff_at)
-        cutoff, gap = max(cutoff, round_cutoff), min(gap, round_gap)
+        new, words, round_gap = _new_directions(basis, block, tol)
+        gap = min(gap, round_gap)
         if new.shape[0] == 0:
             break
         basis = np.vstack([basis, new])
@@ -167,7 +167,7 @@ def _spin(start: np.ndarray, gens: np.ndarray, cutoff_at: Callable[[int, int, fl
         cols = words.reshape(w, d, m).transpose(1, 0, 2).reshape(d, w * m)
         block = (gens @ cols).reshape(len(gens), d, w, m).transpose(0, 2, 1, 3)
         block = block.reshape(len(gens) * w, n)
-    return basis, cutoff, gap
+    return basis, gap
 
 
 def generated_algebra(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> AlgebraBasis:
@@ -176,22 +176,23 @@ def generated_algebra(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> Alg
     The algebra is the span of all words in the generators, which is the
     closure of span{I} under left multiplication by the generators; it is
     computed by spinning span({I} and the generators) to that closure, at a
-    cost of about g * d^6 for g generators.  ``cutoff`` and ``gap`` are the
-    largest cutoff and the smallest gap of the spin's rank decisions.  Raises
-    NumericalFailure if the dimension exceeds d^2 (impossible mathematically,
-    guards numerics) or an SVD fails to converge.
+    cost of about g * d^6 for g generators.  The spin judges a subspace
+    invariant by :func:`restrict`'s rule, as Norton's test does, so
+    ``cutoff`` is ``range_tol(1)`` and ``gap`` the smallest gap of its rank
+    decisions.  Raises NumericalFailure if the dimension exceeds d^2
+    (impossible mathematically, guards numerics) or an SVD fails to converge.
     """
     if rep.is_zero():
         raise ValidationError("generated algebra of the zero representation")
     d = rep.total_dim
     gens = _generators(rep)
     start = np.concatenate([np.eye(d, dtype=complex)[None], gens])
-    rows, cutoff, gap = _spin(start, gens, tol.svd_cutoff)
+    rows, gap = _spin(start, gens, tol)
     if rows.shape[0] > d * d:
         raise NumericalFailure(
             f"span closure exceeded ambient dimension squared ({d * d})"
         )
-    return AlgebraBasis(d, rows.reshape(-1, d, d), rows.shape[0], cutoff, gap)
+    return AlgebraBasis(d, rows.reshape(-1, d, d), rows.shape[0], tol.range_tol(1.0), gap)
 
 
 def _radical_dim(stacks: dict[str, np.ndarray], tol: Tolerances) -> int:
@@ -382,13 +383,13 @@ class SimpleResult:
     ``path`` names the step that decided it: "support" (a set of vertices no
     nonzero arrow map leaves), "norton" (Norton's test) or "spin" (the full
     spin of the generated algebra, when the draws left the verdict open, or
-    when it fills M_d although a draw found a subspace invariant at
-    ``restrict``'s coarser bound).  ``algebra_dim`` and ``gap`` describe the
-    generated algebra: on a simple Norton verdict, d^2 by Burnside and the
-    smaller gap of the two spins; otherwise the dimension and the smallest
-    gap of the full spin.  ``witness`` holds per-vertex inclusions of a
-    proper nonzero subrepresentation: None when simple, and on the "spin"
-    path.
+    when it fills M_d although a draw found a witness: both spins judge at
+    ``restrict``'s bound, so they disagree only on a direction near it).
+    ``algebra_dim`` and ``gap`` describe the generated algebra: on a simple
+    Norton verdict, d^2 by Burnside and the smaller gap of the two spins;
+    otherwise the dimension and the smallest gap of the full spin.
+    ``witness`` holds per-vertex inclusions of a proper nonzero
+    subrepresentation: None when simple, and on the "spin" path.
     """
 
     simple: bool
@@ -477,15 +478,13 @@ def _norton(rep: Representation, tol: Tolerances, seed: int
     representation is simple.  Both spins are graded, since the vertex
     idempotents are generators.
 
-    The spins resolve directions at :func:`restrict`'s bound: a direction the
-    generators add with a smaller singular value leaves a subspace that
-    ``restrict`` accepts as invariant.  The generators carry the factor
-    1 / ``map_scale``, so that bound is ``range_tol(1)`` on unit vectors.
-    A full spin counts only with a gap of at least ``elim_gap`` and exactly d
-    directions: a rank decision closer than that is one a rounding error in
-    v or w can flip, and more than d directions mean the basis lost its
-    orthogonality.  A draw with another kernel dimension or a full spin that
-    does not count is redrawn, up to ``_MAX_TRIES`` draws.
+    The spins resolve directions at :func:`restrict`'s bound, as every spin
+    does (:func:`_new_directions`).  A full spin counts only with a gap of at
+    least ``elim_gap`` and exactly d directions: a rank decision closer than
+    that is one a rounding error in v or w can flip, and more than d
+    directions mean the basis lost its orthogonality.  A draw with another
+    kernel dimension or a full spin that does not count is redrawn, up to
+    ``_MAX_TRIES`` draws.
 
     Returns (witness, gap of its spin) when a spin is proper and its
     inclusions pass ``restrict``, and (None, the smaller gap of the two
@@ -498,8 +497,7 @@ def _norton(rep: Representation, tol: Tolerances, seed: int
     words = np.concatenate([gens, np.einsum("iab,jbc->ijac", gens, gens).reshape(-1, d, d)])
 
     def spin(start: np.ndarray, by: np.ndarray) -> tuple[np.ndarray, float]:
-        span, _, gap = _spin(start.reshape(1, d, 1), by, lambda *_: tol.range_tol(1.0))
-        return span, gap
+        return _spin(start.reshape(1, d, 1), by, tol)
 
     def counts_as_full(span: np.ndarray, gap: float) -> bool:
         return span.shape[0] == d and gap >= tol.elim_gap()
@@ -608,9 +606,9 @@ class Analysis:
     def simplicity(self) -> SimpleResult:
         """The support check, then Norton's draws (:func:`_norton`); the full
         spin runs only for the dimension of a proper algebra, or when the
-        draws leave the verdict open.  Whenever it runs, the full spin decides
-        the verdict: should it fill M_d, a witness found at ``restrict``'s
-        coarser resolution is dropped."""
+        draws leave the verdict open.  Both spins resolve at ``restrict``'s
+        bound, and whenever it runs the full spin decides the verdict: should
+        it fill M_d, a witness a draw found is dropped."""
         d = self.rep.total_dim
         witness, path = _support_witness(self.rep), "support"
         if witness is None:
@@ -794,8 +792,7 @@ def is_strongly_irreducible(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
     """
     direct = single_jordan_block_criterion(matrix, tol)  # validates the input
     matrix = np.asarray(matrix, dtype=complex)
-    loop = Quiver(("1",), (Arrow("a1", "1", "1"),))
-    rep = Representation(loop, {"1": matrix.shape[0]}, {"a1": matrix})
+    rep = Representation(build_canonical("loop", 1), {"1": matrix.shape[0]}, {"a1": matrix})
     via_rep = analyze(rep, tol, seed).indecomposable
     if via_rep != direct:
         raise NumericalFailure(

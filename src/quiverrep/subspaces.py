@@ -194,48 +194,26 @@ def remove_loops(rep: Representation, tol: Tolerances = DEFAULT_TOL,
     v is re-sourced from v'.  End dimension is preserved (and asserted when
     ``check`` is set).  Loop-free representations are returned unchanged.
     """
-    loop_vertices = [v for v in rep.quiver.vertices if rep.quiver.loops_at(v)]
-    if not loop_vertices:
+    q = rep.quiver
+    twin = {v: v + "'" for v in q.vertices if q.loops_at(v)}
+    if not twin:
         return rep
-
-    def twin(v: str) -> str:
-        return v + "'"
-
-    vertices = []
-    for v in rep.quiver.vertices:
-        vertices.append(v)
-        if v in loop_vertices:
-            if twin(v) in rep.quiver.vertices:
-                raise ValidationError(
-                    f"vertex name {twin(v)!r} already taken; rename before removing loops"
-                )
-            vertices.append(twin(v))
-    arrows = []
-    maps = {}
-    taken = {a.name for a in rep.quiver.arrows}
-    for a in rep.quiver.arrows:
-        if a.src == a.dst:
-            arrows.append(Arrow(a.name, a.src, twin(a.src)))
-            maps[a.name] = rep.maps[a.name]
-        elif a.src in loop_vertices:
-            arrows.append(Arrow(a.name, twin(a.src), a.dst))
-            maps[a.name] = rep.maps[a.name]
-        else:
-            arrows.append(a)
-            maps[a.name] = rep.maps[a.name]
-    for v in loop_vertices:
+    taken = [t for t in twin.values() if t in q.vertices]
+    if taken:
+        raise ValidationError(
+            f"vertex name {taken[0]!r} already taken; rename before removing loops")
+    placed = [(w, v) for v in q.vertices for w in (v, twin.get(v)) if w is not None]
+    vertices = [w for w, _ in placed]
+    dims = {w: rep.dims[v] for w, v in placed}
+    arrows = [Arrow(a.name, a.src, twin[a.src]) if a.src == a.dst
+              else Arrow(a.name, twin.get(a.src, a.src), a.dst) for a in q.arrows]
+    maps = dict(rep.maps)
+    for v, t in twin.items():
         name = f"id_{v}"
-        while name in taken:
+        while name in maps:
             name += "'"
-        taken.add(name)
-        arrows.append(Arrow(name, v, twin(v)))
+        arrows.append(Arrow(name, v, t))
         maps[name] = np.eye(rep.dims[v], dtype=complex)
-
-    dims = {}
-    for v in rep.quiver.vertices:
-        dims[v] = rep.dims[v]
-        if v in loop_vertices:
-            dims[twin(v)] = rep.dims[v]
     out = Representation(Quiver(tuple(vertices), tuple(arrows)), dims, maps)
     if check:
         preserved_end(rep, out, tol)

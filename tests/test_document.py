@@ -125,3 +125,18 @@ def test_detect_kind():
     assert detect_kind(operator_to_json(np.eye(2))) == "operator"
     with pytest.raises(ValidationError):
         detect_kind({"foo": 1})
+
+
+def test_rep_document_rejects_a_matrix_for_an_unknown_arrow():
+    doc = rep_to_json(example_reps("ex3", 2))
+    doc["maps"]["a9"] = doc["maps"]["a1"]
+    with pytest.raises(ValidationError, match=r"maps\['a9'\]: the quiver has no arrow"):
+        rep_from_json(doc)
+
+
+def test_system_document_meta_must_be_an_object():
+    doc = system_to_json(make_system(1, [np.eye(1)]), meta={"model": "x"})
+    assert system_from_json(doc)[1] == {"model": "x"}
+    doc["meta"] = [1, 2]
+    with pytest.raises(ValidationError, match="meta: expected an object"):
+        system_from_json(doc)

@@ -62,11 +62,20 @@ def test_size_limit_lives_in_numerics():
         == {"numerics.py"}
 
 
-def test_no_function_takes_a_size_limit():
-    assert [(module, node.name) for module, text in SOURCES.items()
+def _functions_taking(parameter):
+    """(module, function) of every function with a parameter named ``parameter``."""
+    return [(module, node.name) for module, text in SOURCES.items()
             for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)
-            and any(a.arg == "max_unknowns" for a in ast.walk(node.args)
-                    if isinstance(a, ast.arg))] == []
+            and any(a.arg == parameter for a in ast.walk(node.args) if isinstance(a, ast.arg))]
+
+
+def test_no_function_takes_a_size_limit():
+    assert _functions_taking("max_unknowns") == []
+
+
+def test_only_numerics_takes_a_cutoff_callable():
+    # every other rank decision names its resolution through Tolerances
+    assert [hit for hit in _functions_taking("cutoff_at") if hit[0] != "numerics.py"] == []
 
 
 def test_qr_only_reorthonormalises_the_eliminated_hom_basis():

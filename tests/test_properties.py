@@ -432,6 +432,23 @@ def test_norton_matches_the_full_spin_on_hidden_block_triangular_pairs(d, data, 
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
+@given(d=st.integers(2, 12), data=st.data(), log_cond=st.floats(2.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_spin_reads_hidden_block_triangular_pairs_at_restricts_bound(d, data, log_cond,
+                                                                          seed):
+    # every spin resolves at restrict's bound, which a basis change of
+    # condition 1e2-1e3 leaves the invariant subspace above
+    k = data.draw(st.integers(1, d - 1))
+    rep = _hidden_block_triangular_pair(np.random.default_rng(seed), d, k, log_cond)
+    assert generated_algebra(rep).dimension == d * d - k * (d - k)
+    for s in range(4):
+        record = analyze(rep, seed=s).simplicity
+        assert not record.simple
+        if record.witness is not None:
+            assert 0 < restrict(rep, record.witness).total_dim < d
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
 @given(parts=st.lists(small_families, min_size=1, max_size=2), seed=st.integers(0, 2**32 - 1))
 def test_support_check_matches_the_full_spin_on_kronecker_families(parts, seed):
     rep = _sum([build_family(f) for f in parts])

@@ -220,6 +220,19 @@ def test_generated_algebra_of_conjugated_block_triangular_pair(d, seed):
     assert 0 < sub.total_dim < d
 
 
+@pytest.mark.parametrize("eps,simple", [(1e-12, False), (1e-8, True)])
+def test_a_map_below_restricts_bound_is_invisible_to_every_spin(eps, simple):
+    # eps B is under range_rel of the map scale, so the spins see A alone,
+    # whose eigenvectors span subrepresentations that restrict accepts
+    rng = np.random.default_rng(0)
+    rep = _two_loops(random_complex(rng, (4, 4)), eps * random_complex(rng, (4, 4)))
+    record = analyze(rep).simplicity
+    assert (record.simple, record.path) == (simple, "norton")
+    if not simple:
+        assert 0 < restrict(rep, record.witness).total_dim < 4
+        assert record.algebra_dim == generated_algebra(rep).dimension == 4
+
+
 def _embedded_generators(dims, arrows):
     """Vertex idempotents and arrow maps (src, dst, integer matrix) embedded
     block by block into d x d integer matrices, built independently of the

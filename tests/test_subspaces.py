@@ -178,6 +178,25 @@ def test_remove_loops_re_sources_outgoing_arrows():
     assert end(out).dimension == end(rep).dimension
 
 
+def test_remove_loops_primes_taken_identity_names_and_refuses_a_taken_twin():
+    q = Quiver(("1", "2"), (Arrow("id_1", "1", "1"), Arrow("id_2", "2", "2"),
+                            Arrow("b", "1", "2"), Arrow("id_1'", "2", "1")))
+    rep = random_rep(np.random.default_rng(3), q, max_dim=2, min_dim=1)
+    out = remove_loops(rep)
+    assert out.quiver.vertices == ("1", "1'", "2", "2'")
+    assert [(a.name, a.src, a.dst) for a in out.quiver.arrows] == [
+        ("id_1", "1", "1'"), ("id_2", "2", "2'"), ("b", "1'", "2"), ("id_1'", "2'", "1"),
+        ("id_1''", "1", "1'"), ("id_2'", "2", "2'")]
+    assert out.dims == {"1": rep.dims["1"], "1'": rep.dims["1"],
+                        "2": rep.dims["2"], "2'": rep.dims["2"]}
+    for a in q.arrows:
+        assert np.array_equal(out.maps[a.name], rep.maps[a.name])
+    assert np.array_equal(out.maps["id_2'"], np.eye(rep.dims["2"]))
+    taken = Quiver(("1", "2", "2'"), (Arrow("a1", "1", "1"), Arrow("a2", "2", "2")))
+    with pytest.raises(ValidationError, match="vertex name \"2'\" already taken"):
+        remove_loops(random_rep(np.random.default_rng(3), taken, max_dim=2, min_dim=1))
+
+
 def test_end_dimension_preserved_through_full_bridge():
     rng = np.random.default_rng(99)
     for _ in range(6):
