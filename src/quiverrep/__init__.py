@@ -12,8 +12,7 @@ from .structure import (AlgebraBasis, Analysis, DecompositionTree, Indecomposabl
                         SimpleResult, analyze, decompose, generated_algebra,
                         is_canonically_simple, is_indecomposable, is_irreducible,
                         is_simple, is_strongly_irreducible, is_transitive,
-                        radical_dimension, single_jordan_block_criterion,
-                        star_closed_end_dim)
+                        radical_dimension, star_closed_end_dim)
 from .kronecker import (KroneckerFamily, KroneckerReduction, build_family,
                         jordan_block, kronecker_rep, polynomial_model,
                         reduce_invertible_first, reduce_pencil)
@@ -38,7 +37,7 @@ __all__ = [
     "SimpleResult", "analyze", "decompose", "generated_algebra",
     "is_canonically_simple", "is_indecomposable", "is_irreducible", "is_simple",
     "is_strongly_irreducible", "is_transitive", "radical_dimension",
-    "single_jordan_block_criterion", "star_closed_end_dim",
+    "star_closed_end_dim",
     "KroneckerFamily", "KroneckerReduction", "build_family", "jordan_block",
     "kronecker_rep", "polynomial_model", "reduce_invertible_first", "reduce_pencil",
     "CrossHomReport", "HrrEndReport", "SimilarityEvidence",

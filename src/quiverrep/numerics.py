@@ -49,7 +49,6 @@ CLUSTER_REL = 1e-6    # eigenvalue clustering, relative to spectral radius
 IDEM_REL = 1e-6       # idempotent defect ||P^2 - P||, relative to ||P||
 WEIGHT_FLOOR = 1e-8   # smallest admissible realized weight
 ELIM_GAP = 1e6        # smallest gap a fast path keeps: forest-eliminated Hom, Norton's spins
-IDENTITY_REL = 1e-8   # distance of the identity to an algebra's span, relative to sqrt(d)
 ZERO_MAP = 1e-12      # largest map entry of a canonically simple representation
 
 
@@ -93,17 +92,13 @@ class Tolerances:
     def min_weight(self) -> float:
         return WEIGHT_FLOOR * self.global_scale
 
-    def identity_tol(self, scale: float) -> float:
-        return IDENTITY_REL * scale * self.global_scale
-
     def zero_map_tol(self) -> float:
         return ZERO_MAP * self.global_scale
 
     def as_dict(self) -> dict:
         return {"svd_factor": SVD_FACTOR, "hom_rel": HOM_REL, "inv_rel": INV_REL,
                 "range_rel": RANGE_REL, "cluster_rel": CLUSTER_REL, "idem_rel": IDEM_REL,
-                "weight_floor": WEIGHT_FLOOR, "elim_gap": ELIM_GAP,
-                "identity_rel": IDENTITY_REL, "zero_map": ZERO_MAP,
+                "weight_floor": WEIGHT_FLOOR, "elim_gap": ELIM_GAP, "zero_map": ZERO_MAP,
                 "global_scale": self.global_scale}
 
 

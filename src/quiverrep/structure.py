@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 
 import numpy as np
 import scipy.linalg as sla
@@ -76,11 +75,6 @@ class AlgebraBasis:
         vec = matrix.reshape(-1)
         rows = self.basis.reshape(self.dimension, vec.size)
         return float(np.linalg.norm(vec - rows.T @ (rows.conj() @ vec)))
-
-    def contains_identity(self) -> bool:
-        eye = np.eye(self.ambient_dim, dtype=complex)
-        scale = max(1.0, float(np.sqrt(self.ambient_dim)))
-        return self.span_residual(eye) <= DEFAULT_TOL.identity_tol(scale)
 
 
 def _generators(rep: Representation) -> np.ndarray:
@@ -382,7 +376,7 @@ class SimpleResult:
 
     ``path`` names the step that decided it: "support" (a set of vertices no
     nonzero arrow map leaves), "norton" (Norton's test) or "spin" (the full
-    spin of the generated algebra, when the draws left the verdict open, or
+    spin of the generated algebra, when every Norton draw was redrawn, or
     when it fills M_d although a draw found a witness: both spins judge at
     ``restrict``'s bound, so they disagree only on a direction near it).
     ``algebra_dim`` and ``gap`` describe the generated algebra: on a simple
@@ -483,13 +477,14 @@ def _norton(rep: Representation, tol: Tolerances, seed: int
     least ``elim_gap`` and exactly d directions: a rank decision closer than
     that is one a rounding error in v or w can flip, and more than d
     directions mean the basis lost its orthogonality.  A draw with another
-    kernel dimension or a full spin that does not count is redrawn, up to
-    ``_MAX_TRIES`` draws.
+    kernel dimension, a full spin that does not count, or a proper spin whose
+    inclusions :func:`restrict` rejects is redrawn, up to ``_MAX_TRIES``
+    draws.
 
     Returns (witness, gap of its spin) when a spin is proper and its
     inclusions pass ``restrict``, and (None, the smaller gap of the two
     spins) when simple.  Returns None, leaving the verdict to the full spin,
-    when a proper spin gives no witness or every draw was redrawn.
+    when every draw was redrawn.
     """
     rng = np.random.default_rng(seed)
     d = rep.total_dim
@@ -512,13 +507,17 @@ def _norton(rep: Representation, tol: Tolerances, seed: int
         span, gap_v = spin(vh[-1].conj(), gens)
         if span.shape[0] < d:
             witness = _witness(rep, span, tol)
-            return None if witness is None else (witness, gap_v)
+            if witness is None:
+                continue
+            return witness, gap_v
         if rank != d - 1 or not counts_as_full(span, gap_v):
             continue
         span, gap_w = spin(u[:, -1], gens.conj().transpose(0, 2, 1))
         if span.shape[0] < d:
             witness = _witness(rep, span, tol, complement=True)
-            return None if witness is None else (witness, gap_w)
+            if witness is None:
+                continue
+            return witness, gap_w
         if counts_as_full(span, gap_w):
             return None, min(gap_v, gap_w)
     return None
@@ -749,55 +748,15 @@ def _idempotent_range(p: np.ndarray, tol: Tolerances) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # strongly irreducible operators
 
-def single_jordan_block_criterion(matrix: np.ndarray,
-                                  tol: Tolerances = DEFAULT_TOL) -> bool:
-    """One eigenvalue and geometric multiplicity one.
+def is_strongly_irreducible(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """No non-trivial pair of complementary (not necessarily orthogonal)
+    invariant subspaces; in finite dimension, exactly the single Jordan blocks,
+    that is, the operators whose one-loop representation is indecomposable.
 
-    With c the mean eigenvalue, N = A - cI must be nilpotent: the coefficient
-    of x^(n-j) in the characteristic polynomial of N, taken from the computed
-    eigenvalues, may be no larger than what their backward error
-    eta = ``svd_cutoff(n, n, ||A||)`` can put there, j binom(n, j) eta
-    ||N||^(j-1).  Then A - cI must have nullity one at the SVD cutoff.  The
-    two spectral norms and that nullity come from two singular value
-    decompositions.
+    Decided by that indecomposability verdict, :attr:`Analysis.indecomposable`.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] == 0:
         raise ValidationError("expected a nonempty square matrix")
-    n = matrix.shape[0]
-    eigs = np.linalg.eigvals(matrix)
-    center = complex(np.mean(eigs))
-    shifted = matrix - center * np.eye(n)
-
-    def cutoff_at(sigma_max):
-        return tol.svd_cutoff(n, n, sigma_max)
-
-    eta = _ranked_svd(matrix, cutoff_at, compute_uv=False)[4]
-    *_, shifted_norm, _, rank = _ranked_svd(shifted, cutoff_at, compute_uv=False)
-    j = np.arange(2, n + 1)
-    bound = j * np.array([comb(n, i) for i in j]) * eta * shifted_norm ** (j - 1)
-    if np.any(np.abs(np.poly(eigs - center)[2:]) > bound):
-        return False
-    return n - rank == 1
-
-
-def is_strongly_irreducible(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
-                            seed: int = 0) -> bool:
-    """No non-trivial pair of complementary (not necessarily orthogonal)
-    invariant subspaces; in finite dimension, exactly the single Jordan blocks.
-
-    Decided through indecomposability of the one-loop representation and
-    cross-checked against the direct single-Jordan-block criterion; a
-    disagreement raises NumericalFailure naming both verdicts.
-    """
-    direct = single_jordan_block_criterion(matrix, tol)  # validates the input
-    matrix = np.asarray(matrix, dtype=complex)
     rep = Representation(build_canonical("loop", 1), {"1": matrix.shape[0]}, {"a1": matrix})
-    via_rep = analyze(rep, tol, seed).indecomposable
-    if via_rep != direct:
-        raise NumericalFailure(
-            "strong-irreducibility cross-check disagreement: "
-            f"one-loop indecomposability says {via_rep}, "
-            f"single-Jordan-block criterion says {direct}"
-        )
-    return via_rep
+    return analyze(rep, tol).indecomposable

@@ -8,8 +8,12 @@ computed along a second, independent path.
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 import sympy as sp
+
+from quiverrep.numerics import DEFAULT_TOL, _ranked_svd
 
 
 def _exactify(x: complex):
@@ -68,6 +72,38 @@ def nilpotent_commutant_dim(block_sizes) -> int:
     """Commutant dimension of a nilpotent matrix with given Jordan block sizes:
     sum over block pairs of the smaller size."""
     return sum(min(bi, bj) for bi in block_sizes for bj in block_sizes)
+
+
+def single_jordan_block_criterion(matrix: np.ndarray) -> bool:
+    """One eigenvalue and geometric multiplicity one, read from the spectrum
+    rather than from End.
+
+    With c the mean eigenvalue, N = A - cI must be nilpotent: the coefficient
+    of x^(n-j) in the characteristic polynomial of N, taken from the computed
+    eigenvalues, may be no larger than what their backward error
+    eta = ``svd_cutoff(n, n, ||A||)`` can put there, j binom(n, j) eta
+    ||N||^(j-1).  Then A - cI must have nullity one at the SVD cutoff.
+
+    Weak where eigenvalues are close: the first-order bound grows with
+    ||A||^2, which a basis change inflates, so under a badly conditioned
+    basis two nearby eigenvalues read as one and two blocks as one block.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    n = matrix.shape[0]
+    eigs = np.linalg.eigvals(matrix)
+    center = complex(np.mean(eigs))
+    shifted = matrix - center * np.eye(n)
+
+    def cutoff_at(sigma_max):
+        return DEFAULT_TOL.svd_cutoff(n, n, sigma_max)
+
+    eta = _ranked_svd(matrix, cutoff_at, compute_uv=False)[4]
+    *_, shifted_norm, _, rank = _ranked_svd(shifted, cutoff_at, compute_uv=False)
+    j = np.arange(2, n + 1)
+    bound = j * np.array([comb(n, i) for i in j]) * eta * shifted_norm ** (j - 1)
+    if np.any(np.abs(np.poly(eigs - center)[2:]) > bound):
+        return False
+    return n - rank == 1
 
 
 def exact_generated_algebra_dim(generators: list[np.ndarray]) -> int:

@@ -16,7 +16,7 @@ from quiverrep import (KroneckerFamily, are_isomorphic, build_canonical,
                        is_canonically_simple, is_indecomposable, is_simple,
                        is_strongly_irreducible, is_transitive, jordan_block,
                        kronecker_rep, remove_loops, rep_to_system, shift,
-                       single_jordan_block_criterion, system_end, Representation)
+                       system_end, Representation)
 from quiverrep.intertwiner import hom_scale
 from quiverrep.operators import perturbation_model, perturbation_structure_residual
 from quiverrep.structure import star_closed_end_dim
@@ -24,7 +24,7 @@ from quiverrep.structure import star_closed_end_dim
 from helpers import (example6, example7, loop_rep, random_acyclic_quiver,
                      random_decomposable, random_quiver, random_rep,
                      two_subspace_rep)
-from oracles import nilpotent_commutant_dim
+from oracles import nilpotent_commutant_dim, single_jordan_block_criterion
 
 MIN_GAP = 1e3
 
@@ -95,7 +95,7 @@ def test_criterion_3_strong_irreducibility_correspondence():
     ]
     for matrix, expected in suite:
         direct = single_jordan_block_criterion(matrix)
-        via_loop = is_strongly_irreducible(matrix)  # cross-checks internally
+        via_loop = is_strongly_irreducible(matrix)  # the library verdict, from End alone
         via_loop_rep = is_indecomposable(loop_rep(matrix)).indecomposable
         kron = kronecker_rep(matrix, np.eye(matrix.shape[0], dtype=complex))
         via_kron = is_indecomposable(kron).indecomposable

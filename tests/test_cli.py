@@ -144,7 +144,7 @@ def test_analyze_report_pins_tolerances(capsys, scale):
     assert json.loads(out)["tolerances"] == {
         "svd_factor": 10.0, "hom_rel": 1e-8, "inv_rel": 1e-8, "range_rel": 1e-9,
         "cluster_rel": 1e-6, "idem_rel": 1e-6, "weight_floor": 1e-8, "elim_gap": 1e6,
-        "identity_rel": 1e-8, "zero_map": 1e-12, "global_scale": scale}
+        "zero_map": 1e-12, "global_scale": scale}
 
 
 def test_analyze_perturbation_not_transitive_and_flagged(capsys):

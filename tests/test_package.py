@@ -1,7 +1,9 @@
 import ast
+import re
 from pathlib import Path
 
 import quiverrep
+from quiverrep.numerics import DEFAULT_TOL
 
 SOURCES = {path.name: path.read_text()
            for path in sorted(Path(quiverrep.__file__).parent.glob("*.py"))}
@@ -80,3 +82,11 @@ def test_only_numerics_takes_a_cutoff_callable():
 
 def test_qr_only_reorthonormalises_the_eliminated_hom_basis():
     assert _calls("np.linalg.qr") == [("intertwiner.py", "_solve")]
+
+
+def test_readme_policy_table_lists_every_tolerance_constant():
+    # the scale is the one setting, described above the table, not a row of it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Numerical policy\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\|", section, flags=re.MULTILINE)
+    assert sorted(rows) == sorted(set(DEFAULT_TOL.as_dict()) - {"global_scale"})

@@ -3,14 +3,15 @@ draws the same examples."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverrep import (Arrow, KroneckerFamily, NumericalFailure, Quiver, Representation,
                        analyze, are_isomorphic, build_canonical, build_family, decompose,
                        direct_sum, end, end_recursion_check, from_operator, generated_algebra,
-                       hom, hrr_model, jordan_block, kronecker_rep, remove_loops, rep_to_system,
-                       restrict, system_end, system_to_rep)
+                       hom, hrr_model, is_strongly_irreducible, jordan_block, kronecker_rep,
+                       remove_loops, rep_to_system, restrict, system_end, system_to_rep)
 from quiverrep.intertwiner import _dense_hom, _spanning_forest
 from quiverrep.kronecker import FAMILY_KINDS
 from quiverrep.numerics import DEFAULT_TOL, random_complex
@@ -360,13 +361,18 @@ def _generic_loops(rng, d, loops):
     return _loops([random_complex(rng, (d, d)) for _ in range(loops)])
 
 
+def _basis_change(rng, d, log_cond):
+    """A random change of basis of condition number 10**log_cond."""
+    return _unitary(rng, d) @ np.diag(np.logspace(0, log_cond, d)) @ _unitary(rng, d)
+
+
 def _hidden_block_triangular_pair(rng, d, k, log_cond):
     """A generic pair fixing the span of the first k coordinates, under a
     change of basis of condition number 10**log_cond: not simple."""
     pair = [random_complex(rng, (d, d)) for _ in range(2)]
     for m in pair:
         m[k:, :k] = 0
-    change = _unitary(rng, d) @ np.diag(np.logspace(0, log_cond, d)) @ _unitary(rng, d)
+    change = _basis_change(rng, d, log_cond)
     return _loops([change @ m @ np.linalg.inv(change) for m in pair])
 
 
@@ -444,8 +450,17 @@ def test_every_spin_reads_hidden_block_triangular_pairs_at_restricts_bound(d, da
     for s in range(4):
         record = analyze(rep, seed=s).simplicity
         assert not record.simple
-        if record.witness is not None:
-            assert 0 < restrict(rep, record.witness).total_dim < d
+        assert record.witness is not None
+        assert 0 < restrict(rep, record.witness).total_dim < d
+
+
+def test_norton_redraws_when_restrict_rejects_a_proper_spin():
+    # the proper spins of the first two draws fail restrict and the third
+    # draw's adjoint spin passes, so Norton decides without the full spin
+    rep = _hidden_block_triangular_pair(np.random.default_rng(3), 10, 5, 3.0)
+    record = analyze(rep, seed=0).simplicity
+    assert (record.simple, record.path, record.algebra_dim) == (False, "norton", 75)
+    assert 0 < restrict(rep, record.witness).total_dim < 10
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -460,3 +475,33 @@ def test_support_check_matches_the_full_spin_on_kronecker_families(parts, seed):
     # wide(0) and tall(0) live on one vertex, which Norton decides
     live = sum(1 for k in rep.dims.values() if k)
     assert all(r.path == ("support" if live == 2 else "norton") for r in records)
+
+
+# -- strong irreducibility: one-loop indecomposability under a basis change ---
+
+def _conjugated_blocks(seed, blocks, log_cond):
+    """The Jordan matrix with the given (eigenvalue, size) blocks under a
+    change of basis of condition number 10**log_cond."""
+    rng = np.random.default_rng(seed)
+    n = sum(p for _, p in blocks)
+    jordan = sla.block_diag(*[jordan_block(lam, p) for lam, p in blocks]).astype(complex)
+    change = _basis_change(rng, n, log_cond)
+    return change @ jordan @ np.linalg.inv(change)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(p=st.integers(1, 3), q=st.integers(1, 3), lam=st.complex_numbers(max_magnitude=2.0),
+       log_cond=st.floats(2.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_close_jordan_pairs_under_a_basis_change_are_not_strongly_irreducible(p, q, lam,
+                                                                               log_cond, seed):
+    # eigenvalues 1e-5 apart: two blocks by construction, which End sees
+    mat = _conjugated_blocks(seed, [(lam, p), (lam + 1e-5, q)], log_cond)
+    assert is_strongly_irreducible(mat) is False
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(2, 8), lam=st.complex_numbers(max_magnitude=2.0),
+       log_cond=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_single_jordan_blocks_under_a_basis_change_are_strongly_irreducible(n, lam, log_cond,
+                                                                            seed):
+    assert is_strongly_irreducible(_conjugated_blocks(seed, [(lam, n)], log_cond)) is True
