@@ -163,10 +163,10 @@ def _parse_value(raw: str, kind: str) -> Any:
     raise ValidationError(f"unknown parameter kind {kind!r}")
 
 
-def parse_params(model: ModelSpec, pairs: list[str], gridded: bool = False,
-                 skip_required: frozenset[str] = frozenset()) -> dict:
-    """Parse key=value parameter pairs; with ``gridded`` numeric scalars may be
-    comma-separated lists (sweep grids)."""
+def parse_params(model: ModelSpec, pairs: list[str], sweep: bool = False) -> dict:
+    """Parse key=value parameter pairs.  With ``sweep`` numeric scalars may be
+    comma-separated lists (sweep grids) and ``N`` is not required, since it
+    comes from ``--n-range``."""
     out: dict[str, Any] = {}
     for pair in pairs or []:
         if "=" not in pair:
@@ -178,12 +178,12 @@ def parse_params(model: ModelSpec, pairs: list[str], gridded: bool = False,
                 f"expected {sorted(model.params)}"
             )
         spec = model.params[key]
-        if gridded and spec.kind in ("int", "float", "complex") and "," in raw:
+        if sweep and spec.kind in ("int", "float", "complex") and "," in raw:
             out[key] = [_parse_value(x, spec.kind) for x in raw.split(",") if x]
         else:
             out[key] = _parse_value(raw, spec.kind)
     for key, spec in model.params.items():
-        if key in out or key in skip_required:
+        if key in out or (sweep and key == "N"):
             continue
         if spec.required:
             raise ValidationError(f"model {model.name!r} requires parameter {key!r}")
@@ -436,7 +436,7 @@ def cmd_sweep(args, tol: Tolerances) -> int:
     spec = _model_spec(args.model)
     if "N" not in spec.params:
         raise ValidationError(f"model {args.model!r} has no truncation parameter to sweep")
-    params = parse_params(spec, args.param, gridded=True, skip_required=frozenset({"N"}))
+    params = parse_params(spec, args.param, sweep=True)
     if "N" in params:
         raise ValidationError("the truncation level comes from --n-range, not --param N=...")
     try:
@@ -594,6 +594,8 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
         tol = DEFAULT_TOL.rescaled(args.tol_scale)
         return COMMANDS[args.command](args, tol)
     except ValidationError as exc:

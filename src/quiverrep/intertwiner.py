@@ -35,15 +35,13 @@ class HomBasis:
     """Orthonormal basis of the space of intertwiners between two representations.
 
     ``stacks[v]`` holds the basis elements' blocks at vertex v, shape
-    (dimension, target.dims[v], source.dims[v]); iterating yields one vertex
+    (dimension, b.dims[v], a.dims[v]) for Hom(a, b); iterating yields one vertex
     tuple per element.  ``cutoff`` and ``gap`` are the evidence of the rank
     decision, taken on the system that ``path`` names ("forest" for the
     eliminated one, "dense" for one unknown matrix per vertex); ``unknowns``
     is that system's column count.
     """
 
-    source: Representation
-    target: Representation
     stacks: dict[str, np.ndarray]
     dimension: int
     cutoff: float
@@ -69,44 +67,6 @@ class _Step:
     leftover: tuple[str, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
-class _Forest:
-    """T_v = left[v] @ X @ right[v] for the unknown X of ``root[v]``; a root
-    has identity factors.  ``arrows`` are the eliminated arrows and
-    ``leftover`` the equations their eliminations leave (with no rows for a
-    square arrow)."""
-
-    root: dict[str, str]
-    left: dict[str, np.ndarray]
-    right: dict[str, np.ndarray]
-    arrows: frozenset[str]
-    leftover: tuple[tuple[str, np.ndarray, np.ndarray], ...]
-
-
-def _forest(a: Representation, b: Representation, incoming: dict[str, _Step]) -> _Forest:
-    """The factors of the forest whose steps are ``incoming``, which maps a
-    vertex to the one kept step into it.  With no steps every vertex is its
-    own root: the dense system."""
-    vertices = a.quiver.vertices
-    root = {v: v for v in vertices}
-    left = {v: np.eye(b.dims[v]) for v in vertices}
-    right = {v: np.eye(a.dims[v]) for v in vertices}
-
-    def settle(v):
-        # T_v = S_l T_parent S_r = (S_l L_parent) X (R_parent S_r)
-        if v in incoming and root[v] == v:
-            step = incoming[v]
-            settle(step.parent)
-            root[v] = root[step.parent]
-            left[v] = step.left @ left[step.parent]
-            right[v] = right[step.parent] @ step.right
-
-    for v in incoming:
-        settle(v)
-    return _Forest(root, left, right, frozenset(s.arrow for s in incoming.values()),
-                   tuple(s.leftover for s in incoming.values()))
-
-
 def _admits(m: np.ndarray, m_inv: np.ndarray, ratio: float, tol: Tolerances) -> bool:
     """Whether Hom eliminates through ``m``, of full rank at ``inv_tol``, with
     one-sided inverse ``m_inv`` and singular value ratio ``ratio``.
@@ -123,8 +83,10 @@ def _admits(m: np.ndarray, m_inv: np.ndarray, ratio: float, tol: Tolerances) -> 
     return max_entry(m @ m_inv - np.eye(len(m))) <= tol.elim_gap() * EPS
 
 
-def _spanning_forest(a: Representation, b: Representation, tol: Tolerances) -> _Forest:
-    """A spanning forest of the steps Hom(a, b) may eliminate through, by Kruskal.
+def _spanning_forest(a: Representation, b: Representation,
+                     tol: Tolerances) -> dict[str, _Step]:
+    """A spanning forest of the steps Hom(a, b) may eliminate through, by
+    Kruskal, as the map from each child vertex to the one kept step into it.
 
     An arrow src -> dst that is no loop, with maps f in ``a`` and g in ``b``,
     offers a step through a nonempty map that :func:`_admits`:
@@ -167,7 +129,7 @@ def _spanning_forest(a: Representation, b: Representation, tol: Tolerances) -> _
     for _, step in sorted(admitted, key=lambda item: -item[0]):
         if step.child not in incoming and root_of(step.parent) != step.child:
             incoming[step.child] = step
-    return _forest(a, b, incoming)
+    return incoming
 
 
 def hom_scale(a: Representation, b: Representation) -> float:
@@ -187,45 +149,58 @@ def intertwining_residual(a: Representation, b: Representation,
     return worst
 
 
-def _solve(a: Representation, b: Representation, tol: Tolerances, forest: _Forest) -> HomBasis:
-    """Hom(a, b) from the equations of the arrows ``forest`` did not
-    eliminate and the leftover of those it did, in its roots' unknowns.
-    Raises SizeLimitExceeded before the system is allocated when it has more
+def _solve(a: Representation, b: Representation, tol: Tolerances,
+           steps: dict[str, _Step]) -> HomBasis:
+    """Hom(a, b) eliminated along the forest whose kept ``steps`` map a vertex
+    to the step into it: T_v = left[v] @ X @ right[v] for the unknown X of
+    ``root[v]``, and the system is the equations of the arrows no step
+    eliminated and the leftover of those it did, in the roots' unknowns.
+    With no steps every vertex is its own root: the dense system.  Raises
+    SizeLimitExceeded before the system is allocated when it has more
     columns than :func:`numerics.check_unknowns` allows."""
-    path = "forest" if forest.arrows else "dense"
+    path = "forest" if steps else "dense"
     vertices = a.quiver.vertices
+    root = {v: v for v in vertices}
+    left = {v: np.eye(b.dims[v]) for v in vertices}
+    right = {v: np.eye(a.dims[v]) for v in vertices}
+
+    def settle(v):
+        # T_v = S_l T_parent S_r = (S_l L_parent) X (R_parent S_r)
+        if v in steps and root[v] == v:
+            step = steps[v]
+            settle(step.parent)
+            root[v] = root[step.parent]
+            left[v] = step.left @ left[step.parent]
+            right[v] = right[step.parent] @ step.right
+
+    for v in steps:
+        settle(v)
     offsets, n_unknowns = {}, 0
     for v in vertices:
-        if forest.root[v] == v:
+        if root[v] == v:
             offsets[v] = n_unknowns
             n_unknowns += a.dims[v] * b.dims[v]
     check_unknowns(f"{path} intertwiner system", n_unknowns)
-    # each equation is a sum of terms lhs T_v rhs, where None stands for an identity
-    equations = [((arr.dst, None, a.maps[arr.name]), (arr.src, -b.maps[arr.name], None))
-                 for arr in a.quiver.arrows if arr.name not in forest.arrows]
-    equations += [(term,) for term in forest.leftover]
-
-    def height(v, lhs, rhs):
-        return ((b.dims[v] if lhs is None else lhs.shape[0])
-                * (a.dims[v] if rhs is None else rhs.shape[1]))
-
-    rows = sum(height(*terms[0]) for terms in equations)
-    system = np.zeros((rows, n_unknowns), dtype=complex)
+    # each equation is a sum of terms lhs T_v rhs, all of the first's height
+    eliminated = {s.arrow for s in steps.values()}
+    equations = [((arr.dst, np.eye(b.dims[arr.dst]), a.maps[arr.name]),
+                  (arr.src, -b.maps[arr.name], np.eye(a.dims[arr.src])))
+                 for arr in a.quiver.arrows if arr.name not in eliminated]
+    equations += [(s.leftover,) for s in steps.values()]
+    heights = [lhs.shape[0] * rhs.shape[1] for (_, lhs, rhs), *_ in equations]
+    system = np.zeros((sum(heights), n_unknowns), dtype=complex)
     # the scale floors sigma_max in the cutoff: a loop system
     # kron(I, f^T) - kron(g, I) cancels to rounding noise when f = g is scalar
     scale = hom_scale(a, b)
     row = 0
     # an entry that overflows is reported by nullspace as a NumericalFailure
     with np.errstate(over="ignore", invalid="ignore"):
-        for terms in equations:
-            h = height(*terms[0])
+        for terms, h in zip(equations, heights):
             if h:
                 for v, lhs, rhs in terms:
                     # row-major vec: vec(lhs L X R rhs) = (lhs L (x) (R rhs)^T) vec(X)
-                    left = forest.left[v] if lhs is None else lhs @ forest.left[v]
-                    right = forest.right[v] if rhs is None else forest.right[v] @ rhs
-                    term = np.kron(left, right.T)
-                    c = offsets[forest.root[v]]
+                    term = np.kron(lhs @ left[v], (right[v] @ rhs).T)
+                    c = offsets[root[v]]
                     system[row:row + h, c:c + term.shape[1]] += term
                     scale = max(scale, max_entry(term))
             row += h
@@ -234,11 +209,11 @@ def _solve(a: Representation, b: Representation, tol: Tolerances, forest: _Fores
     k = null.dimension
     stacks = {}
     for v in vertices:
-        r = forest.root[v]
+        r = root[v]
         x = null.basis[:, offsets[r]:offsets[r] + a.dims[r] * b.dims[r]]
         x = x.reshape(k, b.dims[r], a.dims[r])
-        stacks[v] = x if v == r else forest.left[v] @ x @ forest.right[v]
-    if forest.arrows and k:
+        stacks[v] = x if v == r else left[v] @ x @ right[v]
+    if steps and k:
         # the lift is no longer orthonormal: one QR under the summed product
         q, _ = np.linalg.qr(np.hstack([stacks[v].reshape(k, -1) for v in vertices]).T)
         sizes = np.cumsum([a.dims[v] * b.dims[v] for v in vertices])[:-1]
@@ -247,7 +222,7 @@ def _solve(a: Representation, b: Representation, tol: Tolerances, forest: _Fores
     stacks = {v: np.ascontiguousarray(x) for v, x in stacks.items()}
     for x in stacks.values():
         x.flags.writeable = False  # iteration hands out views
-    return HomBasis(a, b, stacks, k, null.cutoff, null.gap, path, n_unknowns)
+    return HomBasis(stacks, k, null.cutoff, null.gap, path, n_unknowns)
 
 
 def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL) -> HomBasis:
@@ -267,9 +242,9 @@ def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL) -> 
     """
     if a.quiver != b.quiver:
         raise ValidationError("hom requires representations over the same quiver")
-    forest = _spanning_forest(a, b, tol)
-    if forest.arrows:
-        basis = _solve(a, b, tol, forest)
+    steps = _spanning_forest(a, b, tol)
+    if steps:
+        basis = _solve(a, b, tol, steps)
         tau = tol.hom_tol(hom_scale(a, b))
         if basis.gap >= tol.elim_gap() and intertwining_residual(a, b, basis.stacks) <= tau:
             return basis
@@ -278,7 +253,7 @@ def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL) -> 
 
 def _dense_hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL) -> HomBasis:
     """Hom(a, b) from the dense system, one unknown matrix per vertex."""
-    return _solve(a, b, tol, _forest(a, b, {}))
+    return _solve(a, b, tol, {})
 
 
 def end(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> HomBasis:

@@ -63,9 +63,16 @@ class Tolerances:
     global_scale: float = 1.0
 
     def rescaled(self, factor: float) -> "Tolerances":
+        """The policy with every threshold scaled by ``factor``.  Each constant
+        times the new scale, and the Gram cutoff ``cluster_tol(1)^2``, must
+        be a finite normal float, or a threshold underflows or overflows."""
         scale = self.global_scale * factor
-        if not (0 < factor < np.inf and 0 < scale < np.inf):
-            raise ValidationError(f"tolerance scale must be positive and finite, got {factor}")
+        cluster = CLUSTER_REL * scale
+        values = [c * scale for key, c in self.as_dict().items() if key != "global_scale"]
+        tiny = np.finfo(float).tiny
+        if not all(tiny <= x < np.inf for x in values + [cluster * cluster]):
+            raise ValidationError(f"tolerance scale must be positive and finite, and keep "
+                                  f"every threshold a normal float; got {factor}")
         return replace(self, global_scale=scale)
 
     def svd_cutoff(self, m: int, n: int, sigma_max: float) -> float:

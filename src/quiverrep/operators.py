@@ -124,7 +124,7 @@ def perturbation_structure_residual(n: int, basis: HomBasis) -> float:
 
 def hrr_max_truncation(lam: float, tol: Tolerances = DEFAULT_TOL) -> int:
     """Largest n with lam^n <= ln(1/weight_floor), i.e. no weight underflows."""
-    if lam <= 1:
+    if not lam > 1:
         raise ValidationError(f"the weight base must satisfy lam > 1, got {lam}")
     floor = min(tol.min_weight(), 0.5)
     budget = math.log(1.0 / floor)

@@ -120,21 +120,16 @@ def from_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Subspace
     """Four-subspace system attached to a single operator on C^k.
 
     On C^k (+) C^k: the two coordinate axes, the graph of the operator, and
-    the diagonal.  Its endomorphism algebra is isomorphic to the commutant of
-    the operator, and the system is indecomposable exactly when the operator
-    is strongly irreducible.
+    the diagonal, that is, :func:`rep_to_system` of :func:`remove_loops` of
+    the one-loop representation.  Its endomorphism algebra is isomorphic to
+    the commutant of the operator, and the system is indecomposable exactly
+    when the operator is strongly irreducible.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError("expected a square matrix")
-    k = matrix.shape[0]
-    eye = np.eye(k, dtype=complex)
-    zero = np.zeros((k, k), dtype=complex)
-    e1 = np.vstack([eye, zero])
-    e2 = np.vstack([zero, eye])
-    e3 = np.vstack([eye, matrix])
-    e4 = np.vstack([eye, eye])
-    return make_system(2 * k, [e1, e2, e3, e4], tol)
+    loop = Representation(build_canonical("loop", 1), {"1": len(matrix)}, {"a1": matrix})
+    return rep_to_system(remove_loops(loop, tol, check=False), tol, check=False)
 
 
 def system_to_rep(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL,

@@ -106,12 +106,26 @@ def test_analyze_unwritable_out_is_validation_error(tmp_path, capsys):
     assert "cannot write" in err and str(out) in err
 
 
-@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "1e-320", "1e-200", "1e200"])
 def test_tol_scale_must_be_positive_and_finite(capsys, scale):
     code, out, err = run_cli(capsys, "--tol-scale", scale, "analyze", "--model", "ex6")
     assert code == 2
     assert out == ""
     assert "tolerance scale must be positive and finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "--seed -1 analyze --model ex3 --param N=3",
+    "--seed -1 sweep ex9 --n-range 2:2",
+    "analyze --model hrr --param N=3 --param lam=nan",
+    "sweep hrr --n-range 1:2 --param lam=1.1,nan",
+])
+def test_bad_seed_or_nan_weight_base_is_validation_error(capsys, argv):
+    code, out, err = run_cli(capsys, *shlex.split(argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_analyze_records_seed_and_tolerances(capsys):

@@ -78,6 +78,20 @@ def test_from_operator_identity_graph_is_diagonal():
     assert np.allclose(e3 @ e3.conj().T, e4 @ e4.conj().T)
 
 
+def test_from_operator_is_the_axes_graph_and_diagonal():
+    mat = np.random.default_rng(0).standard_normal((3, 3))
+    eye, zero = np.eye(3), np.zeros((3, 3))
+    spans = [np.vstack(pair) for pair in ((eye, zero), (zero, eye), (eye, mat), (eye, eye))]
+    for inc, span in zip(from_operator(mat).inclusions, spans, strict=True):
+        q = np.linalg.qr(span)[0]
+        assert np.allclose(inc @ inc.conj().T, q @ q.T)
+
+
+def test_from_operator_rejects_non_finite_entries():
+    with pytest.raises(ValidationError, match="non-finite entries"):
+        from_operator(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
 def test_from_operator_end_is_commutant():
     assert system_end(from_operator(jordan_block(0.0, 2))).dimension == 2
     for mat, expect in [
