@@ -14,7 +14,7 @@ from .structure import (AlgebraBasis, Analysis, DecompositionTree, Indecomposabl
                         is_simple, is_strongly_irreducible, is_transitive,
                         radical_dimension, star_closed_end_dim)
 from .kronecker import (KroneckerFamily, KroneckerReduction, build_family,
-                        jordan_block, kronecker_rep, polynomial_model,
+                        jordan_block, kronecker_rep, loop_rep, polynomial_model,
                         reduce_invertible_first, reduce_pencil)
 from .operators import (CrossHomReport, HrrEndReport, SimilarityEvidence,
                         bilateral_shift, cross_model_hom, diagonal,
@@ -39,7 +39,7 @@ __all__ = [
     "is_strongly_irreducible", "is_transitive", "radical_dimension",
     "star_closed_end_dim",
     "KroneckerFamily", "KroneckerReduction", "build_family", "jordan_block",
-    "kronecker_rep", "polynomial_model", "reduce_invertible_first", "reduce_pencil",
+    "kronecker_rep", "loop_rep", "polynomial_model", "reduce_invertible_first", "reduce_pencil",
     "CrossHomReport", "HrrEndReport", "SimilarityEvidence",
     "shift", "bilateral_shift", "diagonal", "rank_one",
     "perturbation_model", "hrr_model", "hrr_max_truncation",

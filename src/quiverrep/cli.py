@@ -26,7 +26,7 @@ import numpy as np
 from . import document as doc
 from .errors import NumericalFailure, SizeLimitExceeded, ValidationError
 from .intertwiner import HomBasis, are_isomorphic, hom, hom_scale
-from .kronecker import KroneckerFamily, build_family
+from .kronecker import KroneckerFamily, build_family, loop_rep
 from .numerics import DEFAULT_TOL, Tolerances
 from .operators import (end_recursion_check, example_reps, hrr_max_truncation,
                         hrr_model, perturbation_model, perturbation_structure_residual)
@@ -54,8 +54,6 @@ class ModelSpec:
     name: str
     params: dict[str, ParamSpec]
     build: Callable[[dict, Tolerances], Representation]
-    finite_truncation: bool
-    doc: str
     sweep_cross: bool = False      # hom against another grid value of lam
     sweep_decompose: bool = False  # summand dimension column
     # largest admissible truncation level of a parameter cell; sweeps skip the rest
@@ -63,8 +61,15 @@ class ModelSpec:
     # End structure-check pass rate, the recursion_pass_rate column
     recursion: Callable[[Representation, dict, HomBasis, Tolerances], float] | None = None
 
+    @property
+    def finite_truncation(self) -> bool:
+        """Whether the model truncates an operator on infinite-dimensional
+        space, that is, has a truncation level ``N``."""
+        return "N" in self.params
+
 
 def _ex1(params: dict, _: Tolerances) -> Representation:
+    """Two subspaces of the plane at angle theta."""
     theta = params["theta"]
     q = build_canonical("two_inclusions")
     return Representation(
@@ -74,17 +79,13 @@ def _ex1(params: dict, _: Tolerances) -> Representation:
 
 
 def _ex6(*_) -> Representation:
-    q = build_canonical("loop", 2)
-    return Representation(q, {"1": 2},
-                          {"a1": np.array([[1, 0], [0, 0]], dtype=complex),
-                           "a2": np.array([[0, 1], [0, 0]], dtype=complex)})
+    """Two-loop (E11, E12): transitive, not simple."""
+    return loop_rep(np.array([[1, 0], [0, 0]]), np.array([[0, 1], [0, 0]]))
 
 
 def _ex7(*_) -> Representation:
-    q = build_canonical("loop", 2)
-    return Representation(q, {"1": 2},
-                          {"a1": np.array([[1, 0], [0, 0]], dtype=complex),
-                           "a2": np.ones((2, 2), dtype=complex)})
+    """Two-loop (E11, all-ones): transitive and simple."""
+    return loop_rep(np.array([[1, 0], [0, 0]]), np.ones((2, 2)))
 
 
 def _perturbation_recursion(rep: Representation, params: dict, basis: HomBasis,
@@ -93,58 +94,43 @@ def _perturbation_recursion(rep: Representation, params: dict, basis: HomBasis,
     return 1.0 if perturbation_structure_residual(params["N"], basis) <= tau else 0.0
 
 
-MODELS: dict[str, ModelSpec] = {}
-
-
-def _register(spec: ModelSpec) -> None:
-    MODELS[spec.name] = spec
-
-
-_register(ModelSpec("jordan_first", {"lam": ParamSpec("complex", 0.0), "n": ParamSpec("int", required=True)},
-                    lambda p, _: build_family(KroneckerFamily("jordan_first", p["n"], p["lam"])),
-                    False, "Kronecker family (lam I + J_n, I_n)"))
-_register(ModelSpec("jordan_second", {"lam": ParamSpec("complex", 0.0), "n": ParamSpec("int", required=True)},
-                    lambda p, _: build_family(KroneckerFamily("jordan_second", p["n"], p["lam"])),
-                    False, "Kronecker family (I_n, lam I + J_n)"))
-_register(ModelSpec("wide", {"n": ParamSpec("int", required=True)},
-                    lambda p, _: build_family(KroneckerFamily("wide", p["n"])),
-                    False, "Kronecker family dims (n+1, n), maps [I 0], [0 I]"))
-_register(ModelSpec("tall", {"n": ParamSpec("int", required=True)},
-                    lambda p, _: build_family(KroneckerFamily("tall", p["n"])),
-                    False, "Kronecker family dims (n, n+1), maps [I; 0], [0; I]"))
-_register(ModelSpec("perturbation",
-                    {"N": ParamSpec("int", required=True),
-                     "lam": ParamSpec("list"), "w": ParamSpec("list")},
-                    lambda p, _: perturbation_model(p["N"], p.get("lam"), p.get("w")),
-                    True, "rank-one-perturbed weighted shift Kronecker model",
-                    recursion=_perturbation_recursion))
-_register(ModelSpec("hrr", {"N": ParamSpec("int", required=True),
-                            "lam": ParamSpec("float", required=True)},
-                    lambda p, tol: hrr_model(p["N"], p["lam"], tol),
-                    True, "bilateral double-exponential-weight Kronecker model",
-                    sweep_cross=True,
-                    max_level=lambda p, tol: hrr_max_truncation(p["lam"], tol),
-                    recursion=lambda rep, p, basis, tol: end_recursion_check(
-                        rep, p["lam"], tol, basis).pass_rate))
-_register(ModelSpec("ex1", {"theta": ParamSpec("float", float(np.pi / 4))},
-                    _ex1, False, "two subspaces of the plane at angle theta"))
-_register(ModelSpec("ex2", {"N": ParamSpec("int", required=True)},
-                    lambda p, _: example_reps("ex2", p["N"]), True, "one-loop shift"))
-_register(ModelSpec("ex3", {"N": ParamSpec("int", required=True)},
-                    lambda p, _: example_reps("ex3", p["N"]), True, "two-loop (S, S*)"))
-_register(ModelSpec("ex4", {"N": ParamSpec("int", required=True)},
-                    lambda p, _: example_reps("ex4", p["N"]), True, "3-Kronecker (S, S*, I)"))
-_register(ModelSpec("ex6", {}, _ex6, False, "two-loop (E11, E12): transitive, not simple"))
-_register(ModelSpec("ex7", {}, _ex7, False, "two-loop (E11, all-ones): transitive and simple"))
-_register(ModelSpec("ex8", {"lam": ParamSpec("complex", 0.0), "N": ParamSpec("int", required=True)},
-                    lambda p, _: example_reps("ex8", p["N"], p["lam"]), True,
-                    "Kronecker (I, lam I + S)", sweep_cross=True))
-_register(ModelSpec("ex8s", {"lam": ParamSpec("complex", 0.0), "N": ParamSpec("int", required=True)},
-                    lambda p, _: example_reps("ex8*", p["N"], p["lam"]), True,
-                    "Kronecker (I, lam I + S*)", sweep_cross=True))
-_register(ModelSpec("ex9", {"N": ParamSpec("int", required=True)},
-                    lambda p, _: example_reps("ex9", p["N"]), True,
-                    "Kronecker (S, S*)", sweep_decompose=True))
+MODELS: dict[str, ModelSpec] = {spec.name: spec for spec in (
+    ModelSpec("jordan_first", {"lam": ParamSpec("complex", 0.0), "n": ParamSpec("int", required=True)},
+              lambda p, _: build_family(KroneckerFamily("jordan_first", p["n"], p["lam"]))),
+    ModelSpec("jordan_second", {"lam": ParamSpec("complex", 0.0), "n": ParamSpec("int", required=True)},
+              lambda p, _: build_family(KroneckerFamily("jordan_second", p["n"], p["lam"]))),
+    ModelSpec("wide", {"n": ParamSpec("int", required=True)},
+              lambda p, _: build_family(KroneckerFamily("wide", p["n"]))),
+    ModelSpec("tall", {"n": ParamSpec("int", required=True)},
+              lambda p, _: build_family(KroneckerFamily("tall", p["n"]))),
+    ModelSpec("perturbation",
+              {"N": ParamSpec("int", required=True),
+               "lam": ParamSpec("list"), "w": ParamSpec("list")},
+              lambda p, _: perturbation_model(p["N"], p.get("lam"), p.get("w")),
+              recursion=_perturbation_recursion),
+    ModelSpec("hrr", {"N": ParamSpec("int", required=True),
+                      "lam": ParamSpec("float", required=True)},
+              lambda p, tol: hrr_model(p["N"], p["lam"], tol),
+              sweep_cross=True,
+              max_level=lambda p, tol: hrr_max_truncation(p["lam"], tol),
+              recursion=lambda rep, p, basis, tol: end_recursion_check(
+                  rep, p["lam"], tol, basis).pass_rate),
+    ModelSpec("ex1", {"theta": ParamSpec("float", float(np.pi / 4))}, _ex1),
+    ModelSpec("ex2", {"N": ParamSpec("int", required=True)},
+              lambda p, _: example_reps("ex2", p["N"])),
+    ModelSpec("ex3", {"N": ParamSpec("int", required=True)},
+              lambda p, _: example_reps("ex3", p["N"])),
+    ModelSpec("ex4", {"N": ParamSpec("int", required=True)},
+              lambda p, _: example_reps("ex4", p["N"])),
+    ModelSpec("ex6", {}, _ex6),
+    ModelSpec("ex7", {}, _ex7),
+    ModelSpec("ex8", {"lam": ParamSpec("complex", 0.0), "N": ParamSpec("int", required=True)},
+              lambda p, _: example_reps("ex8", p["N"], p["lam"]), sweep_cross=True),
+    ModelSpec("ex8s", {"lam": ParamSpec("complex", 0.0), "N": ParamSpec("int", required=True)},
+              lambda p, _: example_reps("ex8*", p["N"], p["lam"]), sweep_cross=True),
+    ModelSpec("ex9", {"N": ParamSpec("int", required=True)},
+              lambda p, _: example_reps("ex9", p["N"]), sweep_decompose=True),
+)}
 
 
 def _parse_value(raw: str, kind: str) -> Any:
@@ -155,12 +141,10 @@ def _parse_value(raw: str, kind: str) -> Any:
             return float(raw)
         if kind == "complex":
             return complex(raw)
-        if kind == "list":
-            return [complex(x) if ("j" in x or "J" in x) else float(x)
-                    for x in raw.split(",") if x != ""]
+        return [complex(x) if ("j" in x or "J" in x) else float(x)  # "list"
+                for x in raw.split(",") if x != ""]
     except ValueError as exc:
         raise ValidationError(f"cannot parse {raw!r} as {kind}: {exc}") from None
-    raise ValidationError(f"unknown parameter kind {kind!r}")
 
 
 def parse_params(model: ModelSpec, pairs: list[str], sweep: bool = False) -> dict:
@@ -434,7 +418,7 @@ def _sweep_row(spec: ModelSpec, cell: dict, n: int, partner: dict | None,
 
 def cmd_sweep(args, tol: Tolerances) -> int:
     spec = _model_spec(args.model)
-    if "N" not in spec.params:
+    if not spec.finite_truncation:
         raise ValidationError(f"model {args.model!r} has no truncation parameter to sweep")
     params = parse_params(spec, args.param, sweep=True)
     if "N" in params:
@@ -503,7 +487,7 @@ def cmd_convert(args, tol: Tolerances) -> int:
         if kind != "operator":
             raise ValidationError("--operator-to-4system expects an operator document")
         matrix = doc.operator_from_json(data)
-        source = Representation(build_canonical("loop", 1), {"1": len(matrix)}, {"a1": matrix})
+        source = loop_rep(matrix)
         target = from_operator(matrix, tol)
         out_doc = doc.system_to_json(target)
     before, after = preserved_end(source, target, tol)

@@ -66,15 +66,27 @@ def build_family(family: KroneckerFamily) -> Representation:
     return Representation(q, dims, maps)
 
 
-def kronecker_rep(a: np.ndarray, b: np.ndarray) -> Representation:
-    """Kronecker-quiver representation with the two given square maps."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError("expected two square matrices of equal size")
-    n = a.shape[0]
-    return Representation(build_canonical("kronecker", 2), {"1": n, "2": n},
-                          {"a1": a, "a2": b})
+def _canonical_rep(kind: str, maps) -> Representation:
+    """The canonical ``kind`` quiver with arrow a{i+1} carrying ``maps[i]``;
+    every map is square, of one common size, and so is every vertex."""
+    maps = [np.asarray(m, dtype=complex) for m in maps]
+    shapes = {m.shape for m in maps}
+    if len(shapes) != 1 or maps[0].ndim != 2 or maps[0].shape[0] != maps[0].shape[1]:
+        raise ValidationError("expected one or more square matrices of equal size")
+    q = build_canonical(kind, len(maps))
+    return Representation(q, {v: maps[0].shape[0] for v in q.vertices},
+                          {f"a{i + 1}": m for i, m in enumerate(maps)})
+
+
+def loop_rep(*maps: np.ndarray) -> Representation:
+    """One-vertex representation with a loop for each given square map."""
+    return _canonical_rep("loop", maps)
+
+
+def kronecker_rep(*maps: np.ndarray) -> Representation:
+    """Kronecker-quiver representation with an arrow 1 -> 2 for each given
+    square map."""
+    return _canonical_rep("kronecker", maps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,12 +157,7 @@ def polynomial_model(t: np.ndarray, coeffs) -> Representation:
         raise ValidationError("need at least two coefficients (degree >= 1)")
     if coeffs[0] == 0:
         raise ValidationError("the constant coefficient must be nonzero")
-    size = t.shape[0]
-    q = build_canonical("kronecker", n + 1)
-    powers = [np.eye(size, dtype=complex)]
+    powers = [np.eye(t.shape[0], dtype=complex)]
     for _ in range(n):
         powers.append(powers[-1] @ t)
-    maps = {"a1": sum(c * p for c, p in zip(coeffs, powers))}
-    for k in range(1, n + 1):
-        maps[f"a{k + 1}"] = powers[k]
-    return Representation(q, {"1": size, "2": size}, maps)
+    return kronecker_rep(sum(c * p for c, p in zip(coeffs, powers)), *powers[1:])

@@ -63,16 +63,16 @@ class Tolerances:
     global_scale: float = 1.0
 
     def rescaled(self, factor: float) -> "Tolerances":
-        """The policy with every threshold scaled by ``factor``.  Each constant
-        times the new scale, and the Gram cutoff ``cluster_tol(1)^2``, must
-        be a finite normal float, or a threshold underflows or overflows."""
+        """The policy with every threshold scaled by ``factor``.  The SVD
+        cutoff may not fall below max(m, n)*eps*sigma_max, the SVD's own
+        rounding floor and numpy's rank default, so the scale is at least
+        1/SVD_FACTOR; and the Gram cutoff ``cluster_tol(1)^2`` must stay
+        finite (a product, since ``**`` raises on overflow)."""
         scale = self.global_scale * factor
         cluster = CLUSTER_REL * scale
-        values = [c * scale for key, c in self.as_dict().items() if key != "global_scale"]
-        tiny = np.finfo(float).tiny
-        if not all(tiny <= x < np.inf for x in values + [cluster * cluster]):
-            raise ValidationError(f"tolerance scale must be positive and finite, and keep "
-                                  f"every threshold a normal float; got {factor}")
+        if not (1 <= SVD_FACTOR * scale and cluster * cluster < np.inf):
+            raise ValidationError(f"tolerance scale must be positive and finite, keep the SVD "
+                                  f"cutoff above rounding and every threshold finite; got {factor}")
         return replace(self, global_scale=scale)
 
     def svd_cutoff(self, m: int, n: int, sigma_max: float) -> float:

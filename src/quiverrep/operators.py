@@ -19,9 +19,8 @@ import numpy as np
 from .errors import ValidationError
 from .intertwiner import HomBasis, end, hom, hom_scale
 from .numerics import DEFAULT_TOL, Tolerances, inverse
-from .quiver import build_canonical
 from .rep import Representation
-from .kronecker import kronecker_rep
+from .kronecker import kronecker_rep, loop_rep
 
 EXAMPLE_NAMES = ("ex2", "ex3", "ex4", "ex8", "ex8*", "ex9")
 
@@ -353,15 +352,11 @@ def example_reps(name: str, n: int, lam: complex = 0.0) -> Representation:
     s = shift(n)
     eye = np.eye(n, dtype=complex)
     if name == "ex2":
-        q = build_canonical("loop", 1)
-        return Representation(q, {"1": n}, {"a1": s})
+        return loop_rep(s)
     if name == "ex3":
-        q = build_canonical("loop", 2)
-        return Representation(q, {"1": n}, {"a1": s, "a2": s.conj().T})
+        return loop_rep(s, s.conj().T)
     if name == "ex4":
-        q = build_canonical("kronecker", 3)
-        return Representation(q, {"1": n, "2": n},
-                              {"a1": s, "a2": s.conj().T, "a3": eye})
+        return kronecker_rep(s, s.conj().T, eye)
     if name == "ex8":
         return kronecker_rep(eye, lam * eye + s)
     if name == "ex8*":

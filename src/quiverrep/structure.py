@@ -46,9 +46,9 @@ import scipy.linalg as sla
 
 from .errors import NumericalFailure, ValidationError
 from .intertwiner import HomBasis, end, intertwining_residual
+from .kronecker import loop_rep
 from .numerics import (DEFAULT_TOL, Tolerances, _ranked_svd, frob, gram_nullity, inverse,
                        numerical_rank, random_complex)
-from .quiver import build_canonical
 from .rep import Representation, restrict
 
 
@@ -639,9 +639,14 @@ class Analysis:
         implication, which only inconsistent rank decisions can do."""
         verdicts = {name: getattr(self, name) for name in (
             "indecomposable", "transitive", "simple", "canonically_simple", "irreducible")}
+        # simple => transitive is Schur's lemma (End is a division algebra over
+        # C, so C*I); transitive => irreducible as the star-closed core of End
+        # contains I
         for premise, conclusion in (("canonically_simple", "simple"),
                                     ("simple", "indecomposable"),
-                                    ("transitive", "indecomposable")):
+                                    ("transitive", "indecomposable"),
+                                    ("simple", "transitive"),
+                                    ("transitive", "irreducible")):
             if verdicts[premise] and not verdicts[conclusion]:
                 raise NumericalFailure(
                     f"implication violated: {premise.replace('_', ' ')} but not {conclusion}")
@@ -755,8 +760,4 @@ def is_strongly_irreducible(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -
 
     Decided by that indecomposability verdict, :attr:`Analysis.indecomposable`.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] == 0:
-        raise ValidationError("expected a nonempty square matrix")
-    rep = Representation(build_canonical("loop", 1), {"1": matrix.shape[0]}, {"a1": matrix})
-    return analyze(rep, tol).indecomposable
+    return analyze(loop_rep(matrix), tol).indecomposable

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import NumericalFailure, ValidationError
 from .intertwiner import end
+from .kronecker import loop_rep
 from .numerics import (DEFAULT_TOL, Tolerances, check_unknowns, inverse, nullspace,
                        numerical_rank, orthonormal_inclusion)
 from .quiver import Arrow, Quiver, build_canonical
@@ -125,11 +126,7 @@ def from_operator(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Subspace
     the commutant of the operator, and the system is indecomposable exactly
     when the operator is strongly irreducible.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValidationError("expected a square matrix")
-    loop = Representation(build_canonical("loop", 1), {"1": len(matrix)}, {"a1": matrix})
-    return rep_to_system(remove_loops(loop, tol, check=False), tol, check=False)
+    return rep_to_system(remove_loops(loop_rep(matrix), tol, check=False), tol, check=False)
 
 
 def system_to_rep(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL,

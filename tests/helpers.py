@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from quiverrep import (Arrow, Quiver, Representation, direct_sum, intertwining_residual,
-                       jordan_block)
+                       jordan_block, loop_rep)
 from quiverrep.numerics import random_complex
 
 
@@ -29,12 +29,6 @@ def example7() -> Representation:
     return Representation(q, {"1": 2},
                           {"a1": np.array([[1, 0], [0, 0]], dtype=complex),
                            "a2": np.ones((2, 2), dtype=complex)})
-
-
-def loop_rep(matrix: np.ndarray) -> Representation:
-    q = Quiver(("1",), (Arrow("a1", "1", "1"),))
-    matrix = np.asarray(matrix, dtype=complex)
-    return Representation(q, {"1": matrix.shape[0]}, {"a1": matrix})
 
 
 def random_quiver(rng: np.random.Generator, n_vertices: int | None = None,

@@ -106,7 +106,8 @@ def test_analyze_unwritable_out_is_validation_error(tmp_path, capsys):
     assert "cannot write" in err and str(out) in err
 
 
-@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "1e-320", "1e-200", "1e200"])
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "1e-320", "1e-200", "1e200",
+                                   "0.05", "0.01"])
 def test_tol_scale_must_be_positive_and_finite(capsys, scale):
     code, out, err = run_cli(capsys, "--tol-scale", scale, "analyze", "--model", "ex6")
     assert code == 2
@@ -442,6 +443,33 @@ def test_sweep_builder_uses_tol_scale(capsys):
 def test_sweep_bad_range(capsys):
     code, _, err = run_cli(capsys, "sweep", "perturbation", "--n-range", "x:y")
     assert code == 2
+
+
+def test_analyze_perturbation_list_parameters(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--model", "perturbation", "--param", "N=3",
+                             "--param", "lam=1,2,3", "--param", "w=1,1j,2")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["evidence"]["dim_end"] == 3
+    assert report["input"]["params"]["w"] == [1.0, [0.0, 1.0], 2.0]
+
+
+def test_analyze_perturbation_list_length_is_validation_error(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--model", "perturbation", "--param", "N=3",
+                             "--param", "lam=1,2")
+    assert code == 2
+    assert out == ""
+    assert "must each have 3 entries" in err
+
+
+def test_sweep_perturbation_list_parameter_is_one_cell(capsys):
+    code, out, err = run_cli(capsys, "sweep", "perturbation", "--n-range", "3:3",
+                             "--param", "lam=1,2,3")
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 1
+    assert int(rows[0]["dim_end"]) == 3
+    assert float(rows[0]["recursion_pass_rate"]) == 1.0
 
 
 # -- convert ---------------------------------------------------------------------

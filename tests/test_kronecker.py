@@ -7,8 +7,8 @@ import pytest
 from quiverrep import (KroneckerFamily, NumericalFailure, ValidationError, are_isomorphic,
                        build_family, end, intertwining_residual,
                        is_indecomposable, is_strongly_irreducible, is_transitive,
-                       jordan_block, polynomial_model, reduce_invertible_first,
-                       reduce_pencil, shift)
+                       jordan_block, kronecker_rep, loop_rep, polynomial_model,
+                       reduce_invertible_first, reduce_pencil, shift)
 from quiverrep.intertwiner import hom_scale
 from quiverrep.numerics import random_complex
 
@@ -183,3 +183,20 @@ def test_polynomial_model_validation():
         polynomial_model(jordan_block(0.0, 2), [0.0, 1.0])  # constant term zero
     with pytest.raises(ValidationError):
         polynomial_model(jordan_block(0.0, 2), [1.0])  # degree < 1
+
+
+def test_loop_and_kronecker_reps_carry_their_maps_in_order():
+    maps = [jordan_block(0.0, 2), np.eye(2), 2 * np.eye(2)]
+    loop, kron = loop_rep(*maps), kronecker_rep(*maps)
+    assert loop.dims == {"1": 2} and kron.dims == {"1": 2, "2": 2}
+    for rep in (loop, kron):
+        assert [a.name for a in rep.quiver.arrows] == ["a1", "a2", "a3"]
+        assert all(np.array_equal(rep.maps[f"a{i + 1}"], m) for i, m in enumerate(maps))
+
+
+@pytest.mark.parametrize("builder", [loop_rep, kronecker_rep])
+@pytest.mark.parametrize("maps", [(np.zeros((2, 3)),), (np.eye(2), np.eye(3)),
+                                  (np.eye(2), np.zeros(2)), ()])
+def test_canonical_builders_reject_non_square_or_mixed_maps(builder, maps):
+    with pytest.raises(ValidationError, match="square matrices of equal size"):
+        builder(*maps)

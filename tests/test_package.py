@@ -59,6 +59,15 @@ def test_no_spectral_norm_outside_numerics():
     assert _spectral_norms() <= {"numerics.py"}
 
 
+def test_only_kronecker_builds_loop_and_kronecker_quivers():
+    # loop_rep and kronecker_rep are the one builder of each canonical shape
+    hits = {module for module, text in SOURCES.items() for sub in ast.walk(ast.parse(text))
+            if isinstance(sub, ast.Call) and ast.unparse(sub.func) == "build_canonical"
+            and sub.args and isinstance(sub.args[0], ast.Constant)
+            and sub.args[0].value in ("loop", "kronecker")}
+    assert hits == {"kronecker.py"}
+
+
 def test_size_limit_lives_in_numerics():
     assert {module for module, text in SOURCES.items() if "MAX_UNKNOWNS" in text} \
         == {"numerics.py"}

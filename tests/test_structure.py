@@ -562,8 +562,9 @@ def test_close_exact_jordan_blocks_not_strongly_irreducible(mat):
 
 
 def test_strongly_irreducible_validates_input():
-    with pytest.raises(ValidationError):
-        is_strongly_irreducible(np.zeros((2, 3)))
+    for matrix in (np.zeros((2, 3)), np.zeros((0, 0))):
+        with pytest.raises(ValidationError):
+            is_strongly_irreducible(matrix)
 
 
 # -- proposition suites ------------------------------------------------------
@@ -626,3 +627,14 @@ def test_implication_chain_on_samples():
             assert indec
         if trans:
             assert indec
+        if simple:
+            assert trans
+        if trans:
+            assert is_irreducible(rep)
+
+
+def test_transitive_but_not_irreducible_is_numerical_failure(monkeypatch):
+    # a star-closed core of dimension 0 cannot hold I, whatever End holds
+    monkeypatch.setattr(structure, "star_closed_end_dim", lambda *args: 0)
+    with pytest.raises(NumericalFailure, match="transitive but not irreducible"):
+        analyze(example_reps("ex3", 3)).verdicts()
