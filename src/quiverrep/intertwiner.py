@@ -10,9 +10,12 @@ arrow's equation the one-sided inverse cannot see.  Hom eliminates along a
 spanning forest of such steps, so every vertex has T_v = L_v T_root R_v,
 and solves the remaining equations in the root unknowns only; the dense
 system, one unknown matrix per vertex, is the fallback when that answer
-fails its guards.  Unknowns are vectorized row-major; the numerical
-nullspace follows the package-wide SVD threshold policy and the returned
-basis is orthonormal under the entrywise inner product summed over vertices.
+fails its guards.  End of a Kronecker representation (f, g) reduced to
+(I, C = f^-1 g) is the commutant of C, which for a nonderogatory C is the
+polynomials in C and needs no system at all (:func:`end`).  Unknowns are
+vectorized row-major; the numerical nullspace follows the package-wide SVD
+threshold policy and the returned basis is orthonormal under the entrywise
+inner product summed over vertices.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import (DEFAULT_TOL, EPS, Tolerances, check_unknowns, inverse, is_invertible,
-                       max_entry, nullspace, random_complex)
+from .numerics import (DEFAULT_TOL, EPS, Tolerances, check_unknowns, frob, inverse,
+                       is_invertible, max_entry, nonderogatory_gap, nullspace, random_complex)
 from .rep import Representation
 
 # Random Hom elements tried by are_isomorphic before it answers probably_no.
@@ -38,8 +41,9 @@ class HomBasis:
     (dimension, b.dims[v], a.dims[v]) for Hom(a, b); iterating yields one vertex
     tuple per element.  ``cutoff`` and ``gap`` are the evidence of the rank
     decision, taken on the system that ``path`` names ("forest" for the
-    eliminated one, "dense" for one unknown matrix per vertex); ``unknowns``
-    is that system's column count.
+    eliminated one, "dense" for one unknown matrix per vertex, "krylov" for
+    :func:`end`'s commutant of one matrix, decided on its Hessenberg forms);
+    ``unknowns`` is that system's column count.
     """
 
     stacks: dict[str, np.ndarray]
@@ -150,15 +154,18 @@ def intertwining_residual(a: Representation, b: Representation,
 
 
 def _solve(a: Representation, b: Representation, tol: Tolerances,
-           steps: dict[str, _Step]) -> HomBasis:
+           steps: dict[str, _Step],
+           null: tuple[np.ndarray, float, float] | None = None) -> HomBasis:
     """Hom(a, b) eliminated along the forest whose kept ``steps`` map a vertex
     to the step into it: T_v = left[v] @ X @ right[v] for the unknown X of
     ``root[v]``, and the system is the equations of the arrows no step
     eliminated and the leftover of those it did, in the roots' unknowns.
     With no steps every vertex is its own root: the dense system.  Raises
     SizeLimitExceeded before the system is allocated when it has more
-    columns than :func:`numerics.check_unknowns` allows."""
-    path = "forest" if steps else "dense"
+    columns than :func:`numerics.check_unknowns` allows.  ``null``, when
+    given, is that system's nullspace found without building it, as (rows,
+    cutoff, gap): the Krylov basis of :func:`end`, and only the lift is done."""
+    path = "krylov" if null else "forest" if steps else "dense"
     vertices = a.quiver.vertices
     root = {v: v for v in vertices}
     left = {v: np.eye(b.dims[v]) for v in vertices}
@@ -180,37 +187,40 @@ def _solve(a: Representation, b: Representation, tol: Tolerances,
         if root[v] == v:
             offsets[v] = n_unknowns
             n_unknowns += a.dims[v] * b.dims[v]
-    check_unknowns(f"{path} intertwiner system", n_unknowns)
-    # each equation is a sum of terms lhs T_v rhs, all of the first's height
-    eliminated = {s.arrow for s in steps.values()}
-    equations = [((arr.dst, np.eye(b.dims[arr.dst]), a.maps[arr.name]),
-                  (arr.src, -b.maps[arr.name], np.eye(a.dims[arr.src])))
-                 for arr in a.quiver.arrows if arr.name not in eliminated]
-    equations += [(s.leftover,) for s in steps.values()]
-    heights = [lhs.shape[0] * rhs.shape[1] for (_, lhs, rhs), *_ in equations]
-    system = np.zeros((sum(heights), n_unknowns), dtype=complex)
-    # the scale floors sigma_max in the cutoff: a loop system
-    # kron(I, f^T) - kron(g, I) cancels to rounding noise when f = g is scalar
-    scale = hom_scale(a, b)
-    row = 0
-    # an entry that overflows is reported by nullspace as a NumericalFailure
-    with np.errstate(over="ignore", invalid="ignore"):
-        for terms, h in zip(equations, heights):
-            if h:
-                for v, lhs, rhs in terms:
-                    # row-major vec: vec(lhs L X R rhs) = (lhs L (x) (R rhs)^T) vec(X)
-                    term = np.kron(lhs @ left[v], (right[v] @ rhs).T)
-                    c = offsets[root[v]]
-                    system[row:row + h, c:c + term.shape[1]] += term
-                    scale = max(scale, max_entry(term))
-            row += h
+    if null is None:
+        check_unknowns(f"{path} intertwiner system", n_unknowns)
+        # each equation is a sum of terms lhs T_v rhs, all of the first's height
+        eliminated = {s.arrow for s in steps.values()}
+        equations = [((arr.dst, np.eye(b.dims[arr.dst]), a.maps[arr.name]),
+                      (arr.src, -b.maps[arr.name], np.eye(a.dims[arr.src])))
+                     for arr in a.quiver.arrows if arr.name not in eliminated]
+        equations += [(s.leftover,) for s in steps.values()]
+        heights = [lhs.shape[0] * rhs.shape[1] for (_, lhs, rhs), *_ in equations]
+        system = np.zeros((sum(heights), n_unknowns), dtype=complex)
+        # the scale floors sigma_max in the cutoff: a loop system
+        # kron(I, f^T) - kron(g, I) cancels to rounding noise when f = g is scalar
+        scale = hom_scale(a, b)
+        row = 0
+        # an entry that overflows is reported by nullspace as a NumericalFailure
+        with np.errstate(over="ignore", invalid="ignore"):
+            for terms, h in zip(equations, heights):
+                if h:
+                    for v, lhs, rhs in terms:
+                        # row-major vec: vec(lhs L X R rhs) = (lhs L (x) (R rhs)^T) vec(X)
+                        term = np.kron(lhs @ left[v], (right[v] @ rhs).T)
+                        c = offsets[root[v]]
+                        system[row:row + h, c:c + term.shape[1]] += term
+                        scale = max(scale, max_entry(term))
+                row += h
 
-    null = nullspace(system, tol, scale=scale)
-    k = null.dimension
+        found = nullspace(system, tol, scale=scale)
+        null = found.basis, found.cutoff, found.gap
+    rows, cutoff, gap = null
+    k = len(rows)
     stacks = {}
     for v in vertices:
         r = root[v]
-        x = null.basis[:, offsets[r]:offsets[r] + a.dims[r] * b.dims[r]]
+        x = rows[:, offsets[r]:offsets[r] + a.dims[r] * b.dims[r]]
         x = x.reshape(k, b.dims[r], a.dims[r])
         stacks[v] = x if v == r else left[v] @ x @ right[v]
     if steps and k:
@@ -222,7 +232,7 @@ def _solve(a: Representation, b: Representation, tol: Tolerances,
     stacks = {v: np.ascontiguousarray(x) for v, x in stacks.items()}
     for x in stacks.values():
         x.flags.writeable = False  # iteration hands out views
-    return HomBasis(stacks, k, null.cutoff, null.gap, path, n_unknowns)
+    return HomBasis(stacks, k, cutoff, gap, path, n_unknowns)
 
 
 def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL) -> HomBasis:
@@ -256,7 +266,85 @@ def _dense_hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_T
     return _solve(a, b, tol, {})
 
 
+def _commuted(rep: Representation, tol: Tolerances) -> tuple[_Step, np.ndarray] | None:
+    """For a Kronecker representation, two arrows f, g between two vertices
+    of one dimension, whose forest keeps the step T_2 = f T_1 f^-1: that
+    step and C = f^-1 g, whose commutant in T_1 is then End, or the reverse
+    step T_1 = f^-1 T_2 f and C = g f^-1, whose commutant in T_2 is.  Of
+    these similar matrices the one of smaller Frobenius norm is kept: it is
+    the nearer to normal (Henrici), and Arnoldi's rounding grows more slowly
+    in it.  None for every other input, and when C is not finite."""
+    arrows = rep.quiver.arrows
+    if (len(rep.quiver.vertices) != 2 or len(arrows) != 2
+            or len({(arr.src, arr.dst) for arr in arrows}) != 1 or arrows[0].src == arrows[0].dst
+            or rep.dims[arrows[0].src] != rep.dims[arrows[0].dst]):
+        return None
+    steps = _spanning_forest(rep, rep, tol)
+    if not steps:
+        return None
+    (step,) = steps.values()
+    (other,) = (arr for arr in arrows if arr.name != step.arrow)
+    g = rep.maps[other.name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, reverse = step.right @ g, g @ step.right
+    if frob(reverse) < frob(c):
+        # a square step leaves no equation, in either direction
+        step, c = _Step(step.arrow, step.child, step.parent, step.right, step.left,
+                        step.leftover), reverse
+    return (step, c) if np.isfinite(c).all() else None
+
+
+def _polynomials_in(c: np.ndarray, bound: float) -> np.ndarray | None:
+    """Orthonormal basis of span{I, C, ..., C^(n-1)} under the entrywise
+    product, as rows of row-major vecs, by Arnoldi: each element is C times
+    the last, projected off the others twice (classical Gram-Schmidt with
+    one reorthogonalization).  None as soon as an element's commutator
+    residual ||C T - T C||_F exceeds ``bound``: rounding grows by about
+    ||C|| / h per step, h the norm of the projected product."""
+    n = len(c)
+    rows = np.zeros((n, n * n), dtype=complex)
+    rows[0] = np.eye(n).reshape(-1) / np.sqrt(n)
+    for k in range(n):
+        t = rows[k].reshape(n, n)
+        w = c @ t
+        if not frob(w - t @ c) <= bound:
+            return None
+        if k + 1 < n:
+            w = w.reshape(-1)
+            for _ in range(2):
+                w = w - (rows[:k + 1].conj() @ w) @ rows[:k + 1]
+            rows[k + 1] = w / frob(w)
+    return rows
+
+
 def end(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> HomBasis:
+    """Orthonormal basis of End(rep) = Hom(rep, rep), as :func:`hom` solves
+    it, except for a Kronecker representation whose End is the commutant of
+    one matrix C (:func:`_commuted`).  When C is nonderogatory, decided by
+    :func:`numerics.nonderogatory_gap` at a gap of at least ``elim_gap``,
+    that commutant is the n polynomials in C (Gantmacher, Theory of
+    Matrices I, ch. VIII): I, C, ..., C^(n-1) orthonormalized by Arnoldi and
+    lifted by :func:`_solve`, with no n^2 x n^2 SVD.  That basis has path
+    "krylov", n^2 unknowns and the decision's cutoff and gap, and is kept
+    only when every element's intertwining residual is at most
+    ``hom_tol(hom_scale)``.  A reduced or borderline form, or a failed
+    guard, falls through to :func:`hom`.  The size limit is checked first,
+    on the forest's n^2 unknowns, so End refuses what the forest refuses.
+    """
+    commuted = _commuted(rep, tol)
+    if commuted is not None:
+        step, c = commuted
+        check_unknowns("krylov intertwiner system", c.size)
+        scale = hom_scale(rep, rep)
+        # the forest system's terms are f times C's, and the map scale floors its cutoff
+        _, cutoff, gap = nonderogatory_gap(c, tol, scale / max_entry(rep.maps[step.arrow]))
+        if gap >= tol.elim_gap():
+            tau = tol.hom_tol(scale)
+            rows = _polynomials_in(c, tau)
+            if rows is not None:
+                basis = _solve(rep, rep, tol, {step.child: step}, (rows, cutoff, gap))
+                if intertwining_residual(rep, rep, basis.stacks) <= tau:
+                    return basis
     return hom(rep, rep, tol)
 
 

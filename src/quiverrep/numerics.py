@@ -15,7 +15,9 @@ its own: an orthonormal complement, a one-sided inverse or a condition ratio
 comes from :func:`inverse`, an orthonormal range from
 :func:`orthonormal_inclusion` or :func:`_ranked_svd`, a pseudo-inverse from
 :func:`_pseudo_inverse` of its factors, and a rank or a spectral norm from
-:func:`_ranked_svd`.
+:func:`_ranked_svd`.  One decision reads no singular values: whether a
+matrix is nonderogatory, from the subdiagonals of its Hessenberg forms
+(:func:`nonderogatory_gap`), at the first cutoff with sigma_max its norm.
 
 A system with more than :data:`MAX_UNKNOWNS` columns is refused by
 :func:`check_unknowns` before it is allocated; tests patch the constant.
@@ -33,6 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import NumericalFailure, SizeLimitExceeded, ValidationError
 
@@ -228,6 +231,33 @@ def gram_nullity(gram: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     return k - _ranked_svd(gram, lambda s: max(tol.cluster_tol(1.0) ** 2 * s,
                                                tol.svd_cutoff(k, k, s)),
                            compute_uv=False)[-1]
+
+
+def nonderogatory_gap(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
+                      scale: float = 0.0) -> tuple[float, float, float]:
+    """Evidence that the square ``matrix`` C is nonderogatory: the smallest
+    subdiagonal of its Hessenberg form, the cutoff and their ratio, the gap.
+
+    C is nonderogatory exactly when some start vector is cyclic, that is when
+    the Hessenberg reduction from it is unreduced.  Two starts are tried, e1
+    and one fixed vector, and the form whose smallest subdiagonal is larger
+    is read.  That is a rank decision on the Krylov matrix, so it is taken at
+    the cutoff of the commutator system's rank, ``svd_cutoff(n^2, n^2, s)``
+    with s = ||C||_2 floored by ``scale`` as in :func:`nullspace`; n = 1 has
+    no subdiagonal, and its smallest is ``inf``.  Raises NumericalFailure
+    when C is not finite."""
+    n = matrix.shape[0]
+    *_, cutoff, _ = _ranked_svd(matrix, lambda s: tol.svd_cutoff(n * n, n * n, max(s, scale)),
+                                compute_uv=False)
+    # the Householder reflector H with H e1 parallel to the fixed start w
+    w = random_complex(np.random.default_rng(0), (n,))
+    w /= np.linalg.norm(w)
+    w[0] += np.exp(1j * np.angle(w[0]))
+    reflector = np.eye(n) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real
+    smallest = max(float(np.min(np.abs(np.diag(sla.hessenberg(c), -1)), initial=np.inf))
+                   for c in (matrix, reflector @ matrix @ reflector))
+    gap = smallest / cutoff if cutoff else (np.inf if smallest else 0.0)
+    return smallest, cutoff, gap
 
 
 def orthonormal_inclusion(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,

@@ -173,7 +173,7 @@ def test_analyze_perturbation_not_transitive_and_flagged(capsys):
 
 
 @pytest.mark.parametrize("model,params,path,unknowns", [
-    ("ex8", ["N=4", "lam=0.5"], "forest", 16), ("perturbation", ["N=5"], "forest", 25),
+    ("ex8", ["N=4", "lam=0.5"], "krylov", 16), ("perturbation", ["N=5"], "krylov", 25),
     ("ex9", ["N=4"], "dense", 32), ("ex3", ["N=4"], "dense", 16),
     ("tall", ["n=3"], "forest", 16), ("ex1", [], "forest", 4),
 ])

@@ -7,7 +7,8 @@ from quiverrep import (Arrow, KroneckerFamily, Quiver, SizeLimitExceeded, Valida
                        direct_sum, end, example_reps, hom, intertwining_residual,
                        jordan_block, kronecker_rep, perturbation_model, relatively_prime, Representation,
                        shift, zero_representation)
-from quiverrep.intertwiner import _dense_hom, _solve, _spanning_forest, hom_scale
+from quiverrep.intertwiner import (_commuted, _dense_hom, _polynomials_in, _solve,
+                                   _spanning_forest, hom_scale)
 from quiverrep.numerics import DEFAULT_TOL
 from quiverrep.numerics import random_complex
 
@@ -234,15 +235,44 @@ def _orthonormality_defect(rep_a, rep_b, basis):
     (build_family(KroneckerFamily("jordan_second", 3, 1.0)), 3),
 ])
 def test_end_eliminates_one_vertex_of_kronecker_models(rep, n):
+    # End of a two-arrow model is the polynomials in C = f^-1 g, with no
+    # system solved; ex4 has three arrows, so End takes the forest as Hom does
     basis = end(rep)
-    assert (basis.path, basis.unknowns) == ("forest", n * n)
+    assert (basis.path, basis.unknowns) == ("krylov" if len(rep.maps) == 2 else "forest", n * n)
+    forest = hom(rep, rep)
+    assert (forest.path, forest.unknowns) == ("forest", n * n)
     dense = _dense_hom(rep, rep)
     assert (dense.path, dense.unknowns) == ("dense", 2 * n * n)
-    assert basis.dimension == dense.dimension
-    assert basis.gap >= dense.gap / 100
-    assert _orthonormality_defect(rep, rep, basis) < 1e-12
-    for t in basis:
-        assert intertwining_residual(rep, rep, t) <= 1e-12 * max(hom_scale(rep, rep), 1.0)
+    assert basis.dimension == forest.dimension == dense.dimension
+    assert forest.gap >= dense.gap / 100
+    for b in (basis, forest):
+        assert _orthonormality_defect(rep, rep, b) < 1e-12
+        for t in b:
+            assert intertwining_residual(rep, rep, t) <= 1e-12 * max(hom_scale(rep, rep), 1.0)
+
+
+def test_end_reads_the_commutant_on_the_side_nearer_to_normal():
+    # perturbation (S, T): T^-1 S is far from normal, and Arnoldi's
+    # commutator residual on it exceeds the guard at n = 14; S T^-1 is
+    # diagonal, so End solves in T_2 and lifts to T_1
+    rep = perturbation_model(14)
+    step, c = _commuted(rep, DEFAULT_TOL)
+    assert (step.arrow, step.parent, step.child) == ("a2", "2", "1")
+    tau = DEFAULT_TOL.hom_tol(hom_scale(rep, rep))
+    assert _polynomials_in(np.linalg.solve(rep.maps["a2"], rep.maps["a1"]), tau) is None
+    assert _polynomials_in(c, tau).shape == (14, 196)
+    assert (end(rep).path, end(rep).dimension) == ("krylov", 14)
+
+
+def test_krylov_end_resolves_at_the_forest_systems_scale():
+    # C = 1e-20 J is one Jordan block, but against the map scale 1 of (I, C)
+    # it is rounding noise, where the forest reads all of M_3; with f scaled
+    # alike, both read the polynomials in C
+    for f, answer in ((np.eye(3), ("forest", 9)), (1e-20 * np.eye(3), ("krylov", 3))):
+        rep = kronecker_rep(f, 1e-20 * jordan_block(0.0, 3))
+        basis = end(rep)
+        assert (basis.path, basis.dimension) == answer
+        assert basis.dimension == hom(rep, rep).dimension
 
 
 def _scaled_one_sided(kind, n):
@@ -286,11 +316,15 @@ def test_hom_size_limit_bounds_the_system_solved(monkeypatch):
     monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 20)
     basis = hom(rep, rep)  # reduced 16, dense 32
     assert (basis.path, basis.unknowns, basis.dimension) == ("forest", 16, 4)
+    assert (end(rep).path, end(rep).unknowns) == ("krylov", 16)
     with pytest.raises(SizeLimitExceeded, match="dense"):
         hom(dense, dense)
     monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 15)
     with pytest.raises(SizeLimitExceeded, match="forest"):
         hom(rep, rep)
+    # End refuses what the forest refuses, before it reduces C
+    with pytest.raises(SizeLimitExceeded, match="krylov"):
+        end(rep)
 
 
 def test_forest_keeps_one_arrow_into_each_vertex():
@@ -347,7 +381,8 @@ def test_gap_guard_sends_a_cancelling_reduced_system_to_dense(log_cond, admitted
 def test_residual_guard_falls_back_to_dense(monkeypatch):
     import quiverrep.intertwiner as intertwiner
     rep = example_reps("ex8", 4, 0.5)
-    assert end(rep).path == "forest"
+    assert (end(rep).path, hom(rep, rep).path) == ("krylov", "forest")
+    # both fast paths fail the guard, so End falls through the forest to dense
     monkeypatch.setattr(intertwiner, "intertwining_residual", lambda *args: np.inf)
     basis = end(rep)
     assert (basis.path, basis.unknowns, basis.dimension) == ("dense", 32, 4)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from quiverrep.errors import NumericalFailure, ValidationError
-from quiverrep.numerics import (DEFAULT_TOL, gram_nullity, inverse, is_invertible, nullspace,
-                                numerical_rank, orthonormal_inclusion, random_complex)
+from quiverrep.numerics import (DEFAULT_TOL, gram_nullity, inverse, is_invertible,
+                                nonderogatory_gap, nullspace, numerical_rank,
+                                orthonormal_inclusion, random_complex)
 
 
 def planted_rank(rng, m, n, r, real=False):
@@ -217,3 +218,32 @@ def test_rank_only_decisions_match_full_svd(real, m, n, r):
 def test_numerical_rank_of_empty_shapes():
     for shape in [(0, 0), (3, 0), (0, 4)]:
         assert numerical_rank(np.zeros(shape, dtype=complex)) == 0
+
+
+def test_nonderogatory_gap_separates_one_block_from_two():
+    rng = np.random.default_rng(4)
+    change = np.linalg.qr(random_complex(rng, (5, 5)))[0]
+    block = np.eye(5, k=-1) + 0.5 * np.eye(5)
+    two = np.diag([0.5] * 5) + np.diag([1.0, 1.0, 0.0, 1.0], -1)  # J_3 + J_2 at 0.5
+    for matrix, nonderogatory in ((block, True), (two, False)):
+        hidden = change @ matrix @ change.conj().T
+        smallest, cutoff, gap = nonderogatory_gap(hidden)
+        assert cutoff == pytest.approx(DEFAULT_TOL.svd_cutoff(25, 25, np.linalg.norm(hidden, 2)))
+        assert gap == smallest / cutoff
+        assert (gap >= DEFAULT_TOL.elim_gap()) == nonderogatory
+
+
+def test_nonderogatory_gap_reads_the_better_of_two_starts():
+    # e1 is an eigenvector of a diagonal matrix, so its form is reduced; the
+    # fixed second start sees distinct eigenvalues
+    smallest, _, gap = nonderogatory_gap(np.diag([0.0, 1.0, 2.0, 3.0]))
+    assert smallest > 0.1 and gap >= DEFAULT_TOL.elim_gap()
+    # the scale floors the norm in the cutoff, as in nullspace
+    assert nonderogatory_gap(1e-20 * np.eye(4, k=-1), scale=1.0)[2] < 1.0
+
+
+def test_nonderogatory_gap_edge_cases():
+    assert nonderogatory_gap(np.zeros((1, 1))) == (np.inf, 0.0, np.inf)
+    assert nonderogatory_gap(np.zeros((3, 3)))[2] == 0.0
+    with pytest.raises(NumericalFailure, match="non-finite"):
+        nonderogatory_gap(np.array([[np.nan, 0.0], [1.0, 0.0]]))

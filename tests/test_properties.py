@@ -67,6 +67,10 @@ def test_real_jordan_types_give_the_exact_commutant(blocks, seed):
     basis = hom(rep, rep)
     assert basis.path == "forest"
     assert basis.dimension == _dense_hom(rep, rep).dimension == commutant
+    # End takes the polynomials in M exactly when M is nonderogatory
+    basis = end(rep)
+    assert basis.dimension == commutant
+    assert (basis.path == "krylov") == (commutant == mat.shape[0])
 
 
 def _cross_gap(first, second):
@@ -201,6 +205,50 @@ def test_forest_hom_matches_dense_and_exact_on_hidden_jordan_sums(first, second,
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
+@given(blocks=jordan_sums, size=st.integers(1, 3), second=st.booleans(),
+       log_cond=st.floats(0.0, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_end_of_a_derogatory_hidden_jordan_sum_never_takes_krylov(blocks, size, second,
+                                                                 log_cond, seed):
+    # a second block at the first block's eigenvalue makes C derogatory:
+    # every Hessenberg form of it is reduced, so End is never answered as
+    # the n polynomials in C
+    rep = _jordan_sum(blocks + [(blocks[0][0], size, second)])
+    rep = _hidden(rep, np.random.default_rng(seed), log_cond)
+    basis = end(rep)
+    assert basis.path != "krylov"
+    assert basis.dimension > rep.dims["1"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(p=st.integers(1, 3), q=st.integers(1, 3), lam=st.sampled_from([0.0, 1.0, -2.0, 1.5j]),
+       log_delta=st.floats(-10.0, -1.0), log_cond=st.floats(0.0, 3.0),
+       second=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_krylov_end_of_a_near_derogatory_pair_is_the_dense_answer(p, q, lam, log_delta,
+                                                                   log_cond, second, seed):
+    # J_p(lam) + J_q(lam + delta) is nonderogatory for every delta != 0, but
+    # near 0 its Hessenberg forms are nearly reduced; an End that takes the
+    # polynomials in C must be the dense system's answer.  The forest is no
+    # reference here: on one 1 + 1 pair it read 1, below the independent I, C
+    kind = "jordan_second" if second else "jordan_first"
+    pair = [KroneckerFamily(kind, p, lam), KroneckerFamily(kind, q, lam + 10.0 ** log_delta)]
+    rep = _hidden(_sum([build_family(f) for f in pair]), np.random.default_rng(seed), log_cond)
+    basis = end(rep)
+    if basis.path == "krylov":
+        assert basis.dimension == p + q == _dense_hom(rep, rep).dimension
+        assert basis.gap >= DEFAULT_TOL.elim_gap()
+        assert_stacked(rep, rep, basis)
+
+
+def test_end_of_a_hidden_pair_of_distinct_jordan_blocks_takes_krylov():
+    pair = [KroneckerFamily("jordan_first", 2, 1.0), KroneckerFamily("jordan_first", 1, 1.01)]
+    rep = _hidden(_sum([build_family(f) for f in pair]), np.random.default_rng(0), 1.0)
+    basis = end(rep)
+    assert (basis.path, basis.unknowns, basis.dimension) == ("krylov", 9, 3)
+    assert _dense_hom(rep, rep).dimension == 3
+    assert_stacked(rep, rep, basis)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
 @given(first=jordan_sums, second=jordan_sums, log_cond=st.floats(4.0, 8.0),
        seed=st.integers(0, 2**32 - 1))
 def test_ill_conditioned_hidden_jordan_sums_keep_an_exact_forest_or_go_dense(first, second,
@@ -321,9 +369,12 @@ def test_ill_conditioned_invertible_arrow_takes_forest_path():
     # a2 is nilpotent.  The diagonal inverse is exact per entry, so the
     # eliminated answer passes both guards
     rep = kronecker_rep(np.diag([1.0, 1e-5]), jordan_block(0.0, 2))
-    basis = end(rep)
+    basis = hom(rep, rep)
     assert (basis.path, basis.unknowns) == ("forest", 4)
     assert basis.dimension == exact_end_dim(rep) == 2
+    # C = diag(1, 1e5) J_2(0) is one nilpotent Jordan block
+    basis = end(rep)
+    assert (basis.path, basis.unknowns, basis.dimension) == ("krylov", 4, 2)
 
 
 def test_hidden_scalar_pencil_with_an_inaccurate_inverse_goes_dense():
@@ -342,11 +393,13 @@ def test_hrr_end_eliminates_through_its_double_exponential_arrow():
     # a1's sigma_min / sigma_max is 1.1e-7; End is the 2N + 1 polynomials
     # in the weighted shift, and every basis element meets the recursion
     rep = hrr_model(4, 2.0)
-    basis = end(rep)
-    assert (basis.path, basis.unknowns, basis.dimension) == ("forest", 81, 9)
-    report = end_recursion_check(rep, 2.0, basis=basis)
-    assert report.range_ratio == pytest.approx(1.1e-7, rel=0.05)
-    assert report.pass_rate == 1.0
+    forest, basis = hom(rep, rep), end(rep)
+    assert (forest.path, forest.unknowns, forest.dimension) == ("forest", 81, 9)
+    assert (basis.path, basis.unknowns, basis.dimension) == ("krylov", 81, 9)
+    for b in (forest, basis):
+        report = end_recursion_check(rep, 2.0, basis=b)
+        assert report.range_ratio == pytest.approx(1.1e-7, rel=0.05)
+        assert report.pass_rate == 1.0
     assert analyze(rep).star_dim == 1
 
 

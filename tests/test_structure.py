@@ -11,7 +11,7 @@ from quiverrep import (ValidationError, analyze, are_isomorphic,
                        direct_sum, end, example_reps, intertwining_residual,
                        is_canonically_simple, is_indecomposable, is_irreducible,
                        is_simple, is_strongly_irreducible, is_transitive,
-                       jordan_block, kronecker_rep, radical_dimension, restrict,
+                       jordan_block, kronecker_rep, perturbation_model, radical_dimension, restrict,
                        shift, diagonal, zero_representation, Arrow, Quiver, Representation)
 from quiverrep import NumericalFailure, intertwiner, structure
 from quiverrep.intertwiner import hom_scale
@@ -332,6 +332,25 @@ def test_example7_irreducible():
 def test_star_closed_dim_on_star_closed_end():
     rep = example_reps("ex3", 3)  # maps S, S*: End already star-closed
     assert star_closed_end_dim(rep) == end(rep).dimension
+
+
+def test_star_closed_core_of_random_perturbation_models_holds_the_identity():
+    # four draws of the kronecker-end recipe whose forest End basis gave a
+    # star-closed core of dimension 0, impossible since I = I* lies in it.
+    # Their End is now the polynomials in C; the misreading of forest and
+    # dense bases stays open
+    rng = np.random.default_rng(7)
+    draws = {}
+    for trial in range(21):
+        for n in (10, 14, 18):
+            lam = 1.0 + np.sort(rng.uniform(0.0, 1.0, n))
+            w = rng.uniform(0.2, 1.5, n) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, n))
+            draws[trial, n] = perturbation_model(n, lam, w)
+    for key in ((0, 18), (4, 14), (7, 18), (20, 10)):
+        result = analyze(draws[key])
+        assert (result.end_basis.path, result.end_basis.dimension) == ("krylov", key[1])
+        assert result.star_dim == 1
+        assert result.irreducible
 
 
 # -- decomposition -----------------------------------------------------------
