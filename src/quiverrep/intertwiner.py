@@ -10,9 +10,12 @@ arrow's equation the one-sided inverse cannot see.  Hom eliminates along a
 spanning forest of such steps, so every vertex has T_v = L_v T_root R_v,
 and solves the remaining equations in the root unknowns only; the dense
 system, one unknown matrix per vertex, is the fallback when that answer
-fails its guards.  End of a Kronecker representation (f, g) reduced to
-(I, C = f^-1 g) is the commutant of C, which for a nonderogatory C is the
-polynomials in C and needs no system at all (:func:`end`).  Unknowns are
+fails its guards.  When the forest of End has one root and its square steps
+leave equations X C = C X in the root's unknown, from a loop or from an
+arrow such as g of a Kronecker pair (f, g) reduced to (I, C = f^-1 g), End
+lies in the commutant of one such C; for a nonderogatory C that is the n
+polynomials in C, cut down by the other equations in n unknowns
+(:func:`end`).  Unknowns are
 vectorized row-major; the numerical nullspace follows the package-wide SVD
 threshold policy and the returned basis is orthonormal under the entrywise
 inner product summed over vertices.
@@ -27,6 +30,7 @@ import numpy as np
 from .errors import ValidationError
 from .numerics import (DEFAULT_TOL, EPS, Tolerances, check_unknowns, frob, inverse,
                        is_invertible, max_entry, nonderogatory_gap, nullspace, random_complex)
+from .quiver import Arrow
 from .rep import Representation
 
 # Random Hom elements tried by are_isomorphic before it answers probably_no.
@@ -42,8 +46,9 @@ class HomBasis:
     tuple per element.  ``cutoff`` and ``gap`` are the evidence of the rank
     decision, taken on the system that ``path`` names ("forest" for the
     eliminated one, "dense" for one unknown matrix per vertex, "krylov" for
-    :func:`end`'s commutant of one matrix, decided on its Hessenberg forms);
-    ``unknowns`` is that system's column count.
+    :func:`end`'s polynomials in one matrix, decided on its Hessenberg forms
+    and on the reduced system, whichever has the smaller gap); ``unknowns``
+    is that system's column count, for "krylov" the forest system's.
     """
 
     stacks: dict[str, np.ndarray]
@@ -153,19 +158,10 @@ def intertwining_residual(a: Representation, b: Representation,
     return worst
 
 
-def _solve(a: Representation, b: Representation, tol: Tolerances,
-           steps: dict[str, _Step],
-           null: tuple[np.ndarray, float, float] | None = None) -> HomBasis:
-    """Hom(a, b) eliminated along the forest whose kept ``steps`` map a vertex
-    to the step into it: T_v = left[v] @ X @ right[v] for the unknown X of
-    ``root[v]``, and the system is the equations of the arrows no step
-    eliminated and the leftover of those it did, in the roots' unknowns.
-    With no steps every vertex is its own root: the dense system.  Raises
-    SizeLimitExceeded before the system is allocated when it has more
-    columns than :func:`numerics.check_unknowns` allows.  ``null``, when
-    given, is that system's nullspace found without building it, as (rows,
-    cutoff, gap): the Krylov basis of :func:`end`, and only the lift is done."""
-    path = "krylov" if null else "forest" if steps else "dense"
+def _settled(a: Representation, b: Representation, steps: dict[str, _Step]
+             ) -> tuple[dict[str, str], dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """The forest of kept ``steps`` composed: each vertex's root, and left[v],
+    right[v] with T_v = left[v] @ T_root[v] @ right[v]."""
     vertices = a.quiver.vertices
     root = {v: v for v in vertices}
     left = {v: np.eye(b.dims[v]) for v in vertices}
@@ -182,6 +178,24 @@ def _solve(a: Representation, b: Representation, tol: Tolerances,
 
     for v in steps:
         settle(v)
+    return root, left, right
+
+
+def _solve(a: Representation, b: Representation, tol: Tolerances,
+           steps: dict[str, _Step],
+           null: tuple[np.ndarray, float, float] | None = None) -> HomBasis:
+    """Hom(a, b) eliminated along the forest whose kept ``steps`` map a vertex
+    to the step into it: T_v = left[v] @ X @ right[v] for the unknown X of
+    ``root[v]``, and the system is the equations of the arrows no step
+    eliminated and the leftover of those it did, in the roots' unknowns.
+    With no steps every vertex is its own root: the dense system.  Raises
+    SizeLimitExceeded before the system is allocated when it has more
+    columns than :func:`numerics.check_unknowns` allows.  ``null``, when
+    given, is that system's nullspace found without building it, as (rows,
+    cutoff, gap): the Krylov basis of :func:`end`, and only the lift is done."""
+    path = "krylov" if null else "forest" if steps else "dense"
+    vertices = a.quiver.vertices
+    root, left, right = _settled(a, b, steps)
     offsets, n_unknowns = {}, 0
     for v in vertices:
         if root[v] == v:
@@ -235,16 +249,18 @@ def _solve(a: Representation, b: Representation, tol: Tolerances,
     return HomBasis(stacks, k, cutoff, gap, path, n_unknowns)
 
 
-def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL) -> HomBasis:
+def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL, *,
+        steps: dict[str, _Step] | None = None) -> HomBasis:
     """Orthonormal basis of Hom(a, b).
 
     Solves by elimination along a spanning forest of square invertible and
-    one-sided isometric arrows (:func:`_spanning_forest`) when one exists.
-    Its answer is kept only when its nullspace gap is at least ``elim_gap``
-    and every basis element's intertwining residual is at most
-    ``hom_tol(hom_scale)``: the elimination's rounding error grows with its
-    inverses' backward errors, the cutoff does not.  These two guards alone
-    judge the answer; otherwise the dense system is solved.
+    one-sided isometric arrows (:func:`_spanning_forest`, or its kept
+    ``steps`` when the caller has them) when one exists.  Its answer is kept
+    only when its nullspace gap is at least ``elim_gap`` and every basis
+    element's intertwining residual is at most ``hom_tol(hom_scale)``: the
+    elimination's rounding error grows with its inverses' backward errors,
+    the cutoff does not.  These two guards alone judge the answer; otherwise
+    the dense system is solved.
 
     A degenerate system (no unknowns) yields a dimension-0 basis, not an
     error.  Raises SizeLimitExceeded when the system about to be solved has
@@ -252,7 +268,7 @@ def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL) -> 
     """
     if a.quiver != b.quiver:
         raise ValidationError("hom requires representations over the same quiver")
-    steps = _spanning_forest(a, b, tol)
+    steps = _spanning_forest(a, b, tol) if steps is None else steps
     if steps:
         basis = _solve(a, b, tol, steps)
         tau = tol.hom_tol(hom_scale(a, b))
@@ -264,34 +280,6 @@ def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL) -> 
 def _dense_hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL) -> HomBasis:
     """Hom(a, b) from the dense system, one unknown matrix per vertex."""
     return _solve(a, b, tol, {})
-
-
-def _commuted(rep: Representation, tol: Tolerances) -> tuple[_Step, np.ndarray] | None:
-    """For a Kronecker representation, two arrows f, g between two vertices
-    of one dimension, whose forest keeps the step T_2 = f T_1 f^-1: that
-    step and C = f^-1 g, whose commutant in T_1 is then End, or the reverse
-    step T_1 = f^-1 T_2 f and C = g f^-1, whose commutant in T_2 is.  Of
-    these similar matrices the one of smaller Frobenius norm is kept: it is
-    the nearer to normal (Henrici), and Arnoldi's rounding grows more slowly
-    in it.  None for every other input, and when C is not finite."""
-    arrows = rep.quiver.arrows
-    if (len(rep.quiver.vertices) != 2 or len(arrows) != 2
-            or len({(arr.src, arr.dst) for arr in arrows}) != 1 or arrows[0].src == arrows[0].dst
-            or rep.dims[arrows[0].src] != rep.dims[arrows[0].dst]):
-        return None
-    steps = _spanning_forest(rep, rep, tol)
-    if not steps:
-        return None
-    (step,) = steps.values()
-    (other,) = (arr for arr in arrows if arr.name != step.arrow)
-    g = rep.maps[other.name]
-    with np.errstate(over="ignore", invalid="ignore"):
-        c, reverse = step.right @ g, g @ step.right
-    if frob(reverse) < frob(c):
-        # a square step leaves no equation, in either direction
-        step, c = _Step(step.arrow, step.child, step.parent, step.right, step.left,
-                        step.leftover), reverse
-    return (step, c) if np.isfinite(c).all() else None
 
 
 def _polynomials_in(c: np.ndarray, bound: float) -> np.ndarray | None:
@@ -317,35 +305,103 @@ def _polynomials_in(c: np.ndarray, bound: float) -> np.ndarray | None:
     return rows
 
 
+def _rerooted(steps: dict[str, _Step], u: str) -> dict[str, _Step]:
+    """The forest of square End steps with the root of u's tree moved to u:
+    each step on the path from u up to the root runs the other way, T_parent
+    = right T_child left, since right = left^-1."""
+    steps = dict(steps)
+    step = steps.pop(u, None)
+    while step is not None:
+        above = steps.pop(step.parent, None)
+        steps[step.parent] = _Step(step.arrow, step.child, step.parent, step.right, step.left,
+                                   step.leftover)
+        step = above
+    return steps
+
+
+def _krylov_end(rep: Representation, tol: Tolerances, steps: dict[str, _Step]) -> HomBasis | None:
+    """End(rep) along a forest of square ``steps`` with one root, from the
+    equations it leaves, each of the form T_u C = C T_u; None when a guard
+    fails (:func:`end`).  Each arrow no step eliminated offers C at either
+    of its ends u (a loop at its one vertex), where C is similar to the
+    other end's; they are tried smallest ||C||_F first, the nearer to normal
+    (Henrici), in which Arnoldi's rounding grows more slowly."""
+    vertices = rep.quiver.vertices
+    n = rep.dims[vertices[0]] if vertices else 0
+    if not n or len(vertices) - len(steps) != 1 or any(rep.dims[v] != n for v in vertices):
+        return None
+    check_unknowns("krylov intertwiner system", n * n)
+    _, left, right = _settled(rep, rep, steps)
+
+    def frame(u: str, arr: Arrow) -> np.ndarray:
+        # T_v = (L_v R_u) T_u (L_u R_v) turns T_dst h = h T_src into T_u C = C T_u
+        c = rep.maps[arr.name]
+        if u != arr.dst:
+            c = left[u] @ right[arr.dst] @ c
+        if u != arr.src:
+            c = c @ left[arr.src] @ right[u]
+        return c
+
+    eliminated = {s.arrow for s in steps.values()}
+    equations = [arr for arr in rep.quiver.arrows if arr.name not in eliminated]
+    candidates = [(frame(u, arr), u, arr)
+                  for arr in equations for u in dict.fromkeys((arr.src, arr.dst))]
+    norms = [frob(c) for c, *_ in candidates]
+    if not np.isfinite(norms).all():
+        return None  # C, or its norm, overflows: hom reports it
+    scale = hom_scale(rep, rep)
+    for _, (c, u, arr) in sorted(zip(norms, candidates), key=lambda item: item[0]):
+        # the forest system's equation of arr is L_dst (X C - C X) R_src in
+        # the root's X, and the map scale floors its cutoff
+        floor = scale / (max_entry(left[arr.dst]) * max_entry(right[arr.src]))
+        _, cutoff, gap = nonderogatory_gap(c, tol, floor)
+        if gap >= tol.elim_gap():
+            break
+    else:
+        return None
+    tau = tol.hom_tol(scale)
+    powers = _polynomials_in(c, tau)
+    if powers is None:
+        return None
+    # [sum_k x_k P_k, D] = 0 for every other equation's D: n unknowns, not n^2
+    stack = powers.reshape(n, n, n)
+    others = [frame(u, other) for other in equations if other is not arr]
+    system = np.vstack([np.zeros((0, n))] + [(stack @ d - d @ stack).reshape(n, -1).T
+                                             for d in others])
+    if not np.isfinite(system).all():
+        return None
+    reduced = nullspace(system, tol, scale=scale)
+    if reduced.gap < tol.elim_gap():
+        return None
+    cutoff, gap = min((cutoff, gap), (reduced.cutoff, reduced.gap), key=lambda e: e[1])
+    basis = _solve(rep, rep, tol, _rerooted(steps, u), (reduced.basis @ powers, cutoff, gap))
+    return basis if intertwining_residual(rep, rep, basis.stacks) <= tau else None
+
+
 def end(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> HomBasis:
     """Orthonormal basis of End(rep) = Hom(rep, rep), as :func:`hom` solves
-    it, except for a Kronecker representation whose End is the commutant of
-    one matrix C (:func:`_commuted`).  When C is nonderogatory, decided by
-    :func:`numerics.nonderogatory_gap` at a gap of at least ``elim_gap``,
-    that commutant is the n polynomials in C (Gantmacher, Theory of
-    Matrices I, ch. VIII): I, C, ..., C^(n-1) orthonormalized by Arnoldi and
+    it, except where the forest has one root and its unknown X must commute
+    with some C (:func:`_krylov_end`): loops of a one-vertex quiver, and
+    arrows of equal dimension the forest does not eliminate.  When such a C
+    is nonderogatory, decided by :func:`numerics.nonderogatory_gap` at a gap
+    of at least ``elim_gap`` on the first C in that order that passes,
+    End lies in the n polynomials in C (Gantmacher, Theory of Matrices I,
+    ch. VIII): I, C, ..., C^(n-1) orthonormalized by Arnoldi, cut down by
+    the other commutators in an n^2 (k - 1) x n system solved at
+    ``hom_scale`` and kept only at a gap of at least ``elim_gap``, and
     lifted by :func:`_solve`, with no n^2 x n^2 SVD.  That basis has path
-    "krylov", n^2 unknowns and the decision's cutoff and gap, and is kept
-    only when every element's intertwining residual is at most
-    ``hom_tol(hom_scale)``.  A reduced or borderline form, or a failed
-    guard, falls through to :func:`hom`.  The size limit is checked first,
-    on the forest's n^2 unknowns, so End refuses what the forest refuses.
+    "krylov", n^2 unknowns and the cutoff and gap of the smaller of the two
+    decisions' gaps, and is kept only when every element's intertwining
+    residual is at most ``hom_tol(hom_scale)``.  Any failed guard falls
+    through to :func:`hom` on the same forest.  The size limit is checked
+    first, on the forest's n^2 unknowns, so End refuses what the forest
+    refuses.  No draw is made: End reads no seed.
     """
-    commuted = _commuted(rep, tol)
-    if commuted is not None:
-        step, c = commuted
-        check_unknowns("krylov intertwiner system", c.size)
-        scale = hom_scale(rep, rep)
-        # the forest system's terms are f times C's, and the map scale floors its cutoff
-        _, cutoff, gap = nonderogatory_gap(c, tol, scale / max_entry(rep.maps[step.arrow]))
-        if gap >= tol.elim_gap():
-            tau = tol.hom_tol(scale)
-            rows = _polynomials_in(c, tau)
-            if rows is not None:
-                basis = _solve(rep, rep, tol, {step.child: step}, (rows, cutoff, gap))
-                if intertwining_residual(rep, rep, basis.stacks) <= tau:
-                    return basis
-    return hom(rep, rep, tol)
+    steps = _spanning_forest(rep, rep, tol)
+    # an entry that overflows fails a guard here, and hom reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis = _krylov_end(rep, tol, steps)
+    return hom(rep, rep, tol, steps=steps) if basis is None else basis
 
 
 @dataclass(frozen=True, eq=False)

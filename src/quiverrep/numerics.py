@@ -32,6 +32,7 @@ see the same dtypes.  Rank-only decisions (:func:`numerical_rank`,
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -69,13 +70,14 @@ class Tolerances:
         """The policy with every threshold scaled by ``factor``.  The SVD
         cutoff may not fall below max(m, n)*eps*sigma_max, the SVD's own
         rounding floor and numpy's rank default, so the scale is at least
-        1/SVD_FACTOR; and the Gram cutoff ``cluster_tol(1)^2`` must stay
-        finite (a product, since ``**`` raises on overflow)."""
+        1/SVD_FACTOR; and the invertibility cutoff ``inv_tol(sigma_max)`` may
+        not exceed sigma_max, above which not even the identity is
+        invertible, so the scale is at most 1/INV_REL."""
         scale = self.global_scale * factor
-        cluster = CLUSTER_REL * scale
-        if not (1 <= SVD_FACTOR * scale and cluster * cluster < np.inf):
+        if not (1 <= SVD_FACTOR * scale and INV_REL * scale <= 1):
             raise ValidationError(f"tolerance scale must be positive and finite, keep the SVD "
-                                  f"cutoff above rounding and every threshold finite; got {factor}")
+                                  f"cutoff above rounding and the identity invertible; "
+                                  f"got {factor}")
         return replace(self, global_scale=scale)
 
     def svd_cutoff(self, m: int, n: int, sigma_max: float) -> float:
@@ -249,15 +251,23 @@ def nonderogatory_gap(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
     n = matrix.shape[0]
     *_, cutoff, _ = _ranked_svd(matrix, lambda s: tol.svd_cutoff(n * n, n * n, max(s, scale)),
                                 compute_uv=False)
-    # the Householder reflector H with H e1 parallel to the fixed start w
-    w = random_complex(np.random.default_rng(0), (n,))
-    w /= np.linalg.norm(w)
-    w[0] += np.exp(1j * np.angle(w[0]))
-    reflector = np.eye(n) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real
+    reflector = _reflector(n)
     smallest = max(float(np.min(np.abs(np.diag(sla.hessenberg(c), -1)), initial=np.inf))
                    for c in (matrix, reflector @ matrix @ reflector))
     gap = smallest / cutoff if cutoff else (np.inf if smallest else 0.0)
     return smallest, cutoff, gap
+
+
+@lru_cache(maxsize=64)
+def _reflector(n: int) -> np.ndarray:
+    """The Householder reflector H of order n with H e1 parallel to one
+    fixed start vector, the second start of :func:`nonderogatory_gap`."""
+    w = random_complex(np.random.default_rng(0), (n,))
+    w /= np.linalg.norm(w)
+    w[0] += np.exp(1j * np.angle(w[0]))
+    reflector = np.eye(n) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real
+    reflector.flags.writeable = False  # shared between calls
+    return reflector
 
 
 def orthonormal_inclusion(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,

@@ -11,12 +11,14 @@ import pytest
 
 import quiverrep.intertwiner
 import quiverrep.numerics
+import quiverrep.structure
 from quiverrep import (NumericalFailure, Representation, build_canonical, example_reps,
                        from_operator, generated_algebra, is_canonically_simple, is_indecomposable,
-                       is_irreducible, is_simple, is_transitive, jordan_block,
-                       kronecker_rep, system_to_rep)
+                       is_irreducible, is_simple, is_strongly_irreducible, is_transitive,
+                       jordan_block, kronecker_rep, system_to_rep)
 from quiverrep.cli import _build_parser, build_model, main
 from quiverrep.document import dumps, operator_to_json, rep_to_json
+from quiverrep.numerics import random_complex
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +117,18 @@ def test_tol_scale_must_be_positive_and_finite(capsys, scale):
     assert "tolerance scale must be positive and finite" in err
 
 
+@pytest.mark.parametrize("scale", ["1.0000001e8", "1e14", "1e20"])
+def test_tol_scale_above_the_invertibility_bound_is_validation_error(capsys, scale):
+    # above 1e8 the cutoff inv_rel * scale * sigma_max exceeds sigma_max, and
+    # not even the identity is invertible; 1e14 once read dim_end 9 for ex3
+    code, out, err = run_cli(capsys, "--tol-scale", scale, "analyze", "--model", "ex3",
+                             "--param", "N=3")
+    assert code == 2
+    assert out == ""
+    assert "tolerance scale must be positive and finite" in err
+    assert "identity invertible" in err
+
+
 @pytest.mark.parametrize("argv", [
     "--seed -1 analyze --model ex3 --param N=3",
     "--seed -1 sweep ex9 --n-range 2:2",
@@ -174,7 +188,7 @@ def test_analyze_perturbation_not_transitive_and_flagged(capsys):
 
 @pytest.mark.parametrize("model,params,path,unknowns", [
     ("ex8", ["N=4", "lam=0.5"], "krylov", 16), ("perturbation", ["N=5"], "krylov", 25),
-    ("ex9", ["N=4"], "dense", 32), ("ex3", ["N=4"], "dense", 16),
+    ("ex9", ["N=4"], "dense", 32), ("ex3", ["N=4"], "krylov", 16),
     ("tall", ["n=3"], "forest", 16), ("ex1", [], "forest", 4),
 ])
 def test_analyze_reports_the_end_path(capsys, model, params, path, unknowns):
@@ -183,6 +197,32 @@ def test_analyze_reports_the_end_path(capsys, model, params, path, unknowns):
     assert code == 0
     evidence = json.loads(out)["evidence"]
     assert (evidence["end_path"], evidence["end_unknowns"]) == (path, unknowns)
+
+
+def test_large_loop_inputs_keep_the_krylov_end(capsys, monkeypatch):
+    # a silent fall back to the dense 2d^2 x d^2 system (about 2.4 s for
+    # ex3 at d = 40) fails here rather than only in the benchmark
+    code, out, _ = run_cli(capsys, "analyze", "--model", "ex3", "--param", "N=40")
+    assert code == 0
+    evidence = json.loads(out)["evidence"]
+    assert (evidence["end_path"], evidence["end_unknowns"], evidence["dim_end"]) == \
+        ("krylov", 1600, 1)
+    # a single Jordan block of size 30 under a basis change of condition 10
+    rng = np.random.default_rng(0)
+    change = (np.linalg.qr(random_complex(rng, (30, 30)))[0] @ np.diag(np.logspace(0, 1, 30))
+              @ np.linalg.qr(random_complex(rng, (30, 30)))[0])
+    matrix = change @ jordan_block(0.5, 30) @ np.linalg.inv(change)
+    paths = []
+    original = quiverrep.structure.end
+
+    def recorded(*args, **kwargs):
+        basis = original(*args, **kwargs)
+        paths.append(basis.path)
+        return basis
+
+    monkeypatch.setattr(quiverrep.structure, "end", recorded)
+    assert is_strongly_irreducible(matrix) is True
+    assert paths == ["krylov"]
 
 
 @pytest.mark.parametrize("model,params,path,simple", [

@@ -5,10 +5,10 @@ import quiverrep.numerics
 from quiverrep import (Arrow, KroneckerFamily, Quiver, SizeLimitExceeded, ValidationError,
                        are_isomorphic, build_canonical, build_family, canonically_simple,
                        direct_sum, end, example_reps, hom, intertwining_residual,
-                       jordan_block, kronecker_rep, perturbation_model, relatively_prime, Representation,
-                       shift, zero_representation)
-from quiverrep.intertwiner import (_commuted, _dense_hom, _polynomials_in, _solve,
-                                   _spanning_forest, hom_scale)
+                       jordan_block, kronecker_rep, perturbation_model, polynomial_model,
+                       relatively_prime, Representation, shift, zero_representation)
+from quiverrep.intertwiner import (_dense_hom, _polynomials_in, _solve, _spanning_forest,
+                                   hom_scale)
 from quiverrep.numerics import DEFAULT_TOL
 from quiverrep.numerics import random_complex
 
@@ -233,12 +233,14 @@ def _orthonormality_defect(rep_a, rep_b, basis):
     (build_family(KroneckerFamily("jordan_first", 3, 2.0)), 3),
     (build_family(KroneckerFamily("jordan_second", 4, 0.0)), 4),
     (build_family(KroneckerFamily("jordan_second", 3, 1.0)), 3),
+    (polynomial_model(jordan_block(0.5, 5), [2.0, 1.0, 1.0]), 5),
 ])
 def test_end_eliminates_one_vertex_of_kronecker_models(rep, n):
     # End of a two-arrow model is the polynomials in C = f^-1 g, with no
-    # system solved; ex4 has three arrows, so End takes the forest as Hom does
+    # system solved; the third arrow of ex4 and of (p(T), T, T^2) cuts them
+    # down by one more commutator
     basis = end(rep)
-    assert (basis.path, basis.unknowns) == ("krylov" if len(rep.maps) == 2 else "forest", n * n)
+    assert (basis.path, basis.unknowns) == ("krylov", n * n)
     forest = hom(rep, rep)
     assert (forest.path, forest.unknowns) == ("forest", n * n)
     dense = _dense_hom(rep, rep)
@@ -252,15 +254,19 @@ def test_end_eliminates_one_vertex_of_kronecker_models(rep, n):
 
 
 def test_end_reads_the_commutant_on_the_side_nearer_to_normal():
-    # perturbation (S, T): T^-1 S is far from normal, and Arnoldi's
-    # commutator residual on it exceeds the guard at n = 14; S T^-1 is
-    # diagonal, so End solves in T_2 and lifts to T_1
+    # perturbation (S, T): the forest keeps T_2 = T T_1 T^-1, so S offers
+    # T^-1 S in T_1 and S T^-1 in T_2.  T^-1 S is far from normal, and
+    # Arnoldi's commutator residual on it exceeds the guard at n = 14; S T^-1
+    # is diagonal and of smaller norm, so End solves in T_2 and lifts to T_1
     rep = perturbation_model(14)
-    step, c = _commuted(rep, DEFAULT_TOL)
-    assert (step.arrow, step.parent, step.child) == ("a2", "2", "1")
+    (step,) = _spanning_forest(rep, rep, DEFAULT_TOL).values()
+    assert (step.arrow, step.parent, step.child) == ("a2", "1", "2")
+    s, t = rep.maps["a1"], rep.maps["a2"]
+    first, second = np.linalg.solve(t, s), s @ np.linalg.inv(t)
+    assert np.linalg.norm(second) < np.linalg.norm(first)
     tau = DEFAULT_TOL.hom_tol(hom_scale(rep, rep))
-    assert _polynomials_in(np.linalg.solve(rep.maps["a2"], rep.maps["a1"]), tau) is None
-    assert _polynomials_in(c, tau).shape == (14, 196)
+    assert _polynomials_in(first, tau) is None
+    assert _polynomials_in(second, tau).shape == (14, 196)
     assert (end(rep).path, end(rep).dimension) == ("krylov", 14)
 
 
@@ -287,12 +293,29 @@ def _scaled_one_sided(kind, n):
 
 @pytest.mark.parametrize("rep", [
     _scaled_one_sided("wide", 4), _scaled_one_sided("tall", 4),
-    example_reps("ex2", 4), example_reps("ex3", 4), loop_rep(np.eye(3)),
+    # derogatory loops: a repeated eigenvalue in every loop leaves End larger
+    # than the polynomials in any one of them; for the scalar loop it is M_3
+    loop_rep(np.diag([1.0, 1.0, 2.0])),
+    loop_rep(np.diag([1.0, 1.0, 2.0]), np.diag([3.0, 3.0, 1.0])),
+    loop_rep(np.eye(3)),
 ])
 def test_end_without_an_admissible_arrow_is_dense(rep):
     basis = end(rep)
     assert basis.path == "dense"
     assert basis.unknowns == sum(d * d for d in rep.dims.values())
+
+
+@pytest.mark.parametrize("name, dim_end", [("ex2", 4), ("ex3", 1)])
+def test_end_of_a_shift_loop_takes_krylov(name, dim_end):
+    # one vertex, no forest: End is the commutant of the shift S, a single
+    # nilpotent Jordan block, so the polynomials in S; ex3 cuts them down
+    # by [P(S), S^*] = 0 to the scalars
+    rep = example_reps(name, 4)
+    basis = end(rep)
+    assert (basis.path, basis.unknowns, basis.dimension) == ("krylov", 16, dim_end)
+    assert basis.dimension == _dense_hom(rep, rep).dimension
+    assert basis.gap >= DEFAULT_TOL.elim_gap()
+    assert_stacked(rep, rep, basis)
 
 
 @pytest.mark.parametrize("kind", ["wide", "tall"])

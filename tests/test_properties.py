@@ -11,7 +11,7 @@ from quiverrep import (Arrow, KroneckerFamily, NumericalFailure, Quiver, Represe
                        analyze, are_isomorphic, build_canonical, build_family, decompose,
                        direct_sum, end, end_recursion_check, from_operator, generated_algebra,
                        hom, hrr_model, is_strongly_irreducible, jordan_block, kronecker_rep,
-                       remove_loops, rep_to_system, restrict, system_end, system_to_rep)
+                       remove_loops, rep_to_system, restrict, shift, system_end, system_to_rep)
 from quiverrep.intertwiner import _dense_hom, _spanning_forest
 from quiverrep.kronecker import FAMILY_KINDS
 from quiverrep.numerics import DEFAULT_TOL, random_complex
@@ -211,12 +211,20 @@ def test_end_of_a_derogatory_hidden_jordan_sum_never_takes_krylov(blocks, size, 
                                                                  log_cond, seed):
     # a second block at the first block's eigenvalue makes C derogatory:
     # every Hessenberg form of it is reduced, so End is never answered as
-    # the n polynomials in C
-    rep = _jordan_sum(blocks + [(blocks[0][0], size, second)])
-    rep = _hidden(rep, np.random.default_rng(seed), log_cond)
+    # the n polynomials in C, of a pencil or of a loop
+    rng = np.random.default_rng(seed)
+    blocks = blocks + [(blocks[0][0], size, second)]
+    rep = _hidden(_jordan_sum(blocks), rng, log_cond)
     basis = end(rep)
     assert basis.path != "krylov"
     assert basis.dimension > rep.dims["1"]
+    # the same Jordan type as one loop, the infinite eigenvalue read as 0
+    jordan = sla.block_diag(*[jordan_block(0.0 if lam == np.inf else lam, p)
+                              for lam, p, _ in blocks])
+    loop = _hidden(loop_rep(jordan), rng, log_cond)
+    basis = end(loop)
+    assert basis.path != "krylov"
+    assert basis.dimension > loop.dims["1"]
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -558,3 +566,94 @@ def test_close_jordan_pairs_under_a_basis_change_are_not_strongly_irreducible(p,
 def test_single_jordan_blocks_under_a_basis_change_are_strongly_irreducible(n, lam, log_cond,
                                                                             seed):
     assert is_strongly_irreducible(_conjugated_blocks(seed, [(lam, n)], log_cond)) is True
+
+
+# -- End of loop pairs and pencils: the polynomials in one loop, cut down ------
+
+def _entries(rng, d):
+    """A d x d matrix: integer entries in [-2, 2] up to d = 4, where the
+    exact oracle runs, Gaussian complex ones above."""
+    return rng.integers(-2, 3, (d, d)).astype(complex) if d <= 4 else random_complex(rng, (d, d))
+
+
+def _loop_pair(rng, kind, d):
+    """A pair of d x d loops of one of four kinds: generic; (A, A^2 + 2A),
+    whose End is poly(A); block triangular under a basis change of condition
+    10^2; ex3's (S, S^*) with the first loop shifted by an integer."""
+    if kind == "generic":
+        return _entries(rng, d), _entries(rng, d)
+    if kind == "polynomial":
+        a = _entries(rng, d)
+        return a, a @ a + 2 * a
+    if kind == "triangular":
+        return tuple(_hidden_block_triangular_pair(rng, d, int(rng.integers(1, d)), 2.0)
+                     .maps.values())
+    s = shift(d)
+    return s + int(rng.integers(-2, 3)) * np.eye(d), s.conj().T
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(kind=st.sampled_from(["generic", "polynomial", "triangular", "shifted ex3"]),
+       d=st.integers(3, 11), pencil=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_krylov_end_of_loop_pairs_and_pencils_is_the_dense_answer(kind, d, pencil, seed):
+    # as a pencil, (P, P A, P B) on the 3-arrow Kronecker quiver, whose End
+    # is the commutant of A and B; P = I + N with N strictly upper
+    # triangular and integer, so P A and P B stay exact
+    rng = np.random.default_rng(seed)
+    a, b = _loop_pair(rng, kind, d)
+    if pencil:
+        p = np.eye(d) + np.triu(rng.integers(-1, 2, (d, d)), 1)
+        rep = kronecker_rep(p, p @ a, p @ b)
+    else:
+        rep = loop_rep(a, b)
+    basis = end(rep)
+    if basis.path == "krylov":
+        assert basis.unknowns == d * d
+        assert basis.dimension == _dense_hom(rep, rep).dimension
+        assert basis.gap >= DEFAULT_TOL.elim_gap()
+        assert_stacked(rep, rep, basis)
+        if d <= 4 and kind != "triangular":
+            assert basis.dimension == exact_end_dim(rep)
+
+
+def test_krylov_end_declines_a_reduced_system_without_a_gap():
+    # (A^2 + 2A, c A) with c large enough that A^2 + 2A is the smaller loop:
+    # it is nonderogatory, but A is a badly conditioned polynomial in it, and
+    # [P_k, A] = 0 on its Arnoldi basis P reads nullity 9 at a gap of about
+    # 1e2.  End is poly(A), of dimension 10; the reduced system's gap guard
+    # sends it to the dense system
+    rng = np.random.default_rng(0)
+    a = random_complex(rng, (10, 10))
+    b = a @ a + 2 * a
+    rep = loop_rep(b, 10 * np.linalg.norm(b) / np.linalg.norm(a) * a)
+    basis = end(rep)
+    assert (basis.path, basis.dimension) == ("dense", 10)
+    # with A the smaller loop, its polynomials are End and nothing cuts them
+    basis = end(loop_rep(a, b))
+    assert (basis.path, basis.unknowns, basis.dimension) == ("krylov", 100, 10)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(2, 5), parents=st.lists(st.tuples(st.integers(0, 3), st.booleans()),
+                                             min_size=1, max_size=3),
+       extra=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_krylov_end_on_trees_of_invertible_arrows_is_the_dense_answer(n, parents, extra, seed):
+    # a tree of invertible arrows in either direction, so the commutators
+    # sit at vertices other than the root and End may re-root there; extra
+    # arrows and loops anywhere on it
+    rng = np.random.default_rng(seed)
+    vertices = tuple(str(i + 1) for i in range(len(parents) + 1))
+    arrows = []
+    for i, (j, forward) in enumerate(parents, start=1):
+        ends = (vertices[j % i], vertices[i])
+        arrows.append(Arrow(f"t{i}", *(ends if forward else ends[::-1])))
+    arrows += [Arrow(f"x{k}", vertices[a % len(vertices)], vertices[b % len(vertices)])
+               for k, (a, b) in enumerate(extra)]
+    maps = {arr.name: random_complex(rng, (n, n)) + (2.0 * np.eye(n) if arr.name[0] == "t" else 0)
+            for arr in arrows}
+    rep = Representation(Quiver(vertices, tuple(arrows)), {v: n for v in vertices}, maps)
+    basis = end(rep)
+    if basis.path == "krylov":
+        assert basis.dimension == _dense_hom(rep, rep).dimension
+        assert_stacked(rep, rep, basis)

@@ -13,7 +13,7 @@ from quiverrep import (ValidationError, analyze, are_isomorphic,
                        is_simple, is_strongly_irreducible, is_transitive,
                        jordan_block, kronecker_rep, perturbation_model, radical_dimension, restrict,
                        shift, diagonal, zero_representation, Arrow, Quiver, Representation)
-from quiverrep import NumericalFailure, intertwiner, structure
+from quiverrep import NumericalFailure, structure
 from quiverrep.intertwiner import hom_scale
 from quiverrep.kronecker import FAMILY_KINDS, KroneckerFamily, build_family
 from quiverrep.numerics import random_complex
@@ -477,13 +477,13 @@ def test_decompose_sum_of_two_isomorphic_summands(kind, seed):
 
 def test_decompose_solves_end_once(monkeypatch):
     calls = []
-    original = intertwiner.hom
+    original = structure.end
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(intertwiner, "hom", counted)
+    monkeypatch.setattr(structure, "end", counted)
     parts = [loop_rep(np.array([[1.0]])), loop_rep(np.array([[2.0]])),
              loop_rep(jordan_block(3.0, 2))]
     rep = conjugate(direct_sum(direct_sum(parts[0], parts[1]), parts[2]),
