@@ -14,8 +14,8 @@ fails its guards.  When the forest of End has one root and its square steps
 leave equations X C = C X in the root's unknown, from a loop or from an
 arrow such as g of a Kronecker pair (f, g) reduced to (I, C = f^-1 g), End
 lies in the commutant of one such C; for a nonderogatory C that is the n
-polynomials in C, cut down by the other equations in n unknowns
-(:func:`end`).  Unknowns are
+polynomials in C, which one Arnoldi run both decides and builds, cut down
+by the other equations in n unknowns (:func:`end`).  Unknowns are
 vectorized row-major; the numerical nullspace follows the package-wide SVD
 threshold policy and the returned basis is orthonormal under the entrywise
 inner product summed over vertices.
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .numerics import (DEFAULT_TOL, EPS, Tolerances, check_unknowns, frob, inverse,
-                       is_invertible, max_entry, nonderogatory_gap, nullspace, random_complex)
+                       is_invertible, max_entry, nullspace, polynomials_in, random_complex)
 from .quiver import Arrow
 from .rep import Representation
 
@@ -46,7 +46,7 @@ class HomBasis:
     tuple per element.  ``cutoff`` and ``gap`` are the evidence of the rank
     decision, taken on the system that ``path`` names ("forest" for the
     eliminated one, "dense" for one unknown matrix per vertex, "krylov" for
-    :func:`end`'s polynomials in one matrix, decided on its Hessenberg forms
+    :func:`end`'s polynomials in one matrix, decided on their Arnoldi steps
     and on the reduced system, whichever has the smaller gap); ``unknowns``
     is that system's column count, for "krylov" the forest system's.
     """
@@ -282,29 +282,6 @@ def _dense_hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_T
     return _solve(a, b, tol, {})
 
 
-def _polynomials_in(c: np.ndarray, bound: float) -> np.ndarray | None:
-    """Orthonormal basis of span{I, C, ..., C^(n-1)} under the entrywise
-    product, as rows of row-major vecs, by Arnoldi: each element is C times
-    the last, projected off the others twice (classical Gram-Schmidt with
-    one reorthogonalization).  None as soon as an element's commutator
-    residual ||C T - T C||_F exceeds ``bound``: rounding grows by about
-    ||C|| / h per step, h the norm of the projected product."""
-    n = len(c)
-    rows = np.zeros((n, n * n), dtype=complex)
-    rows[0] = np.eye(n).reshape(-1) / np.sqrt(n)
-    for k in range(n):
-        t = rows[k].reshape(n, n)
-        w = c @ t
-        if not frob(w - t @ c) <= bound:
-            return None
-        if k + 1 < n:
-            w = w.reshape(-1)
-            for _ in range(2):
-                w = w - (rows[:k + 1].conj() @ w) @ rows[:k + 1]
-            rows[k + 1] = w / frob(w)
-    return rows
-
-
 def _rerooted(steps: dict[str, _Step], u: str) -> dict[str, _Step]:
     """The forest of square End steps with the root of u's tree moved to u:
     each step on the path from u up to the root runs the other way, T_parent
@@ -325,7 +302,8 @@ def _krylov_end(rep: Representation, tol: Tolerances, steps: dict[str, _Step]) -
     fails (:func:`end`).  Each arrow no step eliminated offers C at either
     of its ends u (a loop at its one vertex), where C is similar to the
     other end's; they are tried smallest ||C||_F first, the nearer to normal
-    (Henrici), in which Arnoldi's rounding grows more slowly."""
+    (Henrici), in which Arnoldi's rounding grows more slowly, and the first
+    whose :func:`numerics.polynomials_in` passes both its guards is used."""
     vertices = rep.quiver.vertices
     n = rep.dims[vertices[0]] if vertices else 0
     if not n or len(vertices) - len(steps) != 1 or any(rep.dims[v] != n for v in vertices):
@@ -350,18 +328,15 @@ def _krylov_end(rep: Representation, tol: Tolerances, steps: dict[str, _Step]) -
     if not np.isfinite(norms).all():
         return None  # C, or its norm, overflows: hom reports it
     scale = hom_scale(rep, rep)
+    tau = tol.hom_tol(scale)
     for _, (c, u, arr) in sorted(zip(norms, candidates), key=lambda item: item[0]):
         # the forest system's equation of arr is L_dst (X C - C X) R_src in
         # the root's X, and the map scale floors its cutoff
         floor = scale / (max_entry(left[arr.dst]) * max_entry(right[arr.src]))
-        _, cutoff, gap = nonderogatory_gap(c, tol, floor)
-        if gap >= tol.elim_gap():
+        powers, cutoff, gap = polynomials_in(c, tol, floor, tau)
+        if powers is not None:
             break
     else:
-        return None
-    tau = tol.hom_tol(scale)
-    powers = _polynomials_in(c, tau)
-    if powers is None:
         return None
     # [sum_k x_k P_k, D] = 0 for every other equation's D: n unknowns, not n^2
     stack = powers.reshape(n, n, n)
@@ -383,19 +358,21 @@ def end(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> HomBasis:
     it, except where the forest has one root and its unknown X must commute
     with some C (:func:`_krylov_end`): loops of a one-vertex quiver, and
     arrows of equal dimension the forest does not eliminate.  When such a C
-    is nonderogatory, decided by :func:`numerics.nonderogatory_gap` at a gap
-    of at least ``elim_gap`` on the first C in that order that passes,
-    End lies in the n polynomials in C (Gantmacher, Theory of Matrices I,
-    ch. VIII): I, C, ..., C^(n-1) orthonormalized by Arnoldi, cut down by
-    the other commutators in an n^2 (k - 1) x n system solved at
-    ``hom_scale`` and kept only at a gap of at least ``elim_gap``, and
-    lifted by :func:`_solve`, with no n^2 x n^2 SVD.  That basis has path
-    "krylov", n^2 unknowns and the cutoff and gap of the smaller of the two
-    decisions' gaps, and is kept only when every element's intertwining
-    residual is at most ``hom_tol(hom_scale)``.  Any failed guard falls
-    through to :func:`hom` on the same forest.  The size limit is checked
+    is nonderogatory, End lies in the n polynomials in C (Gantmacher, Theory
+    of Matrices I, ch. VIII).  One Arnoldi run on I, C, ..., C^(n-1)
+    (:func:`numerics.polynomials_in`) both decides that, at a gap of at
+    least ``elim_gap``, and orthonormalizes them, keeping each element's
+    commutator residual at most ``hom_tol(hom_scale)``; the first C in that
+    order that passes is used.  Its polynomials are cut down by the other
+    commutators in an n^2 (k - 1) x n system solved at ``hom_scale`` and
+    kept only at a gap of at least ``elim_gap``, and lifted by
+    :func:`_solve`, with no n^2 x n^2 SVD.  That basis has path "krylov",
+    n^2 unknowns and the cutoff and gap of the smaller of the two decisions'
+    gaps, and is kept only when every element's intertwining residual is at
+    most ``hom_tol(hom_scale)``.  When no C passes, or a later guard fails,
+    End is solved by :func:`hom` on the same forest.  The size limit is checked
     first, on the forest's n^2 unknowns, so End refuses what the forest
-    refuses.  No draw is made: End reads no seed.
+    refuses.  No draw is made: End reads no seed and no start vector.
     """
     steps = _spanning_forest(rep, rep, tol)
     # an entry that overflows fails a guard here, and hom reports it

@@ -32,11 +32,9 @@ see the same dtypes.  Rank-only decisions (:func:`numerical_rank`,
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NumericalFailure, SizeLimitExceeded, ValidationError
 
@@ -235,39 +233,45 @@ def gram_nullity(gram: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
                            compute_uv=False)[-1]
 
 
-def nonderogatory_gap(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
-                      scale: float = 0.0) -> tuple[float, float, float]:
-    """Evidence that the square ``matrix`` C is nonderogatory: the smallest
-    subdiagonal of its Hessenberg form, the cutoff and their ratio, the gap.
+def polynomials_in(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL, scale: float = 0.0,
+                   bound: float = np.inf) -> tuple[np.ndarray | None, float, float]:
+    """Orthonormal basis of span{I, C, ..., C^(n-1)} for the square
+    ``matrix`` C under the entrywise product, as rows of row-major vecs,
+    with the evidence that C is nonderogatory: the cutoff and the gap.
 
-    C is nonderogatory exactly when some start vector is cyclic, that is when
-    the Hessenberg reduction from it is unreduced.  Two starts are tried, e1
-    and one fixed vector, and the form whose smallest subdiagonal is larger
-    is read.  That is a rank decision on the Krylov matrix, so it is taken at
-    the cutoff of the commutator system's rank, ``svd_cutoff(n^2, n^2, s)``
-    with s = ||C||_2 floored by ``scale`` as in :func:`nullspace`; n = 1 has
-    no subdiagonal, and its smallest is ``inf``.  Raises NumericalFailure
+    Arnoldi builds it: each element is C times the last, projected off the
+    others twice (classical Gram-Schmidt with one reorthogonalization), and
+    its norm h before scaling is the distance of C^(k+1) from the lower
+    powers.  C is nonderogatory exactly when those n powers are independent,
+    a rank decision on them, so it is taken at the cutoff of the commutator
+    system's rank, ``svd_cutoff(n^2, n^2, s)`` with s = ||C||_2 floored by
+    ``scale`` as in :func:`nullspace`; the gap is the smallest h over the
+    cutoff (``inf`` for n = 1, and for a zero cutoff when every h > 0).  The
+    basis is None as soon as that gap falls below ``elim_gap``, or an
+    element's commutator residual ||C T - T C||_F exceeds ``bound``:
+    rounding grows by about ||C|| / h per step.  Raises NumericalFailure
     when C is not finite."""
     n = matrix.shape[0]
     *_, cutoff, _ = _ranked_svd(matrix, lambda s: tol.svd_cutoff(n * n, n * n, max(s, scale)),
                                 compute_uv=False)
-    reflector = _reflector(n)
-    smallest = max(float(np.min(np.abs(np.diag(sla.hessenberg(c), -1)), initial=np.inf))
-                   for c in (matrix, reflector @ matrix @ reflector))
-    gap = smallest / cutoff if cutoff else (np.inf if smallest else 0.0)
-    return smallest, cutoff, gap
-
-
-@lru_cache(maxsize=64)
-def _reflector(n: int) -> np.ndarray:
-    """The Householder reflector H of order n with H e1 parallel to one
-    fixed start vector, the second start of :func:`nonderogatory_gap`."""
-    w = random_complex(np.random.default_rng(0), (n,))
-    w /= np.linalg.norm(w)
-    w[0] += np.exp(1j * np.angle(w[0]))
-    reflector = np.eye(n) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real
-    reflector.flags.writeable = False  # shared between calls
-    return reflector
+    rows = np.zeros((n, n * n), dtype=complex)
+    rows[0] = np.eye(n).reshape(-1) / np.sqrt(n)
+    gap = np.inf
+    for k in range(n):
+        t = rows[k].reshape(n, n)
+        w = matrix @ t
+        if not frob(w - t @ matrix) <= bound:
+            return None, cutoff, gap
+        if k + 1 < n:
+            w = w.reshape(-1)
+            for _ in range(2):
+                w = w - (rows[:k + 1].conj() @ w) @ rows[:k + 1]
+            h = frob(w)
+            gap = min(gap, h / cutoff if cutoff else (np.inf if h else 0.0))
+            if gap < tol.elim_gap():
+                return None, cutoff, gap
+            rows[k + 1] = w / h
+    return rows, cutoff, gap
 
 
 def orthonormal_inclusion(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,

@@ -12,10 +12,10 @@ import pytest
 import quiverrep.intertwiner
 import quiverrep.numerics
 import quiverrep.structure
-from quiverrep import (NumericalFailure, Representation, build_canonical, example_reps,
+from quiverrep import (NumericalFailure, Representation, build_canonical, end, example_reps,
                        from_operator, generated_algebra, is_canonically_simple, is_indecomposable,
                        is_irreducible, is_simple, is_strongly_irreducible, is_transitive,
-                       jordan_block, kronecker_rep, system_to_rep)
+                       jordan_block, kronecker_rep, loop_rep, system_to_rep)
 from quiverrep.cli import _build_parser, build_model, main
 from quiverrep.document import dumps, operator_to_json, rep_to_json
 from quiverrep.numerics import random_complex
@@ -223,6 +223,11 @@ def test_large_loop_inputs_keep_the_krylov_end(capsys, monkeypatch):
     monkeypatch.setattr(quiverrep.structure, "end", recorded)
     assert is_strongly_irreducible(matrix) is True
     assert paths == ["krylov"]
+    # the upper shift's powers are orthogonal, so no Arnoldi step on them is
+    # shorter than 1/sqrt(2)
+    for rep in (loop_rep(jordan_block(0.0, 32).T), example_reps("ex8*", 32)):
+        basis = end(rep)
+        assert (basis.path, basis.dimension) == ("krylov", 32)
 
 
 @pytest.mark.parametrize("model,params,path,simple", [

@@ -7,9 +7,8 @@ from quiverrep import (Arrow, KroneckerFamily, Quiver, SizeLimitExceeded, Valida
                        direct_sum, end, example_reps, hom, intertwining_residual,
                        jordan_block, kronecker_rep, perturbation_model, polynomial_model,
                        relatively_prime, Representation, shift, zero_representation)
-from quiverrep.intertwiner import (_dense_hom, _polynomials_in, _solve, _spanning_forest,
-                                   hom_scale)
-from quiverrep.numerics import DEFAULT_TOL
+from quiverrep.intertwiner import _dense_hom, _solve, _spanning_forest, hom_scale
+from quiverrep.numerics import DEFAULT_TOL, polynomials_in
 from quiverrep.numerics import random_complex
 
 from helpers import assert_stacked, loop_rep, random_quiver, random_rep, two_subspace_rep
@@ -265,8 +264,8 @@ def test_end_reads_the_commutant_on_the_side_nearer_to_normal():
     first, second = np.linalg.solve(t, s), s @ np.linalg.inv(t)
     assert np.linalg.norm(second) < np.linalg.norm(first)
     tau = DEFAULT_TOL.hom_tol(hom_scale(rep, rep))
-    assert _polynomials_in(first, tau) is None
-    assert _polynomials_in(second, tau).shape == (14, 196)
+    assert polynomials_in(first, bound=tau)[0] is None
+    assert polynomials_in(second, bound=tau)[0].shape == (14, 196)
     assert (end(rep).path, end(rep).dimension) == ("krylov", 14)
 
 

@@ -3,8 +3,8 @@ import pytest
 
 from quiverrep.errors import NumericalFailure, ValidationError
 from quiverrep.numerics import (DEFAULT_TOL, gram_nullity, inverse, is_invertible,
-                                nonderogatory_gap, nullspace, numerical_rank,
-                                orthonormal_inclusion, random_complex)
+                                nullspace, numerical_rank, orthonormal_inclusion,
+                                polynomials_in, random_complex)
 
 
 def planted_rank(rng, m, n, r, real=False):
@@ -220,30 +220,38 @@ def test_numerical_rank_of_empty_shapes():
         assert numerical_rank(np.zeros(shape, dtype=complex)) == 0
 
 
-def test_nonderogatory_gap_separates_one_block_from_two():
+def test_polynomials_in_separates_one_block_from_two():
     rng = np.random.default_rng(4)
     change = np.linalg.qr(random_complex(rng, (5, 5)))[0]
     block = np.eye(5, k=-1) + 0.5 * np.eye(5)
     two = np.diag([0.5] * 5) + np.diag([1.0, 1.0, 0.0, 1.0], -1)  # J_3 + J_2 at 0.5
     for matrix, nonderogatory in ((block, True), (two, False)):
         hidden = change @ matrix @ change.conj().T
-        smallest, cutoff, gap = nonderogatory_gap(hidden)
+        rows, cutoff, gap = polynomials_in(hidden)
         assert cutoff == pytest.approx(DEFAULT_TOL.svd_cutoff(25, 25, np.linalg.norm(hidden, 2)))
-        assert gap == smallest / cutoff
-        assert (gap >= DEFAULT_TOL.elim_gap()) == nonderogatory
+        assert (gap >= DEFAULT_TOL.elim_gap()) == nonderogatory == (rows is not None)
+    # the basis is orthonormal under the entrywise product and spans the powers
+    hidden = change @ block @ change.conj().T
+    rows = polynomials_in(hidden)[0]
+    powers = np.array([np.linalg.matrix_power(hidden, k).reshape(-1) for k in range(5)])
+    assert np.allclose(rows.conj() @ rows.T, np.eye(5))
+    assert np.allclose(powers @ rows.conj().T @ rows, powers)
 
 
-def test_nonderogatory_gap_reads_the_better_of_two_starts():
-    # e1 is an eigenvector of a diagonal matrix, so its form is reduced; the
-    # fixed second start sees distinct eigenvalues
-    smallest, _, gap = nonderogatory_gap(np.diag([0.0, 1.0, 2.0, 3.0]))
-    assert smallest > 0.1 and gap >= DEFAULT_TOL.elim_gap()
+def test_polynomials_in_reads_distinct_eigenvalues():
+    # distinct eigenvalues make a diagonal matrix nonderogatory, though each
+    # coordinate vector is one of its eigenvectors
+    rows, _, gap = polynomials_in(np.diag([0.0, 1.0, 2.0, 3.0]))
+    assert rows.shape == (4, 16) and gap >= DEFAULT_TOL.elim_gap()
     # the scale floors the norm in the cutoff, as in nullspace
-    assert nonderogatory_gap(1e-20 * np.eye(4, k=-1), scale=1.0)[2] < 1.0
+    rows, _, gap = polynomials_in(1e-20 * np.eye(4, k=-1), scale=1.0)
+    assert rows is None and gap < 1.0
 
 
-def test_nonderogatory_gap_edge_cases():
-    assert nonderogatory_gap(np.zeros((1, 1))) == (np.inf, 0.0, np.inf)
-    assert nonderogatory_gap(np.zeros((3, 3)))[2] == 0.0
+def test_polynomials_in_edge_cases():
+    rows, cutoff, gap = polynomials_in(np.zeros((1, 1)))
+    assert (rows.tolist(), cutoff, gap) == ([[1.0]], 0.0, np.inf)
+    # a zero cutoff reads gap inf only when every step is nonzero
+    assert polynomials_in(np.zeros((3, 3)))[0::2] == (None, 0.0)
     with pytest.raises(NumericalFailure, match="non-finite"):
-        nonderogatory_gap(np.array([[np.nan, 0.0], [1.0, 0.0]]))
+        polynomials_in(np.array([[np.nan, 0.0], [1.0, 0.0]]))

@@ -33,12 +33,6 @@ def test_every_svd_is_taken_in_numerics():
         assert {module for module, _ in _calls(name)} <= {"numerics.py"}, name
 
 
-def test_hessenberg_reduction_is_taken_in_numerics():
-    # deciding whether C is nonderogatory is a rank decision like any other
-    assert {module for module, _ in _calls("sla.hessenberg")} == {"numerics.py"}
-    assert {module for module, _ in _calls("scipy.linalg.hessenberg")} <= {"numerics.py"}
-
-
 def _spectral_norms():
     """Modules that call np.linalg.norm or sla.norm with order 2, a hidden SVD."""
     hits = set()

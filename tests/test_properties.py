@@ -210,8 +210,8 @@ def test_forest_hom_matches_dense_and_exact_on_hidden_jordan_sums(first, second,
 def test_end_of_a_derogatory_hidden_jordan_sum_never_takes_krylov(blocks, size, second,
                                                                  log_cond, seed):
     # a second block at the first block's eigenvalue makes C derogatory:
-    # every Hessenberg form of it is reduced, so End is never answered as
-    # the n polynomials in C, of a pencil or of a loop
+    # I, C, ..., C^(n-1) are dependent, so End is never answered as the n
+    # polynomials in C, of a pencil or of a loop
     rng = np.random.default_rng(seed)
     blocks = blocks + [(blocks[0][0], size, second)]
     rep = _hidden(_jordan_sum(blocks), rng, log_cond)
@@ -234,7 +234,7 @@ def test_end_of_a_derogatory_hidden_jordan_sum_never_takes_krylov(blocks, size, 
 def test_krylov_end_of_a_near_derogatory_pair_is_the_dense_answer(p, q, lam, log_delta,
                                                                    log_cond, second, seed):
     # J_p(lam) + J_q(lam + delta) is nonderogatory for every delta != 0, but
-    # near 0 its Hessenberg forms are nearly reduced; an End that takes the
+    # near 0 its powers are nearly dependent; an End that takes the
     # polynomials in C must be the dense system's answer.  The forest is no
     # reference here: on one 1 + 1 pair it read 1, below the independent I, C
     kind = "jordan_second" if second else "jordan_first"
@@ -577,9 +577,11 @@ def _entries(rng, d):
 
 
 def _loop_pair(rng, kind, d):
-    """A pair of d x d loops of one of four kinds: generic; (A, A^2 + 2A),
+    """A pair of d x d loops of one of five kinds: generic; (A, A^2 + 2A),
     whose End is poly(A); block triangular under a basis change of condition
-    10^2; ex3's (S, S^*) with the first loop shifted by an integer."""
+    10^2; ex3's (S, S^*) with the first loop shifted by an integer; and
+    (U + lam I, U^2 + c U) for the upper shift U = S^* and integers lam, c,
+    whose End is poly(U), with a derogatory second loop when c = 0."""
     if kind == "generic":
         return _entries(rng, d), _entries(rng, d)
     if kind == "polynomial":
@@ -589,11 +591,16 @@ def _loop_pair(rng, kind, d):
         return tuple(_hidden_block_triangular_pair(rng, d, int(rng.integers(1, d)), 2.0)
                      .maps.values())
     s = shift(d)
+    if kind == "upper shift":
+        u = s.conj().T
+        lam, c = rng.integers(-2, 3, 2)
+        return u + lam * np.eye(d), u @ u + c * u
     return s + int(rng.integers(-2, 3)) * np.eye(d), s.conj().T
 
 
-@settings(derandomize=True, deadline=None, max_examples=120)
-@given(kind=st.sampled_from(["generic", "polynomial", "triangular", "shifted ex3"]),
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(kind=st.sampled_from(["generic", "polynomial", "triangular", "shifted ex3",
+                             "upper shift"]),
        d=st.integers(3, 11), pencil=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_krylov_end_of_loop_pairs_and_pencils_is_the_dense_answer(kind, d, pencil, seed):
     # as a pencil, (P, P A, P B) on the 3-arrow Kronecker quiver, whose End
