@@ -501,7 +501,7 @@ def cmd_convert(args, tol: Tolerances) -> int:
             os.remove(args.out)
             raise
     else:
-        sys.stderr.write(json.dumps(sidecar) + "\n")
+        sys.stderr.write(doc.dumps(sidecar) + "\n")
     return 0
 
 

@@ -8,12 +8,19 @@ arrows with name/src/dst), "dims" (vertex -> nonnegative integer) and "maps"
 finite_truncation).  Parsers reject malformed input with positional messages;
 a matrix entry must be a pair of finite JSON numbers (booleans, NaN and
 Infinity are rejected).
+
+Documents are written by ``dumps`` as one line of JSON with sorted keys, so
+CPython's C encoder writes them; ``python -m json.tool`` pretty-prints one.
+A well-formed matrix is parsed by NumPy in one call; any matrix that call
+declines is walked entry by entry, which is where the positional messages
+come from.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -26,7 +33,8 @@ from .numerics import DEFAULT_TOL, Tolerances
 
 
 def matrix_to_json(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
+    m = np.asarray(matrix, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _finite_number(x: Any) -> bool:
@@ -39,11 +47,37 @@ def _finite_number(x: Any) -> bool:
         return False
 
 
+def _fast_matrix(data: list, rows: int, cols: int) -> np.ndarray | None:
+    """The matrix of a well-formed nonempty ``data`` in one NumPy call, or None.
+
+    Rows and entries must be lists and every leaf an int or a float (``bool``
+    is neither here), the array must have shape (rows, cols, 2) and be
+    finite; an empty matrix never has that shape.  Viewing each [re, im]
+    float pair as one complex keeps every bit, -0.0 included, as
+    ``complex(re, im)`` does."""
+    if not set(map(type, data)) <= {list}:
+        return None
+    entries = list(chain.from_iterable(data))
+    if (not set(map(type, entries)) <= {list}
+            or not set(map(type, chain.from_iterable(entries))) <= {float, int}):
+        return None
+    try:
+        arr = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.shape != (rows, cols, 2) or not np.isfinite(arr).all():
+        return None
+    return arr.view(complex)[..., 0]
+
+
 def matrix_from_json(data: Any, rows: int, cols: int, where: str) -> np.ndarray:
     if not isinstance(data, list):
         raise ValidationError(f"{where}: expected a list of rows")
     if len(data) != rows:
         raise ValidationError(f"{where}: expected {rows} rows, got {len(data)}")
+    fast = _fast_matrix(data, rows, cols)
+    if fast is not None:
+        return fast
     out = np.zeros((rows, cols), dtype=complex)
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
@@ -87,7 +121,7 @@ def quiver_from_json(data: Any) -> Quiver:
 
 
 def _meta(data: dict) -> dict:
-    meta = data.get("meta") or {}
+    meta = data.get("meta", {})
     if not isinstance(meta, dict):
         raise ValidationError("meta: expected an object")
     return meta
@@ -200,4 +234,4 @@ def detect_kind(data: Any) -> str:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, sort_keys=True)

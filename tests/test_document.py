@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quiverrep import ValidationError, example_reps, jordan_block, make_system
-from quiverrep.document import (detect_kind, matrix_from_json, matrix_to_json,
+from quiverrep import (Arrow, Quiver, Representation, ValidationError, example_reps,
+                       jordan_block, make_system)
+from quiverrep.document import (detect_kind, dumps, matrix_from_json, matrix_to_json,
                                 operator_from_json, operator_to_json,
                                 quiver_from_json, quiver_to_json, rep_from_json,
                                 rep_to_json, system_from_json, system_to_json)
@@ -140,3 +143,91 @@ def test_system_document_meta_must_be_an_object():
     doc["meta"] = [1, 2]
     with pytest.raises(ValidationError, match="meta: expected an object"):
         system_from_json(doc)
+
+
+@pytest.mark.parametrize("meta", [[1, 2], [], 0, False, "", None])
+def test_meta_is_absent_or_an_object_in_both_document_kinds(meta):
+    # a falsy non-object is no more an object than a truthy one
+    docs = [(system_to_json(make_system(1, [np.eye(1)])), system_from_json),
+            (rep_to_json(example_reps("ex2", 2)), rep_from_json)]
+    for doc, parse in docs:
+        assert "meta" not in doc and parse(doc)[1] == {}
+        doc["meta"] = meta
+        with pytest.raises(ValidationError, match="meta: expected an object"):
+            parse(doc)
+
+
+# leaves at the edges of the float range: signed zeros, subnormals, the
+# largest magnitudes and integers that a float cannot hold exactly
+edge_leaves = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, 2 ** 53 + 1, 2 ** 63 + 1025,
+                     2 ** 64 - 1, -(2 ** 63) - 1025, -(2 ** 64) - 1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2 ** 53), 2 ** 53),
+    st.integers(2 ** 53 + 1, 2 ** 1000),
+    st.integers(-(2 ** 1000), -(2 ** 53) - 1),
+)
+
+
+@st.composite
+def json_matrices(draw):
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    pair = st.lists(edge_leaves, min_size=2, max_size=2)
+    row = st.lists(pair, min_size=cols, max_size=cols)
+    return rows, cols, draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+def _entrywise(data, rows, cols):
+    """The matrix of ``data`` built one ``complex(re, im)`` at a time."""
+    out = np.zeros((rows, cols), dtype=complex)
+    for i, row in enumerate(data):
+        for j, (re, im) in enumerate(row):
+            out[i, j] = complex(re, im)
+    return out
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(matrix=json_matrices())
+def test_parsed_matrix_is_bit_identical_to_entrywise_complex(matrix):
+    rows, cols, data = matrix
+    expected = _entrywise(data, rows, cols)
+    assert _same_bits(matrix_from_json(data, rows, cols, "m"), expected)
+    quiver = Quiver(("1", "2"), (Arrow("a", "1", "2"),))
+    rep = Representation(quiver, {"1": cols, "2": rows}, {"a": expected})
+    back, _ = rep_from_json(json.loads(dumps(rep_to_json(rep))))
+    assert _same_bits(back.maps["a"], rep.maps["a"])
+
+
+BAD_ENTRIES = {
+    "true": [True, 0.0],
+    "NaN": json.loads("[NaN, 0.0]"),
+    "10**400": [10 ** 400, 0],
+    "None": None,
+    "None leaf": [0.0, None],
+    "string": "1+2j",
+    "string leaf": ["1", 0.0],
+    "three-element pair": [1.0, 2.0, 3.0],
+    "tuple pair": (1.0, 2.0),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(6, 9), where=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+       bad=st.sampled_from(sorted(BAD_ENTRIES) + ["ragged row"]))
+def test_one_bad_entry_is_named_by_row_and_column(n, where, bad):
+    # whatever the one-call parse declines, the entrywise walk names
+    i, j = where[0] % n, where[1] % n
+    data = matrix_to_json(np.arange(n * n).reshape(n, n) * (1 - 0.5j))
+    if bad == "ragged row":
+        data[i] = data[i][:j] if j else data[i] + [[0.0, 0.0]]
+        message = rf"m, row {i + 1}: expected {n} entries"
+    else:
+        data[i][j] = BAD_ENTRIES[bad]
+        message = rf"m, row {i + 1}, column {j + 1}: entries are \[re, im\] pairs"
+    with pytest.raises(ValidationError, match=message):
+        matrix_from_json(data, n, n, "m")

@@ -68,6 +68,14 @@ def test_only_kronecker_builds_loop_and_kronecker_quivers():
     assert hits == {"kronecker.py"}
 
 
+def test_no_json_writer_indents():
+    # an indent makes CPython fall back from its C encoder to the pure-Python one
+    hits = [module for module, text in SOURCES.items() for sub in ast.walk(ast.parse(text))
+            if isinstance(sub, ast.Call) and ast.unparse(sub.func) in ("json.dump", "json.dumps")
+            and any(k.arg == "indent" for k in sub.keywords)]
+    assert hits == []
+
+
 def test_size_limit_lives_in_numerics():
     assert {module for module, text in SOURCES.items() if "MAX_UNKNOWNS" in text} \
         == {"numerics.py"}
