@@ -25,8 +25,9 @@ A system with more than :data:`MAX_UNKNOWNS` columns is refused by
 Two rules keep that step from doing arithmetic no decision reads.  Real data
 takes real LAPACK: a complex matrix whose imaginary part is exactly zero is
 factored as a real one, and its factors are cast back to complex, so callers
-see the same dtypes.  Rank-only decisions (:func:`numerical_rank`,
-:func:`is_invertible`, :func:`gram_nullity`) compute singular values only.
+see the same dtypes.  Rank-only decisions (:func:`ranked`,
+:func:`numerical_rank`, :func:`is_invertible`, :func:`gram_nullity`) compute
+singular values only.
 """
 
 from __future__ import annotations
@@ -202,19 +203,33 @@ def nullspace(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
         return NullspaceResult(np.eye(n, dtype=complex), 0, np.inf, 0.0, 0.0)
     _, svals, vh, sigma_max, cutoff, rank = _ranked_svd(
         matrix, lambda s: tol.svd_cutoff(m, n, max(s, scale)), full_matrices=m < n)
+    return NullspaceResult(vh[rank:, :].conj(), rank, _gap(svals, rank), cutoff, sigma_max)
+
+
+def _gap(svals: np.ndarray, rank: int) -> float:
+    """The smallest kept singular value over the largest discarded one,
+    ``inf`` when either side is empty or the discarded one is 0."""
     kept = float(svals[rank - 1]) if rank > 0 else np.inf
     discarded = float(svals[rank]) if rank < svals.size else 0.0
-    gap = np.inf if discarded == 0.0 else kept / discarded
-    return NullspaceResult(vh[rank:, :].conj(), rank, gap, cutoff, sigma_max)
+    return np.inf if discarded == 0.0 else kept / discarded
+
+
+def ranked(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[int, float]:
+    """Rank of ``matrix`` at the cutoff of :func:`nullspace` (with ``scale``
+    0) and the gap of that decision, as there, read from the singular values
+    alone; an empty matrix has rank 0 and gap ``inf``."""
+    m, n = matrix.shape
+    if m == 0 or n == 0:
+        return 0, np.inf
+    _, svals, *_, rank = _ranked_svd(matrix, lambda s: tol.svd_cutoff(m, n, s),
+                                     compute_uv=False)
+    return rank, _gap(svals, rank)
 
 
 def numerical_rank(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
     """Rank of ``matrix`` at the cutoff of :func:`nullspace` (with ``scale``
     0), read from the singular values alone; an empty matrix has rank 0."""
-    m, n = matrix.shape
-    if m == 0 or n == 0:
-        return 0
-    return _ranked_svd(matrix, lambda s: tol.svd_cutoff(m, n, s), compute_uv=False)[-1]
+    return ranked(matrix, tol)[0]
 
 
 def gram_nullity(gram: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:

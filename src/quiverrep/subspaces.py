@@ -17,7 +17,7 @@ from .errors import NumericalFailure, ValidationError
 from .intertwiner import end
 from .kronecker import loop_rep
 from .numerics import (DEFAULT_TOL, Tolerances, check_unknowns, inverse, nullspace,
-                       numerical_rank, orthonormal_inclusion)
+                       orthonormal_inclusion, ranked)
 from .quiver import Arrow, Quiver, build_canonical
 from .rep import Representation
 from .structure import AlgebraBasis
@@ -57,21 +57,45 @@ def make_system(ambient_dim: int, inclusions,
     return SubspaceSystem(ambient_dim, tuple(stored))
 
 
-def _system_matrix(system: SubspaceSystem, tol: Tolerances) -> np.ndarray:
-    """The d^2-column system whose nullspace is the endomorphism algebra: the
-    rows Q_i^H (x) U_i^T of every proper nonzero subspace, stacked (see
-    :func:`system_end`).  Raises SizeLimitExceeded before it is allocated
-    when its d^2 unknowns are more than :func:`numerics.check_unknowns` allows."""
+def _equations(comp: np.ndarray, inc: np.ndarray, rows: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
+    """The rows Q^H (x) U^T of one subspace on the unknowns T[rows[j], cols[j]]:
+    row (a, b) and column j hold conj(Q[rows[j], a]) U[cols[j], b], the
+    entry of np.kron(Q^H, U^T) at column rows[j] d + cols[j], since
+    row-major vec(Q^H T U) = (Q^H (x) U^T) vec(T)."""
+    return (comp.conj()[rows].T[:, None, :] * inc[cols].T[None, :, :]).reshape(-1, rows.size)
+
+
+def _system_matrix(system: SubspaceSystem, tol: Tolerances,
+                   eliminate: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The system whose nullspace is the endomorphism algebra, with the mask
+    of the row-major entries of T it solves for (see :func:`system_end`).
+
+    Every proper nonzero subspace adds its rows Q_i^H (x) U_i^T, except,
+    under ``eliminate``, a coordinate one: an inclusion with exactly k_i
+    nonzero rows R (the exact test ``inc.any(axis=1)``, no tolerance) spans
+    span{e_r : r in R}, so T leaves it invariant exactly when T[r', r] = 0
+    for every r in R and r' outside R.  Those k_i (d - k_i) entries leave
+    the unknowns with its k_i (d - k_i) rows, and the other subspaces' rows
+    are built on the entries left free, the same products as on all d^2.
+    Raises SizeLimitExceeded before anything is allocated when the d^2
+    unknowns are more than :func:`numerics.check_unknowns` allows."""
     d = system.ambient_dim
     check_unknowns("subspace system", d * d)
-    blocks = [np.zeros((0, d * d), dtype=complex)]
+    free = np.ones((d, d), dtype=bool)
+    equations = []
     for inc in system.inclusions:
-        k = inc.shape[1]
-        if 0 < k < d:
-            comp = inverse(inc, tol)[1]
-            # row-major vec(Q^H T U) = (Q^H (x) U^T) vec(T)
-            blocks.append(np.kron(comp.conj().T, inc.T))
-    return np.vstack(blocks)
+        if not 0 < inc.shape[1] < d:
+            continue
+        support = inc.any(axis=1)
+        if eliminate and np.count_nonzero(support) == inc.shape[1]:
+            free[np.ix_(~support, support)] = False
+        else:
+            equations.append(inc)
+    rows, cols = np.nonzero(free)
+    blocks = [np.zeros((0, rows.size), dtype=complex)]
+    blocks += [_equations(inverse(inc, tol)[1], inc, rows, cols) for inc in equations]
+    return np.vstack(blocks), free.reshape(-1)
 
 
 def system_end(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> AlgebraBasis:
@@ -83,22 +107,40 @@ def system_end(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> Algebra
     it has sum_i k_i (d - k_i) rows instead of one d^2 x d^2 projector block
     per subspace.  The projector block is kron(Q_i, conj U_i) times this one,
     a factor with orthonormal columns, so the singular values and the right
-    singular vectors are the same.  Raises SizeLimitExceeded, as
+    singular vectors are the same.
+
+    A coordinate subspace fixes its k_i (d - k_i) entries of T to 0 instead
+    (:func:`_system_matrix`), and the nullspace of the system left on the
+    free entries is lifted with zeros in the fixed ones.  That decision is
+    kept only when its gap is at least ``elim_gap``: its cutoff, relative to
+    a smaller system, is lower than the full system's.  Otherwise End is the
+    nullspace of the full d^2-unknown system.  Raises SizeLimitExceeded, as
     :func:`_system_matrix` does, when the d^2 unknowns are too many.
     """
     d = system.ambient_dim
     if d == 0:
         return AlgebraBasis(0, np.zeros((0, 0, 0), dtype=complex), 0, 0.0)
-    null = nullspace(_system_matrix(system, tol), tol)
-    return AlgebraBasis(d, null.basis.reshape(-1, d, d), null.dimension, null.cutoff, null.gap)
+    for eliminate in (True, False):
+        matrix, free = _system_matrix(system, tol, eliminate)
+        null = nullspace(matrix, tol)
+        if null.gap >= tol.elim_gap() or free.all():
+            break
+    basis = np.zeros((null.dimension, d * d), dtype=complex)
+    basis[:, free] = null.basis
+    return AlgebraBasis(d, basis.reshape(-1, d, d), null.dimension, null.cutoff, null.gap)
 
 
 def system_end_dimension(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> int:
     """``system_end(system, tol).dimension`` from the singular values alone:
-    d^2 minus the rank of the same system at the same cutoff, since
-    :func:`system_end` takes its nullspace with scale 0."""
-    d = system.ambient_dim
-    return d * d - numerical_rank(_system_matrix(system, tol), tol)
+    the free unknowns minus the rank of the same system at the same cutoff,
+    since :func:`system_end` takes its nullspace with scale 0, on the full
+    system when the reduced decision's gap is below ``elim_gap`` as there."""
+    for eliminate in (True, False):
+        matrix, free = _system_matrix(system, tol, eliminate)
+        rank, gap = ranked(matrix, tol)
+        if gap >= tol.elim_gap() or free.all():
+            break
+    return int(np.count_nonzero(free)) - rank
 
 
 def preserved_end(source, target, tol: Tolerances = DEFAULT_TOL) -> tuple[int, int]:

@@ -578,18 +578,22 @@ def test_convert_unwritable_sidecar_leaves_no_document(tmp_path, capsys):
 
 
 def _convert_inputs(tmp_path):
-    """(mode, document path, ambient dimension of the checked system)."""
+    """(mode, document path, ambient dimension d of the checked system, the
+    entries of T its coordinate subspaces leave free): the two axes of
+    C^3 (+) C^3 leave the 2 * 3^2 entries of the diagonal blocks, and the
+    vertex blocks of total dimension 2 + 2 + 2 + 2 + 4 leave 4 * 2^2 + 4^2."""
     mat = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.0, 3.0]])
     op = tmp_path / "op.json"
     op.write_text(dumps(operator_to_json(mat)))
     rep = tmp_path / "rep.json"
     rep.write_text(dumps(rep_to_json(system_to_rep(from_operator(jordan_block(0.0, 2))))))
-    return [("--operator-to-4system", op, 6), ("--rep-to-system", rep, 12)]
+    return [("--operator-to-4system", op, 6, 18), ("--rep-to-system", rep, 12, 32)]
 
 
 def test_convert_checks_a_system_by_singular_values_only(tmp_path, capsys, monkeypatch):
-    # the system's End dimension is d^2 minus a rank: no singular vectors of
-    # a d^2-column system are computed
+    # the system's End dimension is its free unknowns minus a rank: the
+    # coordinate subspaces' entries leave the system, and no singular
+    # vectors are computed at its width or at d^2
     calls = []
     svd = np.linalg.svd
 
@@ -598,19 +602,20 @@ def test_convert_checks_a_system_by_singular_values_only(tmp_path, capsys, monke
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
-    for mode, path, d in _convert_inputs(tmp_path):
+    for mode, path, d, free in _convert_inputs(tmp_path):
         calls.clear()
         code, _, err = run_cli(capsys, "convert", mode, str(path))
         assert code == 0, err
         assert json.loads(err.strip().splitlines()[-1])["equal"] is True
-        assert (d * d, False) in calls
-        assert (d * d, True) not in calls
+        assert (free, False) in calls
+        assert (d * d, False) not in calls
+        assert (free, True) not in calls and (d * d, True) not in calls
 
 
 def test_convert_size_limit_exit_code(tmp_path, capsys, monkeypatch):
     # the operator's End has 9 unknowns, its 4-system 36
     monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 20)
-    mode, path, _ = _convert_inputs(tmp_path)[0]
+    mode, path, *_ = _convert_inputs(tmp_path)[0]
     code, _, err = run_cli(capsys, "convert", mode, str(path))
     assert code == 4
     assert "subspace system has 36 unknowns > limit 20" in err
@@ -670,7 +675,7 @@ def test_convert_end_mismatch_is_numerical_failure(tmp_path, capsys, monkeypatch
     import quiverrep.subspaces as subspaces
     inputs = _convert_inputs(tmp_path)
     monkeypatch.setattr(subspaces, "system_end_dimension", lambda system, tol: -1)
-    for mode, path, _ in inputs:
+    for mode, path, *_ in inputs:
         out = tmp_path / "converted.json"
         code, _, err = run_cli(capsys, "convert", mode, str(path), "--out", str(out))
         assert code == 3

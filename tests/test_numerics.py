@@ -4,7 +4,7 @@ import pytest
 from quiverrep.errors import NumericalFailure, ValidationError
 from quiverrep.numerics import (DEFAULT_TOL, gram_nullity, inverse, is_invertible,
                                 nullspace, numerical_rank, orthonormal_inclusion,
-                                polynomials_in, random_complex)
+                                polynomials_in, random_complex, ranked)
 
 
 def planted_rank(rng, m, n, r, real=False):
@@ -207,6 +207,11 @@ def test_rank_only_decisions_match_full_svd(real, m, n, r):
     rank = full_svd_rank(matrix, lambda s: DEFAULT_TOL.svd_cutoff(m, n, s))
     assert numerical_rank(matrix) == rank == r
     assert numerical_rank(matrix) == nullspace(matrix).rank
+    # the gap from the singular values alone is the nullspace's; its
+    # discarded singular value is rounding, which each LAPACK routine rounds its
+    # own way
+    rank, gap = ranked(matrix)
+    assert rank == r and np.isclose(np.log10(gap), np.log10(nullspace(matrix).gap), atol=0.3)
     inv_rank = full_svd_rank(matrix, DEFAULT_TOL.inv_tol)
     assert is_invertible(matrix) == (inv_rank == k) == (r == k)
     gram = matrix[:, :k].conj().T @ matrix[:, :k]
@@ -218,6 +223,7 @@ def test_rank_only_decisions_match_full_svd(real, m, n, r):
 def test_numerical_rank_of_empty_shapes():
     for shape in [(0, 0), (3, 0), (0, 4)]:
         assert numerical_rank(np.zeros(shape, dtype=complex)) == 0
+        assert ranked(np.zeros(shape, dtype=complex)) == (0, np.inf)
 
 
 def test_polynomials_in_separates_one_block_from_two():

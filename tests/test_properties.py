@@ -11,10 +11,12 @@ from quiverrep import (Arrow, KroneckerFamily, NumericalFailure, Quiver, Represe
                        analyze, are_isomorphic, build_canonical, build_family, decompose,
                        direct_sum, end, end_recursion_check, from_operator, generated_algebra,
                        hom, hrr_model, is_strongly_irreducible, jordan_block, kronecker_rep,
-                       remove_loops, rep_to_system, restrict, shift, system_end, system_to_rep)
+                       make_system, remove_loops, rep_to_system, restrict, shift, system_end,
+                       system_end_dimension, system_to_rep)
 from quiverrep.intertwiner import _dense_hom, _spanning_forest
 from quiverrep.kronecker import FAMILY_KINDS
-from quiverrep.numerics import DEFAULT_TOL, random_complex
+from quiverrep.numerics import DEFAULT_TOL, nullspace, numerical_rank, random_complex
+from quiverrep.subspaces import _system_matrix
 from quiverrep.structure import widest_two_group_split
 
 from helpers import assert_stacked, conjugated_jordan, loop_rep, real_well_conditioned
@@ -566,6 +568,47 @@ def test_close_jordan_pairs_under_a_basis_change_are_not_strongly_irreducible(p,
 def test_single_jordan_blocks_under_a_basis_change_are_strongly_irreducible(n, lam, log_cond,
                                                                             seed):
     assert is_strongly_irreducible(_conjugated_blocks(seed, [(lam, n)], log_cond)) is True
+
+
+# -- subspace systems: coordinate subspaces fix their entries of T -------------
+
+# Jordan types of total size 2..7, and scalars, whose reduced systems lose
+# their gap first under a basis change
+bridge_jordan_types = st.one_of(
+    st.lists(st.tuples(st.sampled_from([0.0, 1.0, -2.0, 1.5j]), st.integers(1, 4)),
+             min_size=1, max_size=7).filter(lambda blocks: 2 <= sum(p for _, p in blocks) <= 7),
+    st.integers(2, 7).map(lambda k: [(2.0, 1)] * k),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(blocks=bridge_jordan_types, kind=st.sampled_from(["4-system", "round trip", "rescaled"]),
+       log_cond=st.integers(0, 9).map(lambda i: i / 2), seed=st.integers(0, 2**32 - 1))
+def test_reduced_system_end_is_the_full_system_answer(blocks, kind, log_cond, seed):
+    # the 4-system of a conjugated Jordan operator; rep_to_system of its
+    # subspace-quiver representation, up to k = 5 (d = 30: the full system's
+    # SVD at d = 42 takes seconds); or its inclusions each times a change of
+    # basis of the subspace, which may leave them no longer exactly
+    # coordinate
+    system = from_operator(_conjugated_blocks(seed, blocks, log_cond))
+    if kind == "round trip" and system.ambient_dim <= 10:
+        system = rep_to_system(system_to_rep(system, check=False), check=False)
+    elif kind == "rescaled":
+        rng = np.random.default_rng([seed, 1])
+        system = make_system(system.ambient_dim,
+                             [inc @ _basis_change(rng, inc.shape[1], log_cond)
+                              for inc in system.inclusions])
+    d = system.ambient_dim
+    full, _ = _system_matrix(system, DEFAULT_TOL, eliminate=False)
+    alg = system_end(system)
+    assert system_end_dimension(system) == alg.dimension == d * d - numerical_rank(full)
+    for inc in system.inclusions:
+        proj = inc @ inc.conj().T
+        assert np.linalg.norm((np.eye(d) - proj) @ alg.basis @ proj, axis=(1, 2)).max(
+            initial=0.0) < 1e-10
+    reduced, free = _system_matrix(system, DEFAULT_TOL)
+    if nullspace(reduced).gap >= DEFAULT_TOL.elim_gap():
+        assert not alg.basis.reshape(alg.dimension, -1)[:, ~free].any()
 
 
 # -- End of loop pairs and pencils: the polynomials in one loop, cut down ------

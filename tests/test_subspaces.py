@@ -5,12 +5,13 @@ import pytest
 import scipy.linalg as sla
 
 import quiverrep.numerics
+import quiverrep.subspaces as subspaces
 from quiverrep import (Arrow, NumericalFailure, Quiver, Representation, SizeLimitExceeded,
                        ValidationError, end, example_reps, from_operator, is_indecomposable,
                        is_strongly_irreducible, jordan_block, kronecker_rep,
                        make_system, remove_loops, rep_to_system, shift, diagonal,
                        system_end, system_end_dimension, system_to_rep)
-from quiverrep.numerics import random_complex
+from quiverrep.numerics import DEFAULT_TOL, numerical_rank, random_complex, ranked
 
 from helpers import (conjugated_jordan, example6, loop_rep, random_quiver, random_rep,
                      two_subspace_rep)
@@ -330,8 +331,37 @@ def test_conjugated_scalar_operator_end_is_full(k):
     assert system_end(from_operator(mat)).dimension == k * k
 
 
+def test_reduced_system_without_a_gap_falls_back_to_the_full_system():
+    # 2I under a basis change of condition 10^3.5: the reduced system on the
+    # axes' free entries reads End of dimension 2 at a gap of about 1e2, the
+    # full d^2 system reads 4, the commutant of a scalar, as it did before
+    # the axes fixed their entries
+    rng = np.random.default_rng(5)
+    unitary = [np.linalg.qr(random_complex(rng, (2, 2)))[0] for _ in range(2)]
+    change = unitary[0] @ np.diag(np.logspace(0, 3.5, 2)) @ unitary[1]
+    system = from_operator(change @ (2.0 * np.eye(2)) @ np.linalg.inv(change))
+    reduced, free = subspaces._system_matrix(system, DEFAULT_TOL)
+    rank, gap = ranked(reduced)
+    assert (int(free.sum()) - rank, gap < DEFAULT_TOL.elim_gap()) == (2, True)
+    full, _ = subspaces._system_matrix(system, DEFAULT_TOL, eliminate=False)
+    assert system_end_dimension(system) == 16 - numerical_rank(full) == 4
+    assert system_end(system).dimension == dense_system_end_dim(system) == 4
+
+
+def test_an_inclusion_with_one_entry_outside_its_rows_is_not_coordinate():
+    system = from_operator(jordan_block(0.0, 3))
+    axis = system.inclusions[0].copy()
+    axis[3, 0] = 1e-300
+    axis.flags.writeable = False
+    touched = subspaces.SubspaceSystem(6, (axis,) + system.inclusions[1:])
+    # only the second axis fixes its 9 entries of T
+    assert subspaces._system_matrix(system, DEFAULT_TOL)[1].sum() == 18
+    assert subspaces._system_matrix(touched, DEFAULT_TOL)[1].sum() == 27
+    assert (system_end_dimension(touched) == system_end(touched).dimension
+            == system_end_dimension(system) == 3)
+
+
 def test_bridge_checks_raise_when_end_dimension_changes(monkeypatch):
-    import quiverrep.subspaces as subspaces
     rep = example_reps("ex3", 3)
     loop_free = remove_loops(rep, check=False)
     system = from_operator(jordan_block(0.0, 2))
@@ -354,12 +384,15 @@ def test_system_end_size_limit_is_checked_before_the_system_is_built(monkeypatch
     system = from_operator(jordan_block(0.0, 3))  # d = 6, 36 unknowns
     monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 36)
     assert system_end_dimension(system) == system_end(system).dimension == 3
-    monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 35)
 
     def no_blocks(*args, **kwargs):
         raise AssertionError("a system block was built")
 
-    monkeypatch.setattr(np, "kron", no_blocks)
+    # _equations builds every block: within the limit, the detector fires
+    monkeypatch.setattr(subspaces, "_equations", no_blocks)
+    with pytest.raises(AssertionError, match="a system block was built"):
+        system_end_dimension(system)
+    monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 35)
     for solve in (system_end, system_end_dimension, lambda s: system_to_rep(s)):
         with pytest.raises(SizeLimitExceeded, match="36 unknowns > limit 35"):
             solve(system)
