@@ -10,7 +10,9 @@ arrow's equation the one-sided inverse cannot see.  Hom eliminates along a
 spanning forest of such steps, so every vertex has T_v = L_v T_root R_v,
 and solves the remaining equations in the root unknowns only; the dense
 system, one unknown matrix per vertex, is the fallback when that answer
-fails its guards.  When the forest of End has one root and its square steps
+fails its guards; an injective map spanned by coordinate vectors, such as
+a subspace system's inclusion, instead fixes entries of T_root to 0, which
+leave the unknowns.  When the forest of End has one root and its square steps
 leave equations X C = C X in the root's unknown, from a loop or from an
 arrow such as g of a Kronecker pair (f, g) reduced to (I, C = f^-1 g), End
 lies in the commutant of one such C; for a nonderogatory C that is the n
@@ -23,7 +25,7 @@ inner product summed over vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,7 +68,8 @@ class HomBasis:
 class _Step:
     """T_child = left @ T_parent @ right, the elimination through ``arrow``;
     ``leftover`` is the part (v, lhs, rhs) of the arrow's equation it leaves,
-    lhs T_v rhs = 0, with no rows when the arrow is square."""
+    lhs T_v rhs = 0, with no rows when the arrow is square; ``zeros``, if
+    set, masks the entries of T_v that the leftover says are 0, all it says."""
 
     arrow: str
     parent: str
@@ -74,6 +77,7 @@ class _Step:
     left: np.ndarray
     right: np.ndarray
     leftover: tuple[str, np.ndarray, np.ndarray]
+    zeros: np.ndarray | None = None
 
 
 def _admits(m: np.ndarray, m_inv: np.ndarray, ratio: float, tol: Tolerances) -> bool:
@@ -103,7 +107,11 @@ def _spanning_forest(a: Representation, b: Representation,
     - f square or wide (surjective): T_dst = g T_src f^+, leaving
       g T_src Q = 0 for Q spanning ker f;
     - g tall (injective): T_src = g^+ T_dst f, leaving Q^H T_dst f = 0 for
-      Q spanning range(g)^perp, so the step runs against the arrow.
+      Q spanning range(g)^perp, so the step runs against the arrow.  When f
+      is g (as in End) with exactly k nonzero rows R, by the exact test
+      ``g.any(axis=1)``, range(g) = span{e_r : r in R} and g[R] is
+      invertible, so the leftover says T_dst[r', r] = 0 for r in R and r'
+      outside it: the step's ``zeros``.
 
     A square arrow leaves nothing, and a square g offers no step.  The
     leftover equations are the arrow's own, projected onto Q: the residual
@@ -127,7 +135,10 @@ def _spanning_forest(a: Representation, b: Representation,
             g_inv, cokernel, ratio = inverse(g, tol)
             if g_inv is not None and _admits(g, g_inv, ratio, tol):
                 leftover = (arr.dst, cokernel.conj().T, f)
-                admitted.append((ratio, _Step(arr.name, arr.dst, arr.src, g_inv, f, leftover)))
+                rows = g.any(axis=1)
+                zeros = np.outer(~rows, rows) if f is g and rows.sum() == g.shape[1] else None
+                step = _Step(arr.name, arr.dst, arr.src, g_inv, f, leftover, zeros)
+                admitted.append((ratio, step))
     incoming = {}
 
     def root_of(v):
@@ -159,9 +170,11 @@ def intertwining_residual(a: Representation, b: Representation,
 
 
 def _settled(a: Representation, b: Representation, steps: dict[str, _Step]
-             ) -> tuple[dict[str, str], dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """The forest of kept ``steps`` composed: each vertex's root, and left[v],
-    right[v] with T_v = left[v] @ T_root[v] @ right[v]."""
+             ) -> tuple[dict[str, str], dict[str, np.ndarray], dict[str, np.ndarray],
+                        dict[str, np.ndarray]]:
+    """The forest of kept ``steps`` composed: each vertex's root; left[v],
+    right[v] with T_v = left[v] @ T_root[v] @ right[v]; and each root's kept
+    unknowns, the mask of the entries no step's ``zeros`` fixes to 0 there."""
     vertices = a.quiver.vertices
     root = {v: v for v in vertices}
     left = {v: np.eye(b.dims[v]) for v in vertices}
@@ -178,65 +191,89 @@ def _settled(a: Representation, b: Representation, steps: dict[str, _Step]
 
     for v in steps:
         settle(v)
-    return root, left, right
+    kept = {v: np.ones((b.dims[v], a.dims[v]), dtype=bool) for v in vertices if root[v] == v}
+    for s in steps.values():
+        if s.zeros is not None and s.leftover[0] in kept:
+            kept[s.leftover[0]] &= ~s.zeros
+    return root, left, right, kept
+
+
+def _kron_on(p: np.ndarray, q: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The columns of np.kron(p, q) at the entries ``kept`` of the unknown X
+    only, with the same products: p[i, r] q[j, c] for kept[r, c]."""
+    rows, cols = np.nonzero(kept)
+    return (p[:, rows][:, None, :] * q[:, cols][None, :, :]).reshape(len(p) * len(q), -1)
+
+
+def _assemble(a: Representation, b: Representation, tol: Tolerances,
+              steps: dict[str, _Step]) -> tuple[np.ndarray, float, tuple]:
+    """The system of Hom(a, b) eliminated along the forest whose kept
+    ``steps`` map a vertex to the step into it, its cutoff's scale floor,
+    and the composed forest (:func:`_settled`): T_v = left[v] @ X @ right[v]
+    for the unknown X of ``root[v]``, and the system is the equations of the
+    arrows no step eliminated and the leftovers of those it did, except the
+    ``zeros`` at a root, in the roots' kept unknowns.  With no steps every
+    vertex is its own root: the dense system.  Raises SizeLimitExceeded
+    before the system is allocated when it has more columns than
+    :func:`numerics.check_unknowns` allows."""
+    settled = root, left, right, kept = _settled(a, b, steps)
+    widths = [int(mask.sum()) for mask in kept.values()]
+    check_unknowns(f"{'forest' if steps else 'dense'} intertwiner system", sum(widths))
+    offsets = dict(zip(kept, np.cumsum([0] + widths)))
+    # each equation is a sum of terms lhs T_v rhs, all of the first's height
+    eliminated = {s.arrow for s in steps.values()}
+    equations = [((arr.dst, np.eye(b.dims[arr.dst]), a.maps[arr.name]),
+                  (arr.src, -b.maps[arr.name], np.eye(a.dims[arr.src])))
+                 for arr in a.quiver.arrows if arr.name not in eliminated]
+    equations += [(s.leftover,) for s in steps.values()
+                  if s.zeros is None or s.leftover[0] not in kept]
+    heights = [lhs.shape[0] * rhs.shape[1] for (_, lhs, rhs), *_ in equations]
+    system = np.zeros((sum(heights), sum(widths)), dtype=complex)
+    # the scale floors sigma_max in the cutoff: a loop system
+    # kron(I, f^T) - kron(g, I) cancels to rounding noise when f = g is scalar
+    scale = hom_scale(a, b)
+    row = 0
+    # an entry that overflows is reported by nullspace as a NumericalFailure
+    with np.errstate(over="ignore", invalid="ignore"):
+        for terms, h in zip(equations, heights):
+            if h:
+                for v, lhs, rhs in terms:
+                    # row-major vec: vec(lhs L X R rhs) = (lhs L (x) (R rhs)^T) vec(X)
+                    r = root[v]
+                    term = _kron_on(lhs @ left[v], (right[v] @ rhs).T, kept[r])
+                    system[row:row + h, offsets[r]:offsets[r] + term.shape[1]] += term
+                    scale = max(scale, max_entry(term))
+            row += h
+    return system, scale, settled
 
 
 def _solve(a: Representation, b: Representation, tol: Tolerances,
            steps: dict[str, _Step],
            null: tuple[np.ndarray, float, float] | None = None) -> HomBasis:
-    """Hom(a, b) eliminated along the forest whose kept ``steps`` map a vertex
-    to the step into it: T_v = left[v] @ X @ right[v] for the unknown X of
-    ``root[v]``, and the system is the equations of the arrows no step
-    eliminated and the leftover of those it did, in the roots' unknowns.
-    With no steps every vertex is its own root: the dense system.  Raises
-    SizeLimitExceeded before the system is allocated when it has more
-    columns than :func:`numerics.check_unknowns` allows.  ``null``, when
-    given, is that system's nullspace found without building it, as (rows,
-    cutoff, gap): the Krylov basis of :func:`end`, and only the lift is done."""
+    """Hom(a, b) from the nullspace of :func:`_assemble`'s system along the
+    forest of kept ``steps``, lifted with zeros in the unknowns a coordinate
+    step fixed and by T_v = left[v] @ X @ right[v] to every vertex.  ``null``,
+    when given, is that system's nullspace found without building it, as
+    (rows, cutoff, gap): the Krylov basis of :func:`end`, and only the lift
+    is done."""
     path = "krylov" if null else "forest" if steps else "dense"
-    vertices = a.quiver.vertices
-    root, left, right = _settled(a, b, steps)
-    offsets, n_unknowns = {}, 0
-    for v in vertices:
-        if root[v] == v:
-            offsets[v] = n_unknowns
-            n_unknowns += a.dims[v] * b.dims[v]
     if null is None:
-        check_unknowns(f"{path} intertwiner system", n_unknowns)
-        # each equation is a sum of terms lhs T_v rhs, all of the first's height
-        eliminated = {s.arrow for s in steps.values()}
-        equations = [((arr.dst, np.eye(b.dims[arr.dst]), a.maps[arr.name]),
-                      (arr.src, -b.maps[arr.name], np.eye(a.dims[arr.src])))
-                     for arr in a.quiver.arrows if arr.name not in eliminated]
-        equations += [(s.leftover,) for s in steps.values()]
-        heights = [lhs.shape[0] * rhs.shape[1] for (_, lhs, rhs), *_ in equations]
-        system = np.zeros((sum(heights), n_unknowns), dtype=complex)
-        # the scale floors sigma_max in the cutoff: a loop system
-        # kron(I, f^T) - kron(g, I) cancels to rounding noise when f = g is scalar
-        scale = hom_scale(a, b)
-        row = 0
-        # an entry that overflows is reported by nullspace as a NumericalFailure
-        with np.errstate(over="ignore", invalid="ignore"):
-            for terms, h in zip(equations, heights):
-                if h:
-                    for v, lhs, rhs in terms:
-                        # row-major vec: vec(lhs L X R rhs) = (lhs L (x) (R rhs)^T) vec(X)
-                        term = np.kron(lhs @ left[v], (right[v] @ rhs).T)
-                        c = offsets[root[v]]
-                        system[row:row + h, c:c + term.shape[1]] += term
-                        scale = max(scale, max_entry(term))
-                row += h
-
+        system, scale, settled = _assemble(a, b, tol, steps)
         found = nullspace(system, tol, scale=scale)
         null = found.basis, found.cutoff, found.gap
+    else:
+        settled = _settled(a, b, steps)
+    root, left, right, kept = settled
     rows, cutoff, gap = null
     k = len(rows)
-    stacks = {}
-    for v in vertices:
-        r = root[v]
-        x = rows[:, offsets[r]:offsets[r] + a.dims[r] * b.dims[r]]
-        x = x.reshape(k, b.dims[r], a.dims[r])
-        stacks[v] = x if v == r else left[v] @ x @ right[v]
+    at_root, col = {}, 0
+    for r, mask in kept.items():
+        at_root[r] = np.zeros((k, *mask.shape), dtype=complex)
+        at_root[r][:, mask] = rows[:, col:col + mask.sum()]
+        col += int(mask.sum())
+    vertices = a.quiver.vertices
+    stacks = {v: at_root[v] if v == root[v] else left[v] @ at_root[root[v]] @ right[v]
+              for v in vertices}
     if steps and k:
         # the lift is no longer orthonormal: one QR under the summed product
         q, _ = np.linalg.qr(np.hstack([stacks[v].reshape(k, -1) for v in vertices]).T)
@@ -246,7 +283,7 @@ def _solve(a: Representation, b: Representation, tol: Tolerances,
     stacks = {v: np.ascontiguousarray(x) for v, x in stacks.items()}
     for x in stacks.values():
         x.flags.writeable = False  # iteration hands out views
-    return HomBasis(stacks, k, cutoff, gap, path, n_unknowns)
+    return HomBasis(stacks, k, cutoff, gap, path, col)
 
 
 def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL, *,
@@ -290,8 +327,8 @@ def _rerooted(steps: dict[str, _Step], u: str) -> dict[str, _Step]:
     step = steps.pop(u, None)
     while step is not None:
         above = steps.pop(step.parent, None)
-        steps[step.parent] = _Step(step.arrow, step.child, step.parent, step.right, step.left,
-                                   step.leftover)
+        steps[step.parent] = replace(step, parent=step.child, child=step.parent,
+                                     left=step.right, right=step.left)
         step = above
     return steps
 
@@ -309,7 +346,7 @@ def _krylov_end(rep: Representation, tol: Tolerances, steps: dict[str, _Step]) -
     if not n or len(vertices) - len(steps) != 1 or any(rep.dims[v] != n for v in vertices):
         return None
     check_unknowns("krylov intertwiner system", n * n)
-    _, left, right = _settled(rep, rep, steps)
+    _, left, right, _ = _settled(rep, rep, steps)
 
     def frame(u: str, arr: Arrow) -> np.ndarray:
         # T_v = (L_v R_u) T_u (L_u R_v) turns T_dst h = h T_src into T_u C = C T_u

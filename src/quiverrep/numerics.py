@@ -16,8 +16,8 @@ comes from :func:`inverse`, an orthonormal range from
 :func:`orthonormal_inclusion` or :func:`_ranked_svd`, a pseudo-inverse from
 :func:`_pseudo_inverse` of its factors, and a rank or a spectral norm from
 :func:`_ranked_svd`.  One decision reads no singular values: whether a
-matrix is nonderogatory, from the subdiagonals of its Hessenberg forms
-(:func:`nonderogatory_gap`), at the first cutoff with sigma_max its norm.
+matrix is nonderogatory, from the norms of its Arnoldi steps
+(:func:`polynomials_in`), at the first cutoff with sigma_max its norm.
 
 A system with more than :data:`MAX_UNKNOWNS` columns is refused by
 :func:`check_unknowns` before it is allocated; tests patch the constant.
@@ -214,14 +214,15 @@ def _gap(svals: np.ndarray, rank: int) -> float:
     return np.inf if discarded == 0.0 else kept / discarded
 
 
-def ranked(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[int, float]:
-    """Rank of ``matrix`` at the cutoff of :func:`nullspace` (with ``scale``
-    0) and the gap of that decision, as there, read from the singular values
-    alone; an empty matrix has rank 0 and gap ``inf``."""
+def ranked(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
+           scale: float = 0.0) -> tuple[int, float]:
+    """Rank of ``matrix`` at the cutoff of :func:`nullspace` with the same
+    ``scale``, and the gap of that decision, as there, read from the
+    singular values alone; an empty matrix has rank 0 and gap ``inf``."""
     m, n = matrix.shape
     if m == 0 or n == 0:
         return 0, np.inf
-    _, svals, *_, rank = _ranked_svd(matrix, lambda s: tol.svd_cutoff(m, n, s),
+    _, svals, *_, rank = _ranked_svd(matrix, lambda s: tol.svd_cutoff(m, n, max(s, scale)),
                                      compute_uv=False)
     return rank, _gap(svals, rank)
 

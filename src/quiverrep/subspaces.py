@@ -4,7 +4,10 @@ quiver representations, and subspace systems.
 A system is an ambient space with an ordered tuple of subspaces, stored as
 orthonormalized inclusion matrices.  Its endomorphism algebra consists of the
 operators leaving every subspace invariant; a system (equivalently, the
-lattice it generates) is transitive when that algebra is the scalars.
+lattice it generates) is transitive when that algebra is the scalars.  That
+algebra is End of the system's subspace-quiver representation read at the
+sink, and Hom's forest (:mod:`intertwiner`) solves it there: this module
+builds no equations of its own.
 """
 
 from __future__ import annotations
@@ -14,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, ValidationError
-from .intertwiner import end
+from .intertwiner import _assemble, _spanning_forest, end
 from .kronecker import loop_rep
-from .numerics import (DEFAULT_TOL, Tolerances, check_unknowns, inverse, nullspace,
-                       orthonormal_inclusion, ranked)
+from .numerics import DEFAULT_TOL, Tolerances, check_unknowns, orthonormal_inclusion, ranked
 from .quiver import Arrow, Quiver, build_canonical
 from .rep import Representation
 from .structure import AlgebraBasis
@@ -57,90 +59,43 @@ def make_system(ambient_dim: int, inclusions,
     return SubspaceSystem(ambient_dim, tuple(stored))
 
 
-def _equations(comp: np.ndarray, inc: np.ndarray, rows: np.ndarray,
-               cols: np.ndarray) -> np.ndarray:
-    """The rows Q^H (x) U^T of one subspace on the unknowns T[rows[j], cols[j]]:
-    row (a, b) and column j hold conj(Q[rows[j], a]) U[cols[j], b], the
-    entry of np.kron(Q^H, U^T) at column rows[j] d + cols[j], since
-    row-major vec(Q^H T U) = (Q^H (x) U^T) vec(T)."""
-    return (comp.conj()[rows].T[:, None, :] * inc[cols].T[None, :, :]).reshape(-1, rows.size)
-
-
-def _system_matrix(system: SubspaceSystem, tol: Tolerances,
-                   eliminate: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """The system whose nullspace is the endomorphism algebra, with the mask
-    of the row-major entries of T it solves for (see :func:`system_end`).
-
-    Every proper nonzero subspace adds its rows Q_i^H (x) U_i^T, except,
-    under ``eliminate``, a coordinate one: an inclusion with exactly k_i
-    nonzero rows R (the exact test ``inc.any(axis=1)``, no tolerance) spans
-    span{e_r : r in R}, so T leaves it invariant exactly when T[r', r] = 0
-    for every r in R and r' outside R.  Those k_i (d - k_i) entries leave
-    the unknowns with its k_i (d - k_i) rows, and the other subspaces' rows
-    are built on the entries left free, the same products as on all d^2.
-    Raises SizeLimitExceeded before anything is allocated when the d^2
-    unknowns are more than :func:`numerics.check_unknowns` allows."""
-    d = system.ambient_dim
-    check_unknowns("subspace system", d * d)
-    free = np.ones((d, d), dtype=bool)
-    equations = []
-    for inc in system.inclusions:
-        if not 0 < inc.shape[1] < d:
-            continue
-        support = inc.any(axis=1)
-        if eliminate and np.count_nonzero(support) == inc.shape[1]:
-            free[np.ix_(~support, support)] = False
-        else:
-            equations.append(inc)
-    rows, cols = np.nonzero(free)
-    blocks = [np.zeros((0, rows.size), dtype=complex)]
-    blocks += [_equations(inverse(inc, tol)[1], inc, rows, cols) for inc in equations]
-    return np.vstack(blocks), free.reshape(-1)
-
-
 def system_end(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> AlgebraBasis:
     """Orthonormal basis of { T : (I - P_i) T P_i = 0 for every subspace }.
 
-    With the stored inclusion U_i (orthonormal columns) and an orthonormal
-    complement Q_i, the condition reads Q_i^H T U_i = 0.  Each subspace of
-    dimension k_i adds k_i (d - k_i) rows, Q_i^H (x) U_i^T, to the system, so
-    it has sum_i k_i (d - k_i) rows instead of one d^2 x d^2 projector block
-    per subspace.  The projector block is kron(Q_i, conj U_i) times this one,
-    a factor with orthonormal columns, so the singular values and the right
-    singular vectors are the same.
-
-    A coordinate subspace fixes its k_i (d - k_i) entries of T to 0 instead
-    (:func:`_system_matrix`), and the nullspace of the system left on the
-    free entries is lifted with zeros in the fixed ones.  That decision is
-    kept only when its gap is at least ``elim_gap``: its cutoff, relative to
-    a smaller system, is lower than the full system's.  Otherwise End is the
-    nullspace of the full d^2-unknown system.  Raises SizeLimitExceeded, as
-    :func:`_system_matrix` does, when the d^2 unknowns are too many.
+    Restricting T to each subspace, T_i = U_i^H T U_i for the stored
+    inclusion U_i, makes it an endomorphism of the subspace-quiver
+    representation (:func:`system_to_rep`), and every one arises once so:
+    T -> T_sink is injective on that End.  So this is :func:`intertwiner.end`
+    of the representation, read at the sink and re-orthonormalized by one QR;
+    its forest leaves Q_i^H T U_i = 0 at the sink, or, for a coordinate
+    subspace, fixes k_i (d - k_i) entries of T to 0.  Raises
+    SizeLimitExceeded before anything is built when the d^2 unknowns are
+    more than :func:`numerics.check_unknowns` allows.
     """
     d = system.ambient_dim
-    if d == 0:
-        return AlgebraBasis(0, np.zeros((0, 0, 0), dtype=complex), 0, 0.0)
-    for eliminate in (True, False):
-        matrix, free = _system_matrix(system, tol, eliminate)
-        null = nullspace(matrix, tol)
-        if null.gap >= tol.elim_gap() or free.all():
-            break
-    basis = np.zeros((null.dimension, d * d), dtype=complex)
-    basis[:, free] = null.basis
-    return AlgebraBasis(d, basis.reshape(-1, d, d), null.dimension, null.cutoff, null.gap)
+    check_unknowns("subspace system", d * d)
+    if d == 0 or not system.inclusions:
+        return AlgebraBasis(d, np.eye(d * d, dtype=complex).reshape(d * d, d, d), d * d, 0.0)
+    basis = end(system_to_rep(system, tol, check=False), tol)
+    k = basis.dimension
+    q, _ = np.linalg.qr(basis.stacks[str(system.n_subspaces + 1)].reshape(k, d * d).T)
+    return AlgebraBasis(d, q.T.reshape(k, d, d), k, basis.cutoff, basis.gap)
 
 
 def system_end_dimension(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> int:
     """``system_end(system, tol).dimension`` from the singular values alone:
-    the free unknowns minus the rank of the same system at the same cutoff,
-    since :func:`system_end` takes its nullspace with scale 0, on the full
-    system when the reduced decision's gap is below ``elim_gap`` as there."""
-    for eliminate in (True, False):
-        matrix, free = _system_matrix(system, tol, eliminate)
-        rank, gap = ranked(matrix, tol)
-        if gap >= tol.elim_gap() or free.all():
-            break
-    return int(np.count_nonzero(free)) - rank
+    the kept unknowns of the forest system of the subspace-quiver
+    representation minus its rank, at the cutoff and scale its nullspace is
+    taken at (:func:`intertwiner._assemble`), when that decision's gap is at
+    least ``elim_gap``; otherwise End of the representation, as there."""
+    d = system.ambient_dim
+    check_unknowns("subspace system", d * d)
+    if d == 0 or not system.inclusions:
+        return d * d
+    rep = system_to_rep(system, tol, check=False)
+    matrix, scale, _ = _assemble(rep, rep, tol, _spanning_forest(rep, rep, tol))
+    rank, gap = ranked(matrix, tol, scale)
+    return matrix.shape[1] - rank if gap >= tol.elim_gap() else end(rep, tol).dimension
 
 
 def preserved_end(source, target, tol: Tolerances = DEFAULT_TOL) -> tuple[int, int]:

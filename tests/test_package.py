@@ -98,7 +98,18 @@ def test_only_numerics_takes_a_cutoff_callable():
 
 
 def test_qr_only_reorthonormalises_the_eliminated_hom_basis():
-    assert _calls("np.linalg.qr") == [("intertwiner.py", "_solve")]
+    # and its sink blocks, which are a subspace system's End
+    assert _calls("np.linalg.qr") == [("intertwiner.py", "_solve"), ("subspaces.py", "system_end")]
+
+
+def test_subspaces_builds_no_equations_of_its_own():
+    # a system's End is End of its subspace-quiver representation, and Hom's
+    # forest is the one solver of both
+    tree = ast.parse(SOURCES["subspaces.py"])
+    used = {ast.unparse(sub) for sub in ast.walk(tree) if isinstance(sub, (ast.Name, ast.Attribute))}
+    used |= {alias.name for sub in ast.walk(tree) if isinstance(sub, ast.ImportFrom)
+             for alias in sub.names}
+    assert used & {"np.kron", "kron", "nullspace", "_kron_on"} == set()
 
 
 def test_readme_policy_table_lists_every_tolerance_constant():

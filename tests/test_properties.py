@@ -15,12 +15,11 @@ from quiverrep import (Arrow, KroneckerFamily, NumericalFailure, Quiver, Represe
                        system_end_dimension, system_to_rep)
 from quiverrep.intertwiner import _dense_hom, _spanning_forest
 from quiverrep.kronecker import FAMILY_KINDS
-from quiverrep.numerics import DEFAULT_TOL, nullspace, numerical_rank, random_complex
-from quiverrep.subspaces import _system_matrix
+from quiverrep.numerics import DEFAULT_TOL, random_complex
 from quiverrep.structure import widest_two_group_split
 
 from helpers import assert_stacked, conjugated_jordan, loop_rep, real_well_conditioned
-from oracles import agglomerative_two_group_split, exact_end_dim
+from oracles import agglomerative_two_group_split, dense_system_end_dim, exact_end_dim
 
 # Jordan types of total size 1..5 with eigenvalues in a small set, so that
 # blocks often share an eigenvalue
@@ -323,12 +322,13 @@ def test_real_and_complex_paths_agree_under_unitary_change(parts, seed):
 @given(blocks=jordan_types, seed=st.integers(0, 2**32 - 1))
 def test_subspace_quiver_end_solves_in_the_sink_unknowns(blocks, seed):
     # each inclusion is an isometry: T_i = U_i^H T_sink U_i, leaving
-    # Q_i^H T_sink U_i = 0, which is system_end's system
+    # Q_i^H T_sink U_i = 0; the two axes of C^k (+) C^k are coordinate and
+    # fix 2k^2 of the sink's 4k^2 entries to 0 instead
     mat, commutant = conjugated_jordan(np.random.default_rng(seed), blocks)
     system = from_operator(mat)
     rep = system_to_rep(system, check=False)
     basis = end(rep)
-    assert (basis.path, basis.unknowns) == ("forest", system.ambient_dim ** 2)
+    assert (basis.path, basis.unknowns) == ("forest", 2 * mat.shape[0] ** 2)
     assert basis.dimension == _dense_hom(rep, rep).dimension == commutant
     assert basis.dimension == system_end(system).dimension
     assert_stacked(rep, rep, basis)
@@ -586,7 +586,7 @@ bridge_jordan_types = st.one_of(
        log_cond=st.integers(0, 9).map(lambda i: i / 2), seed=st.integers(0, 2**32 - 1))
 def test_reduced_system_end_is_the_full_system_answer(blocks, kind, log_cond, seed):
     # the 4-system of a conjugated Jordan operator; rep_to_system of its
-    # subspace-quiver representation, up to k = 5 (d = 30: the full system's
+    # subspace-quiver representation, up to k = 5 (d = 30: the dense oracle's
     # SVD at d = 42 takes seconds); or its inclusions each times a change of
     # basis of the subspace, which may leave them no longer exactly
     # coordinate
@@ -599,16 +599,14 @@ def test_reduced_system_end_is_the_full_system_answer(blocks, kind, log_cond, se
                              [inc @ _basis_change(rng, inc.shape[1], log_cond)
                               for inc in system.inclusions])
     d = system.ambient_dim
-    full, _ = _system_matrix(system, DEFAULT_TOL, eliminate=False)
     alg = system_end(system)
-    assert system_end_dimension(system) == alg.dimension == d * d - numerical_rank(full)
+    basis = end(system_to_rep(system, check=False))
+    assert (system_end_dimension(system) == alg.dimension == basis.dimension
+            == dense_system_end_dim(system))
     for inc in system.inclusions:
         proj = inc @ inc.conj().T
         assert np.linalg.norm((np.eye(d) - proj) @ alg.basis @ proj, axis=(1, 2)).max(
             initial=0.0) < 1e-10
-    reduced, free = _system_matrix(system, DEFAULT_TOL)
-    if nullspace(reduced).gap >= DEFAULT_TOL.elim_gap():
-        assert not alg.basis.reshape(alg.dimension, -1)[:, ~free].any()
 
 
 # -- End of loop pairs and pencils: the polynomials in one loop, cut down ------

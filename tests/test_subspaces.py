@@ -1,9 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import quiverrep.intertwiner
 import quiverrep.numerics
 import quiverrep.subspaces as subspaces
 from quiverrep import (Arrow, NumericalFailure, Quiver, Representation, SizeLimitExceeded,
@@ -11,7 +13,10 @@ from quiverrep import (Arrow, NumericalFailure, Quiver, Representation, SizeLimi
                        is_strongly_irreducible, jordan_block, kronecker_rep,
                        make_system, remove_loops, rep_to_system, shift, diagonal,
                        system_end, system_end_dimension, system_to_rep)
-from quiverrep.numerics import DEFAULT_TOL, numerical_rank, random_complex, ranked
+from quiverrep.cli import main
+from quiverrep.document import dumps, system_to_json
+from quiverrep.intertwiner import _solve, _spanning_forest
+from quiverrep.numerics import DEFAULT_TOL, random_complex
 
 from helpers import (conjugated_jordan, example6, loop_rep, random_quiver, random_rep,
                      two_subspace_rep)
@@ -331,21 +336,41 @@ def test_conjugated_scalar_operator_end_is_full(k):
     assert system_end(from_operator(mat)).dimension == k * k
 
 
-def test_reduced_system_without_a_gap_falls_back_to_the_full_system():
-    # 2I under a basis change of condition 10^3.5: the reduced system on the
-    # axes' free entries reads End of dimension 2 at a gap of about 1e2, the
-    # full d^2 system reads 4, the commutant of a scalar, as it did before
-    # the axes fixed their entries
-    rng = np.random.default_rng(5)
+def _conjugated_scalar_system(seed):
+    """The 4-system of 2I under a basis change of condition 10^3.5."""
+    rng = np.random.default_rng(seed)
     unitary = [np.linalg.qr(random_complex(rng, (2, 2)))[0] for _ in range(2)]
     change = unitary[0] @ np.diag(np.logspace(0, 3.5, 2)) @ unitary[1]
-    system = from_operator(change @ (2.0 * np.eye(2)) @ np.linalg.inv(change))
-    reduced, free = subspaces._system_matrix(system, DEFAULT_TOL)
-    rank, gap = ranked(reduced)
-    assert (int(free.sum()) - rank, gap < DEFAULT_TOL.elim_gap()) == (2, True)
-    full, _ = subspaces._system_matrix(system, DEFAULT_TOL, eliminate=False)
-    assert system_end_dimension(system) == 16 - numerical_rank(full) == 4
-    assert system_end(system).dimension == dense_system_end_dim(system) == 4
+    return from_operator(change @ (2.0 * np.eye(2)) @ np.linalg.inv(change))
+
+
+def test_reduced_system_without_a_gap_falls_back_to_the_full_system():
+    # the forest system of the subspace-quiver representation, on the 8 sink
+    # entries the axes leave free, reads End of dimension 2 at a gap of about
+    # 1e2; End falls back to the dense system, which reads 4, the commutant
+    # of a scalar
+    system = _conjugated_scalar_system(5)
+    rep = system_to_rep(system, check=False)
+    forest = _solve(rep, rep, DEFAULT_TOL, _spanning_forest(rep, rep, DEFAULT_TOL))
+    assert (forest.dimension, forest.unknowns, forest.gap < DEFAULT_TOL.elim_gap()) == (2, 8, True)
+    assert (end(rep).path, end(rep).dimension) == ("dense", 4)
+    assert system_end_dimension(system) == system_end(system).dimension == 4
+    assert dense_system_end_dim(system) == 4
+
+
+def test_conjugated_scalar_system_keeps_its_end_across_the_bridge(tmp_path, capsys):
+    # at rng 15 too the sink system reads 2 without a gap; every reading,
+    # the bridge's check included, falls back to the representation's dense
+    # system and agrees on 4, the commutant of a scalar
+    system = _conjugated_scalar_system(15)
+    rep = system_to_rep(system)
+    assert (system_end_dimension(system) == system_end(system).dimension == end(rep).dimension
+            == dense_system_end_dim(system) == 4)
+    path = tmp_path / "sys.json"
+    path.write_text(dumps(system_to_json(system)))
+    assert main(["convert", "--system-to-rep", str(path)]) == 0
+    sidecar = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert sidecar == {"dim_end_before": 4, "dim_end_after": 4, "equal": True}
 
 
 def test_an_inclusion_with_one_entry_outside_its_rows_is_not_coordinate():
@@ -354,9 +379,9 @@ def test_an_inclusion_with_one_entry_outside_its_rows_is_not_coordinate():
     axis[3, 0] = 1e-300
     axis.flags.writeable = False
     touched = subspaces.SubspaceSystem(6, (axis,) + system.inclusions[1:])
-    # only the second axis fixes its 9 entries of T
-    assert subspaces._system_matrix(system, DEFAULT_TOL)[1].sum() == 18
-    assert subspaces._system_matrix(touched, DEFAULT_TOL)[1].sum() == 27
+    # only the second axis fixes its 9 entries of T at the sink
+    assert end(system_to_rep(system, check=False)).unknowns == 18
+    assert end(system_to_rep(touched, check=False)).unknowns == 27
     assert (system_end_dimension(touched) == system_end(touched).dimension
             == system_end_dimension(system) == 3)
 
@@ -388,10 +413,12 @@ def test_system_end_size_limit_is_checked_before_the_system_is_built(monkeypatch
     def no_blocks(*args, **kwargs):
         raise AssertionError("a system block was built")
 
-    # _equations builds every block: within the limit, the detector fires
-    monkeypatch.setattr(subspaces, "_equations", no_blocks)
-    with pytest.raises(AssertionError, match="a system block was built"):
-        system_end_dimension(system)
+    # _assemble builds every system: within the limit, the detector fires
+    monkeypatch.setattr(quiverrep.intertwiner, "_assemble", no_blocks)
+    monkeypatch.setattr(subspaces, "_assemble", no_blocks)
+    for solve in (system_end, system_end_dimension):
+        with pytest.raises(AssertionError, match="a system block was built"):
+            solve(system)
     monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 35)
     for solve in (system_end, system_end_dimension, lambda s: system_to_rep(s)):
         with pytest.raises(SizeLimitExceeded, match="36 unknowns > limit 35"):
