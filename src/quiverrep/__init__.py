@@ -13,9 +13,8 @@ from .structure import (AlgebraBasis, Analysis, DecompositionTree, Indecomposabl
                         is_canonically_simple, is_indecomposable, is_irreducible,
                         is_simple, is_strongly_irreducible, is_transitive,
                         radical_dimension, star_closed_end_dim)
-from .kronecker import (KroneckerFamily, KroneckerReduction, build_family,
-                        jordan_block, kronecker_rep, loop_rep, polynomial_model,
-                        reduce_invertible_first, reduce_pencil)
+from .kronecker import (KroneckerFamily, build_family, jordan_block, kronecker_rep,
+                        loop_rep, polynomial_model)
 from .operators import (CrossHomReport, HrrEndReport, SimilarityEvidence,
                         bilateral_shift, cross_model_hom, diagonal,
                         end_recursion_check, example_reps, hrr_max_truncation,
@@ -38,8 +37,8 @@ __all__ = [
     "is_canonically_simple", "is_indecomposable", "is_irreducible", "is_simple",
     "is_strongly_irreducible", "is_transitive", "radical_dimension",
     "star_closed_end_dim",
-    "KroneckerFamily", "KroneckerReduction", "build_family", "jordan_block",
-    "kronecker_rep", "loop_rep", "polynomial_model", "reduce_invertible_first", "reduce_pencil",
+    "KroneckerFamily", "build_family", "jordan_block", "kronecker_rep", "loop_rep",
+    "polynomial_model",
     "CrossHomReport", "HrrEndReport", "SimilarityEvidence",
     "shift", "bilateral_shift", "diagonal", "rank_one",
     "perturbation_model", "hrr_model", "hrr_max_truncation",

@@ -148,9 +148,9 @@ def _parse_value(raw: str, kind: str) -> Any:
 
 
 def parse_params(model: ModelSpec, pairs: list[str], sweep: bool = False) -> dict:
-    """Parse key=value parameter pairs.  With ``sweep`` numeric scalars may be
-    comma-separated lists (sweep grids) and ``N`` is not required, since it
-    comes from ``--n-range``."""
+    """Parse key=value parameter pairs, each key at most once.  With ``sweep``
+    numeric scalars may be comma-separated lists (sweep grids) and ``N`` is
+    not required, since it comes from ``--n-range``."""
     out: dict[str, Any] = {}
     for pair in pairs or []:
         if "=" not in pair:
@@ -161,6 +161,9 @@ def parse_params(model: ModelSpec, pairs: list[str], sweep: bool = False) -> dic
                 f"model {model.name!r} has no parameter {key!r}; "
                 f"expected {sorted(model.params)}"
             )
+        if key in out:
+            grid = "; give a sweep grid as one comma-separated value" if sweep else ""
+            raise ValidationError(f"parameter {key!r} is given more than once{grid}")
         spec = model.params[key]
         if sweep and spec.kind in ("int", "float", "complex") and "," in raw:
             out[key] = [_parse_value(x, spec.kind) for x in raw.split(",") if x]
@@ -309,6 +312,10 @@ def _write_out(text: str, out: str | None) -> None:
 # subcommands
 
 def cmd_analyze(args, tol: Tolerances) -> int:
+    if args.model and args.file:
+        raise ValidationError("analyze takes a document file or --model, not both")
+    if args.param and not args.model:
+        raise ValidationError("--param sets a built-in model's parameters and needs --model")
     if args.model:
         rep, meta = build_model(args.model, args.param, tol)
         source = {"source": f"builder:{args.model}", "params": meta["params"]}

@@ -1,6 +1,5 @@
 """Builders for the Weierstrass-Kronecker families on the 2-arrow Kronecker
-quiver, the invertible-arrow and pencil reductions, and the polynomial model
-on the (n+1)-arrow Kronecker quiver."""
+quiver and the polynomial model on the (n+1)-arrow Kronecker quiver."""
 
 from __future__ import annotations
 
@@ -9,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import DEFAULT_TOL, Tolerances, inverse
 from .quiver import build_canonical
 from .rep import Representation
 
@@ -47,15 +45,13 @@ def jordan_block(lam: complex, n: int) -> np.ndarray:
 
 def build_family(family: KroneckerFamily) -> Representation:
     """The representation exactly as classified, on the canonical Kronecker quiver."""
-    q = build_canonical("kronecker", 2)
     n = int(family.n)
     if family.kind == "jordan_first":
-        dims = {"1": n, "2": n}
-        maps = {"a1": jordan_block(family.lam, n), "a2": np.eye(n, dtype=complex)}
-    elif family.kind == "jordan_second":
-        dims = {"1": n, "2": n}
-        maps = {"a1": np.eye(n, dtype=complex), "a2": jordan_block(family.lam, n)}
-    elif family.kind == "wide":
+        return kronecker_rep(jordan_block(family.lam, n), np.eye(n, dtype=complex))
+    if family.kind == "jordan_second":
+        return kronecker_rep(np.eye(n, dtype=complex), jordan_block(family.lam, n))
+    # wide and tall maps are not square, which kronecker_rep requires
+    if family.kind == "wide":
         dims = {"1": n + 1, "2": n}
         maps = {"a1": np.eye(n, n + 1, dtype=complex),
                 "a2": np.eye(n, n + 1, k=1, dtype=complex)}
@@ -63,7 +59,7 @@ def build_family(family: KroneckerFamily) -> Representation:
         dims = {"1": n, "2": n + 1}
         maps = {"a1": np.eye(n + 1, n, dtype=complex),
                 "a2": np.eye(n + 1, n, k=-1, dtype=complex)}
-    return Representation(q, dims, maps)
+    return Representation(build_canonical("kronecker", 2), dims, maps)
 
 
 def _canonical_rep(kind: str, maps) -> Representation:
@@ -87,56 +83,6 @@ def kronecker_rep(*maps: np.ndarray) -> Representation:
     """Kronecker-quiver representation with an arrow 1 -> 2 for each given
     square map."""
     return _canonical_rep("kronecker", maps)
-
-
-@dataclass(frozen=True, eq=False)
-class KroneckerReduction:
-    """A reduced representation plus the isomorphism witnessing the reduction.
-
-    ``witness`` maps the original (A, B) representation onto ``reduced``:
-    witness[range] . f_arrow = g_arrow . witness[source] for every arrow.
-    """
-
-    original: Representation
-    reduced: Representation
-    witness: dict[str, np.ndarray]
-
-
-def reduce_invertible_first(a: np.ndarray, b: np.ndarray,
-                            tol: Tolerances = DEFAULT_TOL) -> KroneckerReduction:
-    """Reduce (A, B) with invertible A to (I, A^{-1}B)."""
-    original = kronecker_rep(a, b)
-    a = original.maps["a1"]
-    b = original.maps["a2"]
-    a_inv, _, _ = inverse(a, tol)
-    if a_inv is None:
-        raise ValidationError("first arrow matrix is numerically singular")
-    n = a.shape[0]
-    reduced = kronecker_rep(np.eye(n, dtype=complex), a_inv @ b)
-    witness = {"1": np.eye(n, dtype=complex), "2": a_inv}
-    return KroneckerReduction(original, reduced, witness)
-
-
-def reduce_pencil(a: np.ndarray, b: np.ndarray, x: complex, y: complex,
-                  tol: Tolerances = DEFAULT_TOL) -> KroneckerReduction:
-    """Reduce (A, B) to (T, (1/y) I - (x/y) T) with T = (xA + yB)^{-1} A."""
-    if y == 0:
-        raise ValidationError("pencil reduction needs y != 0")
-    original = kronecker_rep(a, b)
-    a = original.maps["a1"]
-    b = original.maps["a2"]
-    # an entry that overflows is reported by inverse as a NumericalFailure
-    with np.errstate(over="ignore", invalid="ignore"):
-        pencil = x * a + y * b
-    w, _, _ = inverse(pencil, tol)
-    if w is None:
-        raise ValidationError("pencil xA + yB is numerically singular")
-    n = a.shape[0]
-    t = w @ a
-    second = (1.0 / y) * np.eye(n, dtype=complex) - (x / y) * t
-    reduced = kronecker_rep(t, second)
-    witness = {"1": np.eye(n, dtype=complex), "2": w}
-    return KroneckerReduction(original, reduced, witness)
 
 
 def polynomial_model(t: np.ndarray, coeffs) -> Representation:

@@ -3,17 +3,21 @@
 These deliberately avoid the library's vectorized solver: constraint systems
 are assembled entry by entry and solved exactly over the rationals (sympy) or
 by an enumeration argument, so that hom dimensions asserted in the tests are
-computed along a second, independent path.
+computed along a second, independent path.  The paper's Kronecker reductions
+are stated here as well, outside Hom's forest, which eliminates through the
+same inverse.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 import sympy as sp
 
-from quiverrep.numerics import DEFAULT_TOL, _ranked_svd
+from quiverrep import Representation, ValidationError, kronecker_rep
+from quiverrep.numerics import DEFAULT_TOL, Tolerances, _ranked_svd, inverse
 
 
 def _exactify(x: complex):
@@ -220,3 +224,53 @@ def agglomerative_two_group_split(values, threshold):
     if gap <= threshold:
         return None
     return tuple(np.array([values[a] for a in g]) for g in groups)
+
+
+@dataclass(frozen=True, eq=False)
+class KroneckerReduction:
+    """A reduced representation plus the isomorphism witnessing the reduction.
+
+    ``witness`` maps the original (A, B) representation onto ``reduced``:
+    witness[range] . f_arrow = g_arrow . witness[source] for every arrow.
+    """
+
+    original: Representation
+    reduced: Representation
+    witness: dict[str, np.ndarray]
+
+
+def reduce_invertible_first(a: np.ndarray, b: np.ndarray,
+                            tol: Tolerances = DEFAULT_TOL) -> KroneckerReduction:
+    """Reduce (A, B) with invertible A to (I, A^{-1}B)."""
+    original = kronecker_rep(a, b)
+    a = original.maps["a1"]
+    b = original.maps["a2"]
+    a_inv, _, _ = inverse(a, tol)
+    if a_inv is None:
+        raise ValidationError("first arrow matrix is numerically singular")
+    n = a.shape[0]
+    reduced = kronecker_rep(np.eye(n, dtype=complex), a_inv @ b)
+    witness = {"1": np.eye(n, dtype=complex), "2": a_inv}
+    return KroneckerReduction(original, reduced, witness)
+
+
+def reduce_pencil(a: np.ndarray, b: np.ndarray, x: complex, y: complex,
+                  tol: Tolerances = DEFAULT_TOL) -> KroneckerReduction:
+    """Reduce (A, B) to (T, (1/y) I - (x/y) T) with T = (xA + yB)^{-1} A."""
+    if y == 0:
+        raise ValidationError("pencil reduction needs y != 0")
+    original = kronecker_rep(a, b)
+    a = original.maps["a1"]
+    b = original.maps["a2"]
+    # an entry that overflows is reported by inverse as a NumericalFailure
+    with np.errstate(over="ignore", invalid="ignore"):
+        pencil = x * a + y * b
+    w, _, _ = inverse(pencil, tol)
+    if w is None:
+        raise ValidationError("pencil xA + yB is numerically singular")
+    n = a.shape[0]
+    t = w @ a
+    second = (1.0 / y) * np.eye(n, dtype=complex) - (x / y) * t
+    reduced = kronecker_rep(t, second)
+    witness = {"1": np.eye(n, dtype=complex), "2": w}
+    return KroneckerReduction(original, reduced, witness)

@@ -108,6 +108,33 @@ def test_analyze_unwritable_out_is_validation_error(tmp_path, capsys):
     assert "cannot write" in err and str(out) in err
 
 
+def test_analyze_refuses_a_document_file_with_a_model(tmp_path, capsys):
+    path = build_doc(tmp_path, capsys, "ex7")
+    for file in (str(path), str(tmp_path / "missing.json")):
+        code, out, err = run_cli(capsys, "analyze", file, "--model", "ex6")
+        assert code == 2 and out == ""
+        assert "not both" in err
+
+
+def test_analyze_refuses_param_without_a_model(tmp_path, capsys):
+    path = build_doc(tmp_path, capsys, "ex6")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--param", "N=5")
+    assert code == 2 and out == ""
+    assert "needs --model" in err
+
+
+@pytest.mark.parametrize("argv,hint", [
+    (["analyze", "--model", "ex3", "--param", "N=3", "--param", "N=5"], False),
+    (["build", "ex3", "--param", "N=3", "--param", "N=5"], False),
+    (["sweep", "hrr", "--n-range", "2:3", "--param", "lam=1.05", "--param", "lam=1.1"], True),
+])
+def test_a_parameter_given_twice_is_validation_error(capsys, argv, hint):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "given more than once" in err
+    assert ("comma-separated" in err) == hint
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "1e-320", "1e-200", "1e200",
                                    "0.05", "0.01"])
 def test_tol_scale_must_be_positive_and_finite(capsys, scale):

@@ -7,12 +7,12 @@ import pytest
 from quiverrep import (KroneckerFamily, NumericalFailure, ValidationError, are_isomorphic,
                        build_family, end, intertwining_residual,
                        is_indecomposable, is_strongly_irreducible, is_transitive,
-                       jordan_block, kronecker_rep, loop_rep, polynomial_model,
-                       reduce_invertible_first, reduce_pencil, shift)
+                       jordan_block, kronecker_rep, loop_rep, polynomial_model, shift)
 from quiverrep.intertwiner import hom_scale
 from quiverrep.numerics import random_complex
 
-from oracles import exact_commutant_dim, exact_end_dim
+from oracles import (exact_commutant_dim, exact_end_dim, reduce_invertible_first,
+                     reduce_pencil)
 
 
 def test_wide_zero_is_one_zero():

@@ -112,6 +112,18 @@ def test_subspaces_builds_no_equations_of_its_own():
     assert used & {"np.kron", "kron", "nullspace", "_kron_on"} == set()
 
 
+def test_kronecker_builds_and_reduces_nothing():
+    # the paper's reduction (A, B) -> (I, A^-1 B) is the step Hom's forest
+    # eliminates through; kronecker.py keeps only builders
+    tree = ast.parse(SOURCES["kronecker.py"])
+    imports = [ast.unparse(sub) for sub in ast.walk(tree)
+               if isinstance(sub, (ast.Import, ast.ImportFrom))]
+    assert [line for line in imports if "numerics" in line] == []
+    called = {ast.unparse(sub.func).split(".")[-1] for sub in ast.walk(tree)
+              if isinstance(sub, ast.Call)}
+    assert called & {"inverse", "inv", "pinv", "solve"} == set()
+
+
 def test_readme_policy_table_lists_every_tolerance_constant():
     # the scale is the one setting, described above the table, not a row of it
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -8,18 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quiverrep import (Arrow, KroneckerFamily, NumericalFailure, Quiver, Representation,
-                       analyze, are_isomorphic, build_canonical, build_family, decompose,
-                       direct_sum, end, end_recursion_check, from_operator, generated_algebra,
-                       hom, hrr_model, is_strongly_irreducible, jordan_block, kronecker_rep,
-                       make_system, remove_loops, rep_to_system, restrict, shift, system_end,
-                       system_end_dimension, system_to_rep)
+                       ValidationError, analyze, are_isomorphic, build_canonical, build_family,
+                       decompose, direct_sum, end, end_recursion_check, example_reps,
+                       from_operator, generated_algebra, hom, hrr_model, is_strongly_irreducible,
+                       jordan_block, kronecker_rep, make_system, remove_loops, rep_to_system,
+                       restrict, shift, system_end, system_end_dimension, system_to_rep)
 from quiverrep.intertwiner import _dense_hom, _spanning_forest
 from quiverrep.kronecker import FAMILY_KINDS
 from quiverrep.numerics import DEFAULT_TOL, random_complex
 from quiverrep.structure import widest_two_group_split
 
 from helpers import assert_stacked, conjugated_jordan, loop_rep, real_well_conditioned
-from oracles import agglomerative_two_group_split, dense_system_end_dim, exact_end_dim
+from oracles import (agglomerative_two_group_split, dense_system_end_dim, exact_end_dim,
+                     reduce_pencil)
 
 # Jordan types of total size 1..5 with eigenvalues in a small set, so that
 # blocks often share an eigenvalue
@@ -275,6 +276,36 @@ def test_ill_conditioned_hidden_jordan_sums_keep_an_exact_forest_or_go_dense(fir
             assert basis.dimension == want
         else:
             assert basis.dimension == _dense_hom(x, y).dimension
+
+
+# the paper's pencil reduction (A, B) -> (T, I/y - (x/y) T), T = (xA + yB)^-1 A,
+# at these points (x, y)
+PENCIL_POINTS = ((1.0, 1.0), (0.7, 1.3), (1j, 1.0), (np.exp(0.7j), 1.0))
+
+pencil_sums = st.lists(st.tuples(st.sampled_from(["jordan_first", "jordan_second"]),
+                                 st.integers(1, 2), st.sampled_from([0.0, 1.0, 2.0])),
+                       min_size=1, max_size=3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=220)
+@given(case=st.one_of(st.integers(2, 10), pencil_sums), seed=st.integers(0, 2**32 - 1))
+def test_end_and_hom_agree_across_the_pencil_reduction(case, seed):
+    # the reduced pair is isomorphic to the original, so End of either and Hom
+    # between them have one dimension, on whichever path each solve takes;
+    # ex9 (S, S*) has no invertible arrow, so its End is the dense one
+    if isinstance(case, int):
+        rep = example_reps("ex9", case)
+    else:
+        total = _sum([build_family(KroneckerFamily(kind, n, lam)) for kind, n, lam in case])
+        rng = np.random.default_rng(seed)
+        rep = _changed(total, {v: random_complex(rng, (k, k)) for v, k in total.dims.items()})
+    dimension = end(rep).dimension
+    for x, y in PENCIL_POINTS:
+        try:
+            reduced = reduce_pencil(rep.maps["a1"], rep.maps["a2"], x, y).reduced
+        except ValidationError:  # xA + yB is singular at this point
+            continue
+        assert end(reduced).dimension == dimension == hom(rep, reduced).dimension
 
 
 # families with n = 0 too: wide(0) and tall(0) are canonically simple
