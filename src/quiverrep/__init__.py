@@ -8,11 +8,9 @@ from .rep import (Representation, canonically_simple, direct_sum,
                   is_isomorphism_compatible, restrict, zero_representation)
 from .intertwiner import (HomBasis, IsoResult, are_isomorphic, end, hom,
                           intertwining_residual, relatively_prime)
-from .structure import (AlgebraBasis, Analysis, DecompositionTree, IndecomposableResult,
-                        SimpleResult, analyze, decompose, generated_algebra,
-                        is_canonically_simple, is_indecomposable, is_irreducible,
-                        is_simple, is_strongly_irreducible, is_transitive,
-                        radical_dimension, star_closed_end_dim)
+from .structure import (AlgebraBasis, Analysis, DecompositionTree, SimpleResult, analyze,
+                        decompose, generated_algebra, is_canonically_simple,
+                        is_strongly_irreducible, radical_dimension, star_closed_end_dim)
 from .kronecker import (KroneckerFamily, build_family, jordan_block, kronecker_rep,
                         loop_rep, polynomial_model)
 from .operators import (CrossHomReport, HrrEndReport, SimilarityEvidence,
@@ -32,11 +30,9 @@ __all__ = [
     "zero_representation", "is_isomorphism_compatible",
     "HomBasis", "IsoResult", "hom", "end", "are_isomorphic",
     "relatively_prime", "intertwining_residual",
-    "AlgebraBasis", "Analysis", "DecompositionTree", "IndecomposableResult",
-    "SimpleResult", "analyze", "decompose", "generated_algebra",
-    "is_canonically_simple", "is_indecomposable", "is_irreducible", "is_simple",
-    "is_strongly_irreducible", "is_transitive", "radical_dimension",
-    "star_closed_end_dim",
+    "AlgebraBasis", "Analysis", "DecompositionTree", "SimpleResult", "analyze",
+    "decompose", "generated_algebra", "is_canonically_simple",
+    "is_strongly_irreducible", "radical_dimension", "star_closed_end_dim",
     "KroneckerFamily", "build_family", "jordan_block", "kronecker_rep", "loop_rep",
     "polynomial_model",
     "CrossHomReport", "HrrEndReport", "SimilarityEvidence",

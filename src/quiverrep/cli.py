@@ -1,10 +1,10 @@
 """Command-line surface: analyze / hom / iso / build / sweep / convert.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure,
-4 size limit exceeded.  All commands are deterministic given the input,
---seed and --tol-scale.  File arguments accept "-" for stdin.  Reports are
-JSON; ``sweep --format`` picks CSV (the default) or JSON rows.  The verdicts
-of ``analyze`` are those of :func:`quiverrep.structure.analyze`.
+Exit codes: 0 success, 2 validation failure, 3 numerical failure, 4 size
+limit exceeded or memory exhausted.  All commands are deterministic given
+the input, --seed and --tol-scale.  File arguments accept "-" for stdin.
+Reports are JSON; ``sweep --format`` picks CSV (the default) or JSON rows.
+The verdicts of ``analyze`` are those of :func:`quiverrep.structure.analyze`.
 """
 
 from __future__ import annotations
@@ -595,8 +595,8 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except SizeLimitExceeded as exc:
-        print(f"size limit: {exc}", file=sys.stderr)
+    except (SizeLimitExceeded, MemoryError) as exc:
+        print(f"size limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
 
 

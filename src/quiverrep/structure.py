@@ -33,7 +33,10 @@ singular value is under ``range_tol(1)`` on the unit-scaled generators adds
 nothing, so an arrow map below ``range_rel`` of the map scale is invisible.
 
 The verdict rules and the implications between them are stated once, in
-:class:`Analysis`; the ``is_*`` functions and ``decompose`` are views of it.
+:class:`Analysis`, and :func:`analyze` is the one route to a verdict;
+``decompose`` and ``is_strongly_irreducible`` are views of it.
+``Analysis.verdicts`` refuses a reading no representation has: an End of
+dimension 0, a radical that holds I, or a star-closed core without I.
 """
 
 from __future__ import annotations
@@ -267,26 +270,6 @@ def spectral_projector(matrix: np.ndarray, selected: np.ndarray,
 # ---------------------------------------------------------------------------
 # indecomposability
 
-@dataclass(frozen=True, eq=False)
-class IndecomposableResult:
-    indecomposable: bool
-    end_dim: int
-    radical_dim: int
-    witness: dict[str, np.ndarray] | None
-    seed: int
-
-    def __bool__(self) -> bool:
-        return self.indecomposable
-
-
-def is_indecomposable(rep: Representation, tol: Tolerances = DEFAULT_TOL,
-                      seed: int = 0) -> IndecomposableResult:
-    """Local-algebra test; on a negative verdict returns a splitting idempotent."""
-    result = analyze(rep, tol, seed)
-    return IndecomposableResult(result.indecomposable, result.end_basis.dimension,
-                                result.radical_dim, result.splitting_idempotent(), seed)
-
-
 # Random draws tried by each witness search, and accepted draws compared by
 # ``_splitting_idempotent``: on perfbench hidden-decompose (seeds 1-8, 9 432
 # ops, two BLAS threads), decompose failed 96 ops with one draw, 7 with two
@@ -362,11 +345,6 @@ def _splitting_idempotent(rep: Representation, corner: dict[str, np.ndarray],
     return min(kept, key=lambda pair: pair[0])[1]
 
 
-def is_transitive(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff End(H,f) is the scalars."""
-    return analyze(rep, tol).transitive
-
-
 # ---------------------------------------------------------------------------
 # simplicity
 
@@ -395,23 +373,6 @@ class SimpleResult:
 
     def __bool__(self) -> bool:
         return self.simple
-
-
-def is_simple(rep: Representation, tol: Tolerances = DEFAULT_TOL,
-              seed: int = 0) -> SimpleResult:
-    """Simplicity by the support check, then Norton's test, with the full spin
-    of the generated algebra as the last resort (see :class:`SimpleResult`).
-
-    A negative verdict carries a proper nonzero invariant graded subspace as
-    per-vertex inclusions, and the dimension of the generated algebra from its
-    full spin; a positive one gives that dimension as d^2 by Burnside's
-    theorem, and costs one d x d eigenvalue problem and two vector spins per
-    Norton draw instead of the g * d^6 of the full spin.  Raises
-    NumericalFailure when the verdict is negative but no witness was found.
-    """
-    result = analyze(rep, tol, seed)
-    result.invariant_subspace()
-    return result.simplicity
 
 
 def _support_witness(rep: Representation) -> dict[str, np.ndarray] | None:
@@ -549,25 +510,18 @@ def star_closed_end_dim(rep: Representation, tol: Tolerances = DEFAULT_TOL,
     return 2 * k - numerical_rank(np.vstack([vecs, star]), tol)
 
 
-def is_irreducible(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """No nontrivial endomorphism that is an orthogonal projection at every vertex.
-
-    A non-scalar element of the star-closed core yields a non-scalar Hermitian
-    element whose spectral projection is such a projector, and conversely.
-    """
-    return analyze(rep, tol).irreducible
-
-
 # ---------------------------------------------------------------------------
 # the verdict battery
 
 @dataclass(frozen=True, eq=False)
 class Analysis:
     """The five structural verdicts of a nonzero representation, each rule
-    stated once.  End is solved at most once; the radical, the simplicity
-    record, the generated algebra and the star-closed core are computed when
-    first read.  Built by :func:`analyze`; ``seed`` drives the randomized
-    witness searches."""
+    stated once, and their witnesses: :meth:`splitting_idempotent` for a
+    decomposable one, :meth:`invariant_subspace` for one that is not simple.
+    End is solved at most once; the radical, the simplicity record, the
+    generated algebra and the star-closed core are computed when first read.
+    Built by :func:`analyze`, the one route to a verdict; ``seed`` drives the
+    randomized witness searches."""
 
     rep: Representation
     tol: Tolerances = DEFAULT_TOL
@@ -632,11 +586,15 @@ class Analysis:
 
     @property
     def irreducible(self) -> bool:
+        """No nontrivial endomorphism is an orthogonal projection at every
+        vertex: a non-scalar element of the star-closed core yields one as a
+        spectral projection of a Hermitian element, and conversely."""
         return self.star_dim == 1
 
     def verdicts(self) -> dict[str, bool]:
         """All five verdicts by name.  Raises NumericalFailure if they break an
-        implication, which only inconsistent rank decisions can do."""
+        implication or read End, its radical or its star-closed core at a
+        dimension no representation has: only inconsistent rank decisions can."""
         verdicts = {name: getattr(self, name) for name in (
             "indecomposable", "transitive", "simple", "canonically_simple", "irreducible")}
         # simple => transitive is Schur's lemma (End is a division algebra over
@@ -650,6 +608,11 @@ class Analysis:
             if verdicts[premise] and not verdicts[conclusion]:
                 raise NumericalFailure(
                     f"implication violated: {premise.replace('_', ' ')} but not {conclusion}")
+        # I is a nonzero endomorphism, outside the radical and in the core
+        k = self.end_basis.dimension
+        if k == 0 or self.radical_dim >= k or self.star_dim == 0:
+            raise NumericalFailure(f"impossible reading: dim End {k}, radical "
+                                   f"{self.radical_dim}, star-closed core {self.star_dim}")
         return verdicts
 
     def splitting_idempotent(self) -> dict[str, np.ndarray] | None:

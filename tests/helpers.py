@@ -81,6 +81,13 @@ def conjugate(rep: Representation, rng: np.random.Generator) -> Representation:
     return Representation(rep.quiver, dict(rep.dims), maps)
 
 
+def rotate(rep: Representation, rng: np.random.Generator) -> Representation:
+    """Unitarily equivalent copy through a random unitary at each vertex."""
+    u = {v: np.linalg.qr(random_complex(rng, (k, k)))[0] for v, k in rep.dims.items()}
+    maps = {a.name: u[a.dst] @ rep.maps[a.name] @ u[a.src].conj().T for a in rep.quiver.arrows}
+    return Representation(rep.quiver, dict(rep.dims), maps)
+
+
 def random_decomposable(rng: np.random.Generator, quiver: Quiver,
                         max_dim: int = 2) -> Representation:
     a = random_rep(rng, quiver, max_dim=max_dim)

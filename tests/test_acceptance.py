@@ -9,12 +9,11 @@ are frozen here as literals.
 import numpy as np
 import pytest
 
-from quiverrep import (KroneckerFamily, are_isomorphic, build_canonical,
+from quiverrep import (KroneckerFamily, analyze, are_isomorphic, build_canonical,
                        build_family, canonically_simple, cross_model_hom,
                        decompose, diagonal, direct_sum, end,
                        end_recursion_check, example_reps, hom, hrr_model,
-                       is_canonically_simple, is_indecomposable, is_simple,
-                       is_strongly_irreducible, is_transitive, jordan_block,
+                       is_canonically_simple, is_strongly_irreducible, jordan_block,
                        kronecker_rep, remove_loops, rep_to_system, shift,
                        system_end, Representation)
 from quiverrep.intertwiner import hom_scale
@@ -43,7 +42,7 @@ def test_criterion_1_kronecker_classification():
             basis = end(rep)
             assert basis.dimension == 1, (kind, n)
             assert basis.gap >= MIN_GAP
-            assert is_transitive(rep)
+            assert analyze(rep).transitive
             checked += 1
     for lam in (0.0, 1.0, 2.5 - 1.0j):
         rep = build_family(KroneckerFamily("jordan_first", 1, lam))
@@ -57,22 +56,22 @@ def test_criterion_1_kronecker_classification():
             basis = end(rep)
             assert basis.dimension == n, (kind, n)
             assert basis.gap >= MIN_GAP
-            assert is_indecomposable(rep).indecomposable
+            assert analyze(rep).indecomposable
             checked += 1
     report(1, f"{checked} classification-family checks, dim End exact, SVD gap >= 1e3")
 
 
 def test_criterion_2_example_fixtures():
-    ex6 = example6()
-    assert is_transitive(ex6)
-    res6 = is_simple(ex6)
+    ex6 = analyze(example6())
+    assert ex6.transitive
+    res6 = ex6.simplicity
     assert not res6.simple and res6.algebra_dim == 3
-    ex7 = example7()
-    assert is_transitive(ex7)
-    res7 = is_simple(ex7)
+    ex7 = analyze(example7())
+    assert ex7.transitive
+    res7 = ex7.simplicity
     assert res7.simple and res7.algebra_dim == 4
     ex1 = two_subspace_rep(np.pi / 4)
-    assert not is_indecomposable(ex1).indecomposable
+    assert not analyze(ex1).indecomposable
     assert star_closed_end_dim(ex1) == 1  # irreducible
     assert end(ex1).dimension == 2
     report(2, "fixtures: transitive/simple verdicts and algebra dims 3, 4; "
@@ -96,9 +95,9 @@ def test_criterion_3_strong_irreducibility_correspondence():
     for matrix, expected in suite:
         direct = single_jordan_block_criterion(matrix)
         via_loop = is_strongly_irreducible(matrix)  # the library verdict, from End alone
-        via_loop_rep = is_indecomposable(loop_rep(matrix)).indecomposable
+        via_loop_rep = analyze(loop_rep(matrix)).indecomposable
         kron = kronecker_rep(matrix, np.eye(matrix.shape[0], dtype=complex))
-        via_kron = is_indecomposable(kron).indecomposable
+        via_kron = analyze(kron).indecomposable
         assert direct == via_loop == via_loop_rep == via_kron == expected, matrix
     report(3, f"{len(suite)} operators: single-Jordan criterion, one-loop and "
               "(A, I) Kronecker indecomposability all agree")
@@ -207,9 +206,10 @@ def test_criterion_8_proposition_suites():
     for rep in pool:
         if rep.total_dim == 0:
             continue
-        if is_simple(rep).simple:
+        result = analyze(rep)
+        if result.simple:
             simple_seen += 1
-            assert is_transitive(rep)
+            assert result.transitive
     assert simple_seen >= 5
 
     # acyclic: simple <=> canonically simple on 50 representations
@@ -220,7 +220,7 @@ def test_criterion_8_proposition_suites():
                if i % 5 == 0 else random_rep(rng, q, max_dim=2))
         if rep.total_dim == 0:
             continue
-        assert is_simple(rep).simple == is_canonically_simple(rep)
+        assert analyze(rep).simple == is_canonically_simple(rep)
         equiv_checked += 1
 
     # adjoint pairs: transitive <=> simple <=> one-dimensional *-commutant
@@ -233,8 +233,9 @@ def test_criterion_8_proposition_suites():
              jordan_block(0.0, 3)]
     for t in mats:
         rep = Representation(q2, {"1": 3}, {"a1": t, "a2": t.conj().T})
-        transitive = is_transitive(rep)
-        simple = is_simple(rep).simple
+        result = analyze(rep)
+        transitive = result.transitive
+        simple = result.simple
         star_one = star_closed_end_dim(rep) == 1
         assert transitive == simple == star_one, t
     report(8, f"propositions: simple=>transitive on 50 reps ({simple_seen} simple), "

@@ -12,13 +12,15 @@ import pytest
 import quiverrep.intertwiner
 import quiverrep.numerics
 import quiverrep.structure
-from quiverrep import (NumericalFailure, Representation, build_canonical, end, example_reps,
-                       from_operator, generated_algebra, is_canonically_simple, is_indecomposable,
-                       is_irreducible, is_simple, is_strongly_irreducible, is_transitive,
-                       jordan_block, kronecker_rep, loop_rep, system_to_rep)
+from quiverrep import (NumericalFailure, Representation, analyze, build_canonical, end,
+                       example_reps, from_operator, generated_algebra, hrr_model,
+                       is_canonically_simple, is_strongly_irreducible, jordan_block,
+                       kronecker_rep, loop_rep, system_to_rep)
 from quiverrep.cli import _build_parser, build_model, main
 from quiverrep.document import dumps, operator_to_json, rep_to_json
 from quiverrep.numerics import random_complex
+
+from helpers import rotate
 
 
 def run_cli(capsys, *argv):
@@ -295,12 +297,13 @@ def test_analyze_verdicts_match_library(capsys, model, params):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     rep, _ = build_model(model, params)
+    result = analyze(rep)
     assert json.loads(out)["verdicts"] == {
-        "indecomposable": is_indecomposable(rep).indecomposable,
-        "transitive": is_transitive(rep),
-        "simple": is_simple(rep).simple,
+        "indecomposable": result.indecomposable,
+        "transitive": result.transitive,
+        "simple": result.simple,
         "canonically_simple": is_canonically_simple(rep),
-        "irreducible": is_irreducible(rep),
+        "irreducible": result.irreducible,
     }
 
 
@@ -332,6 +335,32 @@ def test_analyze_overflow_is_numerical_failure(tmp_path, capsys, rep):
     assert code == 3
     assert "overflow" in err
     assert out == ""
+
+
+def test_analyze_impossible_end_reading_exits_3(tmp_path, capsys):
+    # the rotated hrr_model reads a star-closed core of 0 (see test_structure)
+    path = tmp_path / "hrr.json"
+    path.write_text(dumps(rep_to_json(rotate(hrr_model(6, 1.5), np.random.default_rng(0)))))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 3
+    assert "impossible reading" in err
+    assert out == ""
+
+
+def test_out_of_memory_is_a_size_limit(tmp_path, capsys, monkeypatch):
+    # as numpy raises it for the forest's identities at a vertex of dimension 1e5
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(quiverrep.intertwiner, "_settled", exhausted)
+    path = tmp_path / "wide.json"
+    path.write_text(dumps(rep_to_json(Representation(
+        build_canonical("subspace", 1), {"1": 1, "2": 3}, {"a1": np.zeros((3, 1))}))))
+    for argv in (["analyze", str(path)], ["hom", str(path), str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert err == "size limit: Unable to allocate 74.5 GiB\n"
+        assert out == ""
 
 
 # -- hom / iso -------------------------------------------------------------------

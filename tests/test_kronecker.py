@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from quiverrep import (KroneckerFamily, NumericalFailure, ValidationError, are_isomorphic,
-                       build_family, end, intertwining_residual,
-                       is_indecomposable, is_strongly_irreducible, is_transitive,
-                       jordan_block, kronecker_rep, loop_rep, polynomial_model, shift)
+from quiverrep import (KroneckerFamily, NumericalFailure, ValidationError, analyze,
+                       are_isomorphic, build_family, end, intertwining_residual,
+                       is_strongly_irreducible, jordan_block, kronecker_rep, loop_rep,
+                       polynomial_model, shift)
 from quiverrep.intertwiner import hom_scale
 from quiverrep.numerics import random_complex
 
@@ -56,7 +56,7 @@ def test_wide_tall_and_size_one_jordan_transitive(fam):
     rep = build_family(fam)
     if rep.total_dim:
         assert end(rep).dimension == 1
-        assert is_transitive(rep)
+        assert analyze(rep).transitive
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -64,7 +64,7 @@ def test_jordan_family_end_dim_and_indecomposable(n):
     rep = build_family(KroneckerFamily("jordan_first", n, 1.5))
     assert end(rep).dimension == n
     assert exact_end_dim(rep) == n
-    assert is_indecomposable(rep).indecomposable
+    assert analyze(rep).indecomposable
 
 
 def test_families_pairwise_non_isomorphic():
@@ -163,10 +163,10 @@ def test_polynomial_model_arrows():
 def test_polynomial_model_indecomposability_tracks_strong_irreducibility():
     t1 = jordan_block(0.0, 2)
     assert is_strongly_irreducible(t1)
-    assert is_indecomposable(polynomial_model(t1, [1.0, 1.0])).indecomposable
+    assert analyze(polynomial_model(t1, [1.0, 1.0])).indecomposable
     t2 = np.diag([1.0, 2.0]).astype(complex)
     assert not is_strongly_irreducible(t2)
-    assert not is_indecomposable(polynomial_model(t2, [1.0, 1.0])).indecomposable
+    assert not analyze(polynomial_model(t2, [1.0, 1.0])).indecomposable
 
 
 def test_polynomial_model_similarity_transport():

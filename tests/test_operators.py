@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from quiverrep import (ValidationError, bilateral_shift,
+from quiverrep import (ValidationError, analyze, bilateral_shift,
                        cross_model_hom, decompose, diagonal, end,
                        end_recursion_check, example_reps, hrr_max_truncation,
-                       hrr_model, is_indecomposable, is_simple, is_transitive,
-                       kronecker_rep, perturbation_model, rank_one, relatively_prime, shift,
+                       hrr_model, kronecker_rep, perturbation_model, rank_one,
+                       relatively_prime, shift,
                        weighted_shift_similarity)
 from quiverrep.intertwiner import hom_scale
 from quiverrep.operators import (bilateral_index, hrr_log_w, hrr_weight_logs,
@@ -114,7 +114,7 @@ def test_perturbation_validation():
 
 def test_perturbation_never_reported_transitive_beyond_dim_one():
     for n in (2, 3, 4):
-        assert not is_transitive(perturbation_model(n))
+        assert not analyze(perturbation_model(n)).transitive
 
 
 def test_perturbation_not_isomorphic_to_plain_weighted_shift():
@@ -244,13 +244,14 @@ def test_similarity_zero_numerator_unbounded():
 def test_ex3_simple_and_transitive():
     for n in (2, 3, 4):
         rep = example_reps("ex3", n)
-        assert is_simple(rep).simple
-        assert is_transitive(rep)
+        result = analyze(rep)
+        assert result.simple
+        assert result.transitive
 
 
 def test_ex3_generated_algebra_reaches_full_matrix_algebra():
     rep = example_reps("ex3", 3)
-    assert is_simple(rep).algebra_dim == 9
+    assert analyze(rep).simplicity.algebra_dim == 9
 
 
 @pytest.mark.parametrize("n", [4, 6])
@@ -261,8 +262,9 @@ def test_ex9_even_split(n):
 
 def test_ex8_indecomposable_not_transitive():
     rep = example_reps("ex8", 4, 0.5)
-    assert is_indecomposable(rep).indecomposable
-    assert not is_transitive(rep)
+    result = analyze(rep)
+    assert result.indecomposable
+    assert not result.transitive
     assert end(rep).dimension == 4
 
 
@@ -280,15 +282,16 @@ def test_ex8_pairs_relatively_prime():
 
 
 def test_ex2_indecomposable():
-    assert is_indecomposable(example_reps("ex2", 4)).indecomposable
+    assert analyze(example_reps("ex2", 4)).indecomposable
 
 
 def test_ex4_transitive_but_not_simple_under_literal_definition():
     rep = example_reps("ex4", 3)
-    assert is_transitive(rep)
+    result = analyze(rep)
+    assert result.transitive
     # (0, H_2) is always a subrepresentation of a Kronecker-type
     # representation, so the literal definition rules out simplicity
-    assert not is_simple(rep).simple
+    assert not result.simple
 
 
 def test_example_reps_validation():

@@ -124,6 +124,28 @@ def test_kronecker_builds_and_reduces_nothing():
     assert called & {"inverse", "inv", "pinv", "solve"} == set()
 
 
+def _forwards_to_analyze(function):
+    """True when the body, docstring aside, is one return of an attribute or
+    a method call of an ``analyze(...)`` result."""
+    body = function.body[1:] if ast.get_docstring(function) is not None else function.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    value = body[0].value
+    if isinstance(value, ast.Call):
+        value = value.func
+    return (isinstance(value, ast.Attribute) and isinstance(value.value, ast.Call)
+            and ast.unparse(value.value.func) == "analyze")
+
+
+def test_analyze_is_the_one_route_to_a_verdict():
+    # decompose is a benchmark entry point, and is_strongly_irreducible takes
+    # a matrix, not a representation
+    forwards = {node.name for node in ast.parse(SOURCES["structure.py"]).body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                and _forwards_to_analyze(node)}
+    assert forwards == {"decompose", "is_strongly_irreducible"}
+
+
 def test_readme_policy_table_lists_every_tolerance_constant():
     # the scale is the one setting, described above the table, not a row of it
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from quiverrep import (ValidationError, analyze, are_isomorphic,
+from quiverrep import (HomBasis, ValidationError, analyze, are_isomorphic,
                        build_canonical, canonically_simple, decompose,
-                       direct_sum, end, example_reps, intertwining_residual,
-                       is_canonically_simple, is_indecomposable, is_irreducible,
-                       is_simple, is_strongly_irreducible, is_transitive,
-                       jordan_block, kronecker_rep, perturbation_model, radical_dimension, restrict,
+                       direct_sum, end, example_reps, hrr_model, intertwining_residual,
+                       is_canonically_simple, is_strongly_irreducible, jordan_block,
+                       kronecker_rep, perturbation_model, radical_dimension, restrict,
                        shift, diagonal, zero_representation, Arrow, Quiver, Representation)
 from quiverrep import NumericalFailure, structure
 from quiverrep.intertwiner import hom_scale
@@ -21,7 +20,7 @@ from quiverrep.structure import generated_algebra, star_closed_end_dim
 
 from helpers import (conjugate, conjugated_jordan, example6, example7, loop_rep,
                      random_quiver, random_acyclic_quiver, random_decomposable,
-                     random_rep, two_subspace_rep)
+                     random_rep, rotate, two_subspace_rep)
 from oracles import exact_generated_algebra_dim, single_jordan_block_criterion
 
 
@@ -29,14 +28,14 @@ from oracles import exact_generated_algebra_dim, single_jordan_block_criterion
 
 @pytest.mark.parametrize("n,lam", [(1, 0.0), (2, 1.0), (3, 0.5), (4, 2.0)])
 def test_single_jordan_block_indecomposable(n, lam):
-    assert is_indecomposable(loop_rep(jordan_block(lam, n))).indecomposable
+    assert analyze(loop_rep(jordan_block(lam, n))).indecomposable
 
 
 def test_diag_decomposable_with_eigenprojection_witness():
     rep = loop_rep(np.diag([1.0, 2.0]))
-    res = is_indecomposable(rep)
-    assert not res.indecomposable
-    p = res.witness["1"]
+    result = analyze(rep)
+    assert not result.indecomposable
+    p = result.splitting_idempotent()["1"]
     assert np.allclose(p @ p, p, atol=1e-8)
     assert not np.allclose(p, 0) and not np.allclose(p, np.eye(2))
     # the eigenprojections here are diag(1,0) and diag(0,1)
@@ -46,20 +45,48 @@ def test_diag_decomposable_with_eigenprojection_witness():
 
 def test_two_subspace_rep_decomposable_but_irreducible():
     rep = two_subspace_rep(np.pi / 4)
-    assert not is_indecomposable(rep).indecomposable
-    assert is_irreducible(rep)
+    result = analyze(rep)
+    assert not result.indecomposable
+    assert result.irreducible
 
 
 def test_witness_is_endomorphism():
     rep = loop_rep(np.diag([1.0, 2.0, 2.0]))
-    res = is_indecomposable(rep)
+    witness = analyze(rep).splitting_idempotent()
     tau = max(1e-8 * hom_scale(rep, rep), 1e-10)
-    assert intertwining_residual(rep, rep, res.witness) <= 10 * tau
+    assert intertwining_residual(rep, rep, witness) <= 10 * tau
+
+
+@pytest.mark.parametrize("name,patch,failure", [
+    ("random_complex", lambda rng, shape: np.zeros(shape, dtype=complex), "nilpotent sample"),
+    ("spectral_projector", lambda m, *args: np.zeros_like(m), "trivial projector"),
+    ("spectral_projector", lambda m, *args: 2 * np.eye(len(m)), "idempotent defect"),
+    ("intertwining_residual", lambda *args: np.inf, "projector left End"),
+])
+def test_every_rejected_split_draw_ends_in_a_numerical_failure(monkeypatch, name, patch,
+                                                                failure):
+    monkeypatch.setattr(structure, name, patch)
+    with pytest.raises(NumericalFailure,
+                       match=f"failed to produce a splitting idempotent.*{failure}"):
+        analyze(loop_rep(np.diag([1.0, 2.0]))).splitting_idempotent()
+
+
+def test_a_local_end_read_without_its_radical_fails_to_split(monkeypatch):
+    # ex2 is indecomposable: every element of its End has one eigenvalue, so
+    # a radical misread as 0 leaves a split that no draw finds
+    monkeypatch.setattr(structure, "_radical_dim", lambda *args: 0)
+    rep = example_reps("ex2", 3)
+    result = analyze(rep)
+    assert not result.indecomposable
+    for search in (result.splitting_idempotent, lambda: decompose(rep)):
+        with pytest.raises(NumericalFailure, match="failed to produce a splitting idempotent"
+                                                   ".*spectrum did not split"):
+            search()
 
 
 def test_indecomposable_zero_rep_rejected():
     with pytest.raises(ValidationError):
-        is_indecomposable(zero_representation(build_canonical("loop", 1)))
+        analyze(zero_representation(build_canonical("loop", 1))).indecomposable
 
 
 # -- radical spot checks -----------------------------------------------------
@@ -80,7 +107,7 @@ def test_radical_of_shift_pair_ignores_gram_noise():
     # 3 x 3 matrix
     rep = example_reps("ex8*", 3, 0.0)
     assert radical_dimension(rep) == 2
-    assert is_indecomposable(rep).indecomposable
+    assert analyze(rep).indecomposable
 
 
 def _ill_conditioned_semisimple_loops():
@@ -97,7 +124,7 @@ def _ill_conditioned_semisimple_loops():
 def test_ill_conditioned_semisimple_loop_is_decomposable(mat):
     rep = loop_rep(mat)
     assert radical_dimension(rep) == 0
-    assert not is_indecomposable(rep).indecomposable
+    assert not analyze(rep).indecomposable
     leaves = decompose(rep).leaf_reps()
     assert sorted(complex(l.maps["a1"][0, 0]).real for l in leaves) == pytest.approx([1.0, 2.0])
 
@@ -105,48 +132,48 @@ def test_ill_conditioned_semisimple_loop_is_decomposable(mat):
 # -- transitivity ------------------------------------------------------------
 
 def test_example6_transitive():
-    assert is_transitive(example6())
+    assert analyze(example6()).transitive
 
 
 def test_example7_transitive():
-    assert is_transitive(example7())
+    assert analyze(example7()).transitive
 
 
 def test_jordan_kronecker_with_identity_not_transitive():
     rep = kronecker_rep(jordan_block(0.0, 2), np.eye(2, dtype=complex))
-    assert not is_transitive(rep)
+    assert not analyze(rep).transitive
     assert end(rep).dimension == 2
-    assert is_indecomposable(rep).indecomposable
+    assert analyze(rep).indecomposable
 
 
 # -- simplicity --------------------------------------------------------------
 
 def test_example7_simple_with_full_algebra():
-    res = is_simple(example7())
+    res = analyze(example7()).simplicity
     assert res.simple and res.algebra_dim == 4
     assert exact_generated_algebra_dim(
         [np.array([[1, 0], [0, 0]]), np.ones((2, 2), dtype=int)]) == 4
 
 
 def test_example6_not_simple_algebra_dim_three():
-    res = is_simple(example6())
-    assert not res.simple and res.algebra_dim == 3
+    result = analyze(example6())
+    assert not result.simple and result.simplicity.algebra_dim == 3
     assert exact_generated_algebra_dim(
         [np.array([[1, 0], [0, 0]]), np.array([[0, 1], [0, 0]])]) == 3
     # the witness is a genuine subrepresentation
-    sub = restrict(example6(), res.witness)
+    sub = restrict(example6(), result.invariant_subspace())
     assert 0 < sub.total_dim < 2
 
 
 def test_canonically_simple_is_simple():
     q = build_canonical("subspace", 3)
     rep = canonically_simple(q, "4")
-    assert is_simple(rep).simple
+    assert analyze(rep).simple
 
 
 def test_simple_zero_rep_rejected():
     with pytest.raises(ValidationError):
-        is_simple(zero_representation(build_canonical("loop", 1)))
+        analyze(zero_representation(build_canonical("loop", 1))).simplicity
 
 
 def _forbidden(name):
@@ -162,8 +189,9 @@ def test_simple_verdicts_never_spin_the_generated_algebra(monkeypatch):
                           {"a1": random_complex(rng, (10, 10)),
                            "a2": random_complex(rng, (10, 10))})
     for rep in (example_reps("ex3", 8), pair):
-        assert analyze(rep).verdicts()["simple"]
-        res = is_simple(rep)
+        result = analyze(rep)
+        assert result.verdicts()["simple"]
+        res = result.simplicity
         assert res.simple and res.algebra_dim == rep.total_dim ** 2 and res.witness is None
 
 
@@ -176,6 +204,18 @@ def test_support_check_solves_no_eigenproblem(monkeypatch):
     assert (record.simple, record.path, record.algebra_dim) == (False, "support", 4)
     # the sink's space: no arrow leaves it
     assert restrict(rep, record.witness).dims == {"1": 0, "2": 4}
+
+
+def test_simplicity_falls_back_to_the_full_spin_when_every_draw_redraws(monkeypatch):
+    monkeypatch.setattr(structure, "_norton", lambda *args: None)
+    record = analyze(example7()).simplicity
+    assert (record.simple, record.algebra_dim, record.path) == (True, 4, "spin")
+    result = analyze(example6())
+    record = result.simplicity
+    assert (record.simple, record.algebra_dim, record.path) == (False, 3, "spin")
+    assert record.witness is None
+    with pytest.raises(NumericalFailure, match="no invariant subspace witness"):
+        result.invariant_subspace()
 
 
 # -- generated algebra -------------------------------------------------------
@@ -213,9 +253,9 @@ def test_generated_algebra_of_conjugated_block_triangular_pair(d, seed):
     rows = np.array([b.reshape(-1) for b in alg.basis])
     assert np.allclose(rows @ rows.conj().T, np.eye(alg.dimension), atol=1e-10)
     assert alg.span_residual(np.eye(d)) <= 1e-8 * np.sqrt(d)
-    res = is_simple(rep)
-    assert not res.simple
-    sub = restrict(rep, res.witness)
+    result = analyze(rep)
+    assert not result.simple
+    sub = restrict(rep, result.invariant_subspace())
     assert 0 < sub.total_dim < d
 
 
@@ -322,11 +362,11 @@ def test_nonzero_loop_map_not_canonically_simple():
 # -- irreducibility ----------------------------------------------------------
 
 def test_diag_loop_rep_not_irreducible():
-    assert not is_irreducible(loop_rep(np.diag([1.0, 2.0])))
+    assert not analyze(loop_rep(np.diag([1.0, 2.0]))).irreducible
 
 
 def test_example7_irreducible():
-    assert is_irreducible(example7())
+    assert analyze(example7()).irreducible
 
 
 def test_star_closed_dim_on_star_closed_end():
@@ -501,7 +541,7 @@ def test_decompose_children_dims_sum():
         for v in rep.quiver.vertices:
             assert left.rep.dims[v] + right.rep.dims[v] == rep.dims[v]
     for leaf in tree.leaves():
-        assert is_indecomposable(leaf.rep).indecomposable
+        assert analyze(leaf.rep).indecomposable
 
 
 def test_import_leaves_csgraph_unloaded():
@@ -596,8 +636,9 @@ def test_simple_implies_transitive_randomized():
     for rep in reps:
         if rep.total_dim == 0:
             continue
-        if is_simple(rep).simple:
-            assert is_transitive(rep)
+        result = analyze(rep)
+        if result.simple:
+            assert result.transitive
 
 
 def test_acyclic_simple_iff_canonically_simple():
@@ -607,9 +648,9 @@ def test_acyclic_simple_iff_canonically_simple():
         rep = random_rep(rng, q, max_dim=2)
         if rep.total_dim == 0:
             continue
-        assert is_simple(rep).simple == is_canonically_simple(rep)
+        assert analyze(rep).simple == is_canonically_simple(rep)
         cs = canonically_simple(q, q.vertices[int(rng.integers(len(q.vertices)))])
-        assert is_simple(cs).simple and is_canonically_simple(cs)
+        assert analyze(cs).simple and is_canonically_simple(cs)
 
 
 def test_adjoint_pair_transitive_iff_simple():
@@ -621,8 +662,9 @@ def test_adjoint_pair_transitive_iff_simple():
     mats.append(np.asarray(np.diag([1.0, 2.0, 3.0]), dtype=complex))
     for t in mats:
         rep = Representation(q, {"1": 3}, {"a1": t, "a2": t.conj().T})
-        transitive = is_transitive(rep)
-        simple = is_simple(rep).simple
+        result = analyze(rep)
+        transitive = result.transitive
+        simple = result.simple
         star_dim = star_closed_end_dim(rep)
         assert transitive == simple == (star_dim == 1)
 
@@ -636,10 +678,11 @@ def test_implication_chain_on_samples():
     for rep in reps:
         if rep.total_dim == 0:
             continue
+        result = analyze(rep)
         cs = is_canonically_simple(rep)
-        simple = is_simple(rep).simple
-        indec = is_indecomposable(rep).indecomposable
-        trans = is_transitive(rep)
+        simple = result.simple
+        indec = result.indecomposable
+        trans = result.transitive
         if cs:
             assert simple
         if simple:
@@ -649,7 +692,7 @@ def test_implication_chain_on_samples():
         if simple:
             assert trans
         if trans:
-            assert is_irreducible(rep)
+            assert result.irreducible
 
 
 def test_transitive_but_not_irreducible_is_numerical_failure(monkeypatch):
@@ -657,3 +700,31 @@ def test_transitive_but_not_irreducible_is_numerical_failure(monkeypatch):
     monkeypatch.setattr(structure, "star_closed_end_dim", lambda *args: 0)
     with pytest.raises(NumericalFailure, match="transitive but not irreducible"):
         analyze(example_reps("ex3", 3)).verdicts()
+
+
+def _no_end(rep, tol):
+    return HomBasis({v: np.zeros((0, k, k), dtype=complex) for v, k in rep.dims.items()},
+                    0, 0.0, np.inf)
+
+
+@pytest.mark.parametrize("name,patch", [
+    ("end", _no_end),
+    ("radical_dimension", lambda rep, tol, basis: basis.dimension),
+    ("star_closed_end_dim", lambda *args: 0),
+], ids=["no-end", "radical-holds-identity", "core-without-identity"])
+def test_impossible_reading_breaking_no_implication_is_numerical_failure(monkeypatch, name,
+                                                                          patch):
+    # diag(1, 2) is decomposable, so none of these readings breaks an implication
+    monkeypatch.setattr(structure, name, patch)
+    with pytest.raises(NumericalFailure, match="impossible reading"):
+        analyze(loop_rep(np.diag([1.0, 2.0]))).verdicts()
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("seed", range(4))
+def test_rotated_hrr_model_end_reading_is_numerical_failure(n, seed):
+    # a unitary turn of hrr_model(n, 1.5) reads its End (dimension 2n + 1, on
+    # the Krylov path) with a star-closed core of 0, although I lies in it
+    rep = rotate(hrr_model(n, 1.5), np.random.default_rng(seed))
+    with pytest.raises(NumericalFailure, match="impossible reading"):
+        analyze(rep).verdicts()

@@ -9,7 +9,7 @@ import quiverrep.intertwiner
 import quiverrep.numerics
 import quiverrep.subspaces as subspaces
 from quiverrep import (Arrow, NumericalFailure, Quiver, Representation, SizeLimitExceeded,
-                       ValidationError, end, example_reps, from_operator, is_indecomposable,
+                       ValidationError, analyze, end, example_reps, from_operator,
                        is_strongly_irreducible, jordan_block, kronecker_rep,
                        make_system, remove_loops, rep_to_system, shift, diagonal,
                        system_end, system_end_dimension, system_to_rep)
@@ -113,7 +113,7 @@ def test_from_operator_end_is_commutant():
 def test_four_subspace_system_tracks_strong_irreducibility():
     for mat in (jordan_block(0.0, 3), np.diag([1.0, 2.0]).astype(complex)):
         rep = system_to_rep(from_operator(mat))
-        assert is_indecomposable(rep).indecomposable == is_strongly_irreducible(mat)
+        assert analyze(rep).indecomposable == is_strongly_irreducible(mat)
 
 
 def test_system_to_rep_example1():
