@@ -239,6 +239,8 @@ def analysis_report(rep: Representation, tol: Tolerances, seed: int,
         stages[key] = round(time.perf_counter() - t_stage, 6)
     basis, simplicity = result.end_basis, result.simplicity
     verdicts = result.verdicts()
+    # a support witness decides without the generated algebra, so it is not spun
+    spun = simplicity.path != "support"
     report = {
         "input": dict(source, seed=seed),
         "dimension_vector": rep.dimension_vector(),
@@ -248,8 +250,8 @@ def analysis_report(rep: Representation, tol: Tolerances, seed: int,
             "dim_end": basis.dimension,
             "dim_radical": result.radical_dim,
             "semisimple_quotient_dim": result.semisimple_dim,
-            "generated_algebra_dim": simplicity.algebra_dim,
-            "generated_algebra_svd_gap": _finite_or_str(simplicity.gap),
+            "generated_algebra_dim": simplicity.algebra_dim if spun else None,
+            "generated_algebra_svd_gap": _finite_or_str(simplicity.gap) if spun else None,
             "star_closed_end_dim": result.star_dim,
             "svd_gap": _finite_or_str(basis.gap),
             "svd_cutoff": basis.cutoff,

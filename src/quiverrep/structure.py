@@ -17,17 +17,19 @@ subspaces, so the representation is simple iff that algebra is the full
 matrix algebra on the total space (Burnside).  The verdict takes up to three
 steps.  The support check: a proper set of nonzero vertices that no nonzero
 arrow map leaves spans a subrepresentation, so the verdict is "not simple"
-at no numerical cost; this settles every Kronecker representation with both
-vertices nonzero.  Norton's irreducibility test from Parker's MeatAxe (Holt
-& Rees 1994): the spin of a kernel vector of a random algebra element x -
-lambda I, and the spin of a kernel vector of its adjoint under the adjoint
-generators, are both the whole space exactly when the representation is
-simple, provided the kernel is one-dimensional.  A simple verdict then gives
-the algebra dimension d^2 by Burnside, for one d x d eigenvalue problem and
-two vector spins per draw.  The full spin of the algebra, from the identity
+at no numerical cost and with no rank decision, and nothing spins; this
+settles every Kronecker representation with both vertices nonzero.
+Norton's irreducibility test from Parker's MeatAxe (Holt & Rees 1994): the
+spin of a kernel vector of a random algebra element x - lambda I, and the
+spin of a kernel vector of its adjoint under the adjoint generators, are
+both the whole space exactly when the representation is simple, provided
+the kernel is one-dimensional.  A simple verdict then gives the algebra
+dimension d^2 by Burnside, for one d x d eigenvalue problem and two vector
+spins per draw.  The full spin of the algebra, from the identity
 under the generators (each round multiplies only the newly added elements by
 the g generators, about g * d^6 for total dimension d), runs only for the
-dimension of a proper algebra, or when the draws leave the verdict open.
+dimension of a proper algebra after the draws, when the draws leave the
+verdict open, or when a support verdict's algebra dimension is read.
 Every spin judges invariance by :func:`restrict`'s rule: a direction whose
 singular value is under ``range_tol(1)`` on the unit-scaled generators adds
 nothing, so an arrow map below ``range_rel`` of the map scale is invisible.
@@ -41,8 +43,9 @@ dimension 0, a radical that holds I, or a star-closed core without I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -50,8 +53,8 @@ import scipy.linalg as sla
 from .errors import NumericalFailure, ValidationError
 from .intertwiner import HomBasis, end, intertwining_residual
 from .kronecker import loop_rep
-from .numerics import (DEFAULT_TOL, Tolerances, _ranked_svd, frob, gram_nullity, inverse,
-                       numerical_rank, random_complex)
+from .numerics import (DEFAULT_TOL, Tolerances, _ranked_svd, check_unknowns, frob, gram_nullity,
+                       inverse, numerical_rank, random_complex)
 from .rep import Representation, restrict
 
 
@@ -176,12 +179,16 @@ def generated_algebra(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> Alg
     cost of about g * d^6 for g generators.  The spin judges a subspace
     invariant by :func:`restrict`'s rule, as Norton's test does, so
     ``cutoff`` is ``range_tol(1)`` and ``gap`` the smallest gap of its rank
-    decisions.  Raises NumericalFailure if the dimension exceeds d^2
-    (impossible mathematically, guards numerics) or an SVD fails to converge.
+    decisions.  Raises SizeLimitExceeded before any generator is built when
+    the d^2 coordinates of an element exceed what
+    :func:`numerics.check_unknowns` allows, and NumericalFailure if the
+    dimension exceeds d^2 (impossible mathematically, guards numerics) or an
+    SVD fails to converge.
     """
     if rep.is_zero():
         raise ValidationError("generated algebra of the zero representation")
     d = rep.total_dim
+    check_unknowns("generated algebra", d * d)
     gens = _generators(rep)
     start = np.concatenate([np.eye(d, dtype=complex)[None], gens])
     rows, gap = _spin(start, gens, tol)
@@ -357,19 +364,27 @@ class SimpleResult:
     spin of the generated algebra, when every Norton draw was redrawn, or
     when it fills M_d although a draw found a witness: both spins judge at
     ``restrict``'s bound, so they disagree only on a direction near it).
-    ``algebra_dim`` and ``gap`` describe the generated algebra: on a simple
-    Norton verdict, d^2 by Burnside and the smaller gap of the two spins;
-    otherwise the dimension and the smallest gap of the full spin.
-    ``witness`` holds per-vertex inclusions of a proper nonzero
-    subrepresentation: None when simple, and on the "spin" path.
+    ``gap`` is the evidence of the deciding rank decisions: on a simple
+    Norton verdict the smaller gap of the two spins, on the "support" path
+    ``inf``, since the support check makes no rank decision, and otherwise
+    the smallest gap of the full spin.  ``algebra_dim`` is the dimension of
+    the generated algebra, d^2 by Burnside on a simple Norton verdict; on
+    the "support" path no spin decides anything, so it is computed from
+    :func:`generated_algebra` on first read only.  ``witness`` holds
+    per-vertex inclusions of a proper nonzero subrepresentation: None when
+    simple, and on the "spin" path.
     """
 
     simple: bool
-    algebra_dim: int
+    _dimension: Callable[[], int] = field(repr=False)
     witness: dict[str, np.ndarray] | None
     seed: int
     path: str
     gap: float
+
+    @cached_property
+    def algebra_dim(self) -> int:
+        return self._dimension()
 
     def __bool__(self) -> bool:
         return self.simple
@@ -557,24 +572,28 @@ class Analysis:
 
     @cached_property
     def simplicity(self) -> SimpleResult:
-        """The support check, then Norton's draws (:func:`_norton`); the full
-        spin runs only for the dimension of a proper algebra, or when the
+        """The support check, then Norton's draws (:func:`_norton`).  A
+        support witness settles "not simple" with no rank decision, and
+        nothing spins unless ``algebra_dim`` is read.  After Norton's draws
+        the full spin runs for the dimension of a proper algebra, or when the
         draws leave the verdict open.  Both spins resolve at ``restrict``'s
         bound, and whenever it runs the full spin decides the verdict: should
         it fill M_d, a witness a draw found is dropped."""
-        d = self.rep.total_dim
-        witness, path = _support_witness(self.rep), "support"
-        if witness is None:
-            found = _norton(self.rep, self.tol, self.seed)
-            path = "spin" if found is None else "norton"
-            if found is not None:
-                witness, gap = found
-                if witness is None:
-                    return SimpleResult(True, d * d, None, self.seed, path, gap)
+        rep, tol, d = self.rep, self.tol, self.rep.total_dim
+        witness = _support_witness(rep)
+        if witness is not None:
+            return SimpleResult(False, lambda: generated_algebra(rep, tol).dimension,
+                                witness, self.seed, "support", np.inf)
+        found = _norton(rep, tol, self.seed)
+        path = "spin" if found is None else "norton"
+        if found is not None:
+            witness, gap = found
+            if witness is None:
+                return SimpleResult(True, lambda: d * d, None, self.seed, path, gap)
         alg = self.algebra
         if alg.dimension == d * d:
-            return SimpleResult(True, alg.dimension, None, self.seed, "spin", alg.gap)
-        return SimpleResult(False, alg.dimension, witness, self.seed, path, alg.gap)
+            return SimpleResult(True, lambda: d * d, None, self.seed, "spin", alg.gap)
+        return SimpleResult(False, lambda: alg.dimension, witness, self.seed, path, alg.gap)
 
     @property
     def simple(self) -> bool:

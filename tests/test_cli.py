@@ -12,9 +12,9 @@ import pytest
 import quiverrep.intertwiner
 import quiverrep.numerics
 import quiverrep.structure
-from quiverrep import (NumericalFailure, Representation, analyze, build_canonical, end,
-                       example_reps, from_operator, generated_algebra, hrr_model,
-                       is_canonically_simple, is_strongly_irreducible, jordan_block,
+from quiverrep import (Arrow, NumericalFailure, Quiver, Representation, analyze,
+                       build_canonical, end, example_reps, from_operator, generated_algebra,
+                       hrr_model, is_canonically_simple, is_strongly_irreducible, jordan_block,
                        kronecker_rep, loop_rep, system_to_rep)
 from quiverrep.cli import _build_parser, build_model, main
 from quiverrep.document import dumps, operator_to_json, rep_to_json
@@ -788,6 +788,23 @@ def test_size_limit_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == 4
     assert "size limit" in err
+
+
+def test_generated_algebra_size_limit_exit_code(tmp_path, capsys, monkeypatch):
+    # a 2-cycle with both vertex spaces C^2: no support witness, and End has
+    # fewer unknowns than the 16 coordinates of an element of the algebra
+    q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "2", "1")))
+    rng = np.random.default_rng(0)
+    rep = Representation(q, {"1": 2, "2": 2}, {name: random_complex(rng, (2, 2))
+                                               for name in ("a", "b")})
+    assert end(rep).unknowns <= 15
+    path = tmp_path / "cycle.json"
+    path.write_text(dumps(rep_to_json(rep)))
+    monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 15)
+    monkeypatch.setattr(quiverrep.structure, "_norton", lambda *args: None)
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 4
+    assert "size limit: generated algebra has 16 unknowns > limit 15" in err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -16,9 +16,10 @@ from quiverrep import (Arrow, KroneckerFamily, NumericalFailure, Quiver, Represe
 from quiverrep.intertwiner import _dense_hom, _spanning_forest
 from quiverrep.kronecker import FAMILY_KINDS
 from quiverrep.numerics import DEFAULT_TOL, random_complex
-from quiverrep.structure import widest_two_group_split
+from quiverrep.structure import _support_witness, widest_two_group_split
 
-from helpers import assert_stacked, conjugated_jordan, loop_rep, real_well_conditioned
+from helpers import (assert_stacked, conjugated_jordan, loop_rep, random_quiver, random_rep,
+                     real_well_conditioned)
 from oracles import (agglomerative_two_group_split, dense_system_end_dim, exact_end_dim,
                      reduce_pencil)
 
@@ -569,6 +570,28 @@ def test_support_check_matches_the_full_spin_on_kronecker_families(parts, seed):
     # wide(0) and tall(0) live on one vertex, which Norton decides
     live = sum(1 for k in rep.dims.values() if k)
     assert all(r.path == ("support" if live == 2 else "norton") for r in records)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_support_witness_is_a_subrepresentation_the_full_spin_cannot_overturn(seed):
+    # zero arrows of a random rep until a support witness appears; with every
+    # arrow zero each vertex is a summand, so one always does
+    rng = np.random.default_rng(seed)
+    rep = random_rep(rng, random_quiver(rng), min_dim=1)
+    for k in rng.permutation(len(rep.quiver.arrows)):
+        if _support_witness(rep) is not None:
+            break
+        arrow = rep.quiver.arrows[k]
+        rep = Representation(rep.quiver, rep.dims,
+                             dict(rep.maps, **{arrow.name: 0 * rep.maps[arrow.name]}))
+    witness = _support_witness(rep)
+    d = rep.total_dim
+    assert 0 < restrict(rep, witness).total_dim < d
+    # the witness already makes the algebra proper, so spinning it decides nothing
+    record = analyze(rep).simplicity
+    assert (record.simple, record.path, record.gap) == (False, "support", np.inf)
+    assert record.algebra_dim == generated_algebra(rep).dimension < d * d
 
 
 # -- strong irreducibility: one-loop indecomposability under a basis change ---

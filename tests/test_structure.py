@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from quiverrep import (HomBasis, ValidationError, analyze, are_isomorphic,
                        is_canonically_simple, is_strongly_irreducible, jordan_block,
                        kronecker_rep, perturbation_model, radical_dimension, restrict,
                        shift, diagonal, zero_representation, Arrow, Quiver, Representation)
-from quiverrep import NumericalFailure, structure
+from quiverrep import NumericalFailure, SizeLimitExceeded, numerics, structure
+from quiverrep.cli import main
 from quiverrep.intertwiner import hom_scale
 from quiverrep.kronecker import FAMILY_KINDS, KroneckerFamily, build_family
 from quiverrep.numerics import random_complex
@@ -193,6 +195,53 @@ def test_simple_verdicts_never_spin_the_generated_algebra(monkeypatch):
         assert result.verdicts()["simple"]
         res = result.simplicity
         assert res.simple and res.algebra_dim == rep.total_dim ** 2 and res.witness is None
+
+
+# (indecomposable, transitive, irreducible) of each Kronecker model of the CLI
+# table; none is simple, since no arrow leaves the sink
+KRONECKER_MODELS = [
+    ("perturbation", ["N=6"], (False, False, True)),
+    ("hrr", ["N=4", "lam=1.1"], (True, False, True)),
+    ("ex4", ["N=6"], (True, True, True)),
+    ("ex8", ["N=6"], (True, False, True)),
+    ("ex8s", ["N=6"], (True, False, True)),
+    ("ex9", ["N=6"], (False, False, False)),
+    ("jordan_first", ["n=4"], (True, False, True)),
+    ("jordan_second", ["n=4"], (True, False, True)),
+    ("wide", ["n=4"], (True, True, True)),
+    ("tall", ["n=4"], (True, True, True)),
+]
+
+
+def test_support_verdicts_never_spin_the_generated_algebra(monkeypatch, capsys):
+    monkeypatch.setattr(structure, "generated_algebra", _forbidden("generated_algebra"))
+    for model, params, (indecomposable, transitive, irreducible) in KRONECKER_MODELS:
+        assert main(["analyze", "--model", model,
+                     *[x for p in params for x in ("--param", p)]]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdicts"] == {
+            "indecomposable": indecomposable, "transitive": transitive, "simple": False,
+            "canonically_simple": False, "irreducible": irreducible}, model
+        evidence = report["evidence"]
+        assert evidence["simple_path"] == "support"
+        assert evidence["generated_algebra_dim"] is None
+        assert evidence["generated_algebra_svd_gap"] is None
+    monkeypatch.undo()
+    for rep in (build_family(KroneckerFamily("jordan_first", 4, 1.0)), example_reps("ex9", 4)):
+        assert analyze(rep).simplicity.algebra_dim == generated_algebra(rep).dimension
+
+
+def test_generated_algebra_size_guard_spares_the_support_verdict(monkeypatch):
+    n = 4
+    rep = build_family(KroneckerFamily("jordan_first", n, 1.0))
+    assert end(rep).unknowns < (2 * n) ** 2 - 1
+    monkeypatch.setattr(numerics, "MAX_UNKNOWNS", (2 * n) ** 2 - 1)
+    result = analyze(rep)
+    assert result.verdicts()["simple"] is False
+    record = result.simplicity
+    assert (record.path, record.gap) == ("support", np.inf)
+    with pytest.raises(SizeLimitExceeded, match="generated algebra has 64 unknowns"):
+        record.algebra_dim
 
 
 def test_support_check_solves_no_eigenproblem(monkeypatch):
