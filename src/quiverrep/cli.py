@@ -343,6 +343,8 @@ def cmd_hom(args, tol: Tolerances) -> int:
         "dim": basis.dimension,
         "svd_gap": _finite_or_str(basis.gap),
         "svd_cutoff": basis.cutoff,
+        "path": basis.path,
+        "unknowns": basis.unknowns,
         "tolerances": tol.as_dict(),
     }
     if args.basis:

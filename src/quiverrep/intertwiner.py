@@ -17,7 +17,12 @@ leave equations X C = C X in the root's unknown, from a loop or from an
 arrow such as g of a Kronecker pair (f, g) reduced to (I, C = f^-1 g), End
 lies in the commutant of one such C; for a nonderogatory C that is the n
 polynomials in C, which one Arnoldi run both decides and builds, cut down
-by the other equations in n unknowns (:func:`end`).  Unknowns are
+by the other equations in n unknowns (:func:`end`).  Between two
+representations, a one-root square forest that leaves one equation
+X C_a = C_b X is answered the same way from one Arnoldi run on C_a: for a
+nonderogatory C_a, X is fixed by its image of the run's first vector, which
+must lie in ker p_a(C_b), an m x m decision in place of the n m x n m
+system (:func:`hom`).  Unknowns are
 vectorized row-major; the numerical nullspace follows the package-wide SVD
 threshold policy and the returned basis is orthonormal under the entrywise
 inner product summed over vertices.
@@ -29,8 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
-from .numerics import (DEFAULT_TOL, EPS, Tolerances, check_unknowns, frob, inverse,
+from .errors import SizeLimitExceeded, ValidationError
+from .numerics import (DEFAULT_TOL, EPS, Tolerances, arnoldi, check_unknowns, frob, inverse,
                        is_invertible, max_entry, nullspace, polynomials_in, random_complex)
 from .quiver import Arrow
 from .rep import Representation
@@ -49,8 +54,11 @@ class HomBasis:
     decision, taken on the system that ``path`` names ("forest" for the
     eliminated one, "dense" for one unknown matrix per vertex, "krylov" for
     :func:`end`'s polynomials in one matrix, decided on their Arnoldi steps
-    and on the reduced system, whichever has the smaller gap); ``unknowns``
-    is that system's column count, for "krylov" the forest system's.
+    and on the reduced system, whichever has the smaller gap, or a cross
+    Hom read from one Arnoldi run on C_a (:func:`hom`), decided on its steps
+    and on p_a(C_b), whichever has the smaller gap); ``unknowns`` is that
+    system's column count, for "krylov" the forest system's: n^2 for End,
+    the root's n m for a cross Hom.
     """
 
     stacks: dict[str, np.ndarray]
@@ -169,12 +177,25 @@ def intertwining_residual(a: Representation, b: Representation,
     return worst
 
 
+def _fixed(steps: dict[str, _Step]) -> dict[str, np.ndarray]:
+    """At each root some step's ``zeros`` falls on, the entries of T_root
+    they fix to 0, the union of those masks; every root's other unknowns
+    are kept."""
+    fixed = {}
+    for s in steps.values():
+        v = s.leftover[0]
+        if s.zeros is not None and v not in steps:
+            fixed[v] = fixed[v] | s.zeros if v in fixed else s.zeros
+    return fixed
+
+
 def _settled(a: Representation, b: Representation, steps: dict[str, _Step]
              ) -> tuple[dict[str, str], dict[str, np.ndarray], dict[str, np.ndarray],
                         dict[str, np.ndarray]]:
     """The forest of kept ``steps`` composed: each vertex's root; left[v],
     right[v] with T_v = left[v] @ T_root[v] @ right[v]; and each root's kept
-    unknowns, the mask of the entries no step's ``zeros`` fixes to 0 there."""
+    unknowns, the mask of the entries no step's ``zeros`` fixes to 0 there
+    (:func:`_fixed`)."""
     vertices = a.quiver.vertices
     root = {v: v for v in vertices}
     left = {v: np.eye(b.dims[v]) for v in vertices}
@@ -191,10 +212,9 @@ def _settled(a: Representation, b: Representation, steps: dict[str, _Step]
 
     for v in steps:
         settle(v)
-    kept = {v: np.ones((b.dims[v], a.dims[v]), dtype=bool) for v in vertices if root[v] == v}
-    for s in steps.values():
-        if s.zeros is not None and s.leftover[0] in kept:
-            kept[s.leftover[0]] &= ~s.zeros
+    fixed = _fixed(steps)
+    kept = {v: ~fixed[v] if v in fixed else np.ones((b.dims[v], a.dims[v]), dtype=bool)
+            for v in vertices if v not in steps}
     return root, left, right, kept
 
 
@@ -214,12 +234,14 @@ def _assemble(a: Representation, b: Representation, tol: Tolerances,
     arrows no step eliminated and the leftovers of those it did, except the
     ``zeros`` at a root, in the roots' kept unknowns.  With no steps every
     vertex is its own root: the dense system.  Raises SizeLimitExceeded
-    before the system is allocated when it has more columns than
-    :func:`numerics.check_unknowns` allows."""
-    settled = root, left, right, kept = _settled(a, b, steps)
-    widths = [int(mask.sum()) for mask in kept.values()]
+    before the forest is composed or the system allocated when it has more
+    columns than :func:`numerics.check_unknowns` allows."""
+    fixed = _fixed(steps)
+    roots = [v for v in a.quiver.vertices if v not in steps]
+    widths = [b.dims[r] * a.dims[r] - (int(fixed[r].sum()) if r in fixed else 0) for r in roots]
     check_unknowns(f"{'forest' if steps else 'dense'} intertwiner system", sum(widths))
-    offsets = dict(zip(kept, np.cumsum([0] + widths)))
+    settled = root, left, right, kept = _settled(a, b, steps)
+    offsets = dict(zip(roots, np.cumsum([0] + widths)))
     # each equation is a sum of terms lhs T_v rhs, all of the first's height
     eliminated = {s.arrow for s in steps.values()}
     equations = [((arr.dst, np.eye(b.dims[arr.dst]), a.maps[arr.name]),
@@ -249,13 +271,15 @@ def _assemble(a: Representation, b: Representation, tol: Tolerances,
 
 def _solve(a: Representation, b: Representation, tol: Tolerances,
            steps: dict[str, _Step],
-           null: tuple[np.ndarray, float, float] | None = None) -> HomBasis:
+           null: tuple[np.ndarray, float, float] | None = None,
+           orthonormal: bool = True) -> HomBasis:
     """Hom(a, b) from the nullspace of :func:`_assemble`'s system along the
     forest of kept ``steps``, lifted with zeros in the unknowns a coordinate
     step fixed and by T_v = left[v] @ X @ right[v] to every vertex.  ``null``,
     when given, is that system's nullspace found without building it, as
-    (rows, cutoff, gap): the Krylov basis of :func:`end`, and only the lift
-    is done."""
+    (rows, cutoff, gap): the Krylov basis of :func:`end` or of a cross Hom
+    (:func:`_krylov_hom`), and only the lift is done; the cross Hom's rows
+    are not ``orthonormal``, and are orthonormalized with the lift."""
     path = "krylov" if null else "forest" if steps else "dense"
     if null is None:
         system, scale, settled = _assemble(a, b, tol, steps)
@@ -274,7 +298,7 @@ def _solve(a: Representation, b: Representation, tol: Tolerances,
     vertices = a.quiver.vertices
     stacks = {v: at_root[v] if v == root[v] else left[v] @ at_root[root[v]] @ right[v]
               for v in vertices}
-    if steps and k:
+    if (steps or not orthonormal) and k:
         # the lift is no longer orthonormal: one QR under the summed product
         q, _ = np.linalg.qr(np.hstack([stacks[v].reshape(k, -1) for v in vertices]).T)
         sizes = np.cumsum([a.dims[v] * b.dims[v] for v in vertices])[:-1]
@@ -299,13 +323,38 @@ def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL, *,
     the cutoff does not.  These two guards alone judge the answer; otherwise
     the dense system is solved.
 
+    Between two representations, when hom builds its own forest and that
+    forest has one root and square steps and leaves one equation, X C_a =
+    C_b X in the root's unknown X (the paper's reduction (A, B) -> (I,
+    A^-1 B) on both sides), Hom is first read from one Arnoldi run on C_a
+    (:func:`_krylov_hom`): for a nonderogatory C_a with cyclic vector v,
+    X -> X v identifies Hom with ker p_a(C_b) (Gantmacher, Theory of
+    Matrices I, ch. VIII), an m x m decision at O(n^4) with no n^2 x n^2
+    SVD.  That basis has path "krylov" and the root's n m unknowns.  It is
+    kept only when C_a's Arnoldi steps clear their cutoff by ``elim_gap``,
+    as :func:`end` decides a nonderogatory C; when the kept singular values
+    of p_a(C_b) clear its cutoff, at the recurrence's own rounding scale, by
+    ``elim_gap`` (``NullspaceResult.margin``); and when every element's
+    intertwining residual is at most ``hom_tol(hom_scale)``.  On any doubt
+    the forest answers.  Hom(a, a) is End, whose Krylov path is
+    :func:`end`'s: ``hom(rep, rep)`` keeps the forest, End's second opinion.
+
     A degenerate system (no unknowns) yields a dimension-0 basis, not an
     error.  Raises SizeLimitExceeded when the system about to be solved has
-    more unknowns than :func:`numerics.check_unknowns` allows.
+    more unknowns than :func:`numerics.check_unknowns` allows; a Krylov
+    recurrence stack of n m^2 entries over that limit leaves the answer to
+    the forest, which checks its own.
     """
     if a.quiver != b.quiver:
         raise ValidationError("hom requires representations over the same quiver")
-    steps = _spanning_forest(a, b, tol) if steps is None else steps
+    if steps is None:
+        steps = _spanning_forest(a, b, tol)
+        if a is not b:
+            # an entry that overflows fails a guard here, and the forest reports it
+            with np.errstate(over="ignore", invalid="ignore"):
+                basis = _krylov_hom(a, b, tol, steps)
+            if basis is not None:
+                return basis
     if steps:
         basis = _solve(a, b, tol, steps)
         tau = tol.hom_tol(hom_scale(a, b))
@@ -333,6 +382,95 @@ def _rerooted(steps: dict[str, _Step], u: str) -> dict[str, _Step]:
     return steps
 
 
+def _framed(c: np.ndarray, u: str, arr: Arrow, left: dict[str, np.ndarray],
+            right: dict[str, np.ndarray]) -> np.ndarray:
+    """The map ``c`` of ``arr`` seen at u along a forest of square steps of
+    one representation: T_v = (L_v R_u) T_u (L_u R_v) turns T_dst c = c T_src
+    into T_u C = C T_u."""
+    if u != arr.dst:
+        c = left[u] @ right[arr.dst] @ c
+    if u != arr.src:
+        c = c @ left[arr.src] @ right[u]
+    return c
+
+
+def _krylov_hom(a: Representation, b: Representation, tol: Tolerances,
+                steps: dict[str, _Step]) -> HomBasis | None:
+    """Hom(a, b) along a forest of square ``steps`` with one root r that
+    leaves one equation, X C_a = C_b X in X = T_r; None when a guard fails
+    (:func:`hom`).  Each side is framed at r by its own forest (b's step
+    maps inverted as the forest inverts a's), and X is read off its image
+    x = X v_0 of the first of C_a's Arnoldi vectors v_k: X v_k = W_k x, where
+    W_0 = I and C_b W_k = sum_j H[j, k] W_j carries on the recurrence
+    C_a v_k = sum_j H[j, k] v_j, so x spans the nullspace of its last
+    equation K = p_a(C_b) / prod h, and X = sum_k W_k x v_k^H."""
+    vertices = a.quiver.vertices
+    eliminated = {s.arrow for s in steps.values()}
+    equations = [arr for arr in a.quiver.arrows if arr.name not in eliminated]
+    n, m = (a.dims[vertices[0]], b.dims[vertices[0]]) if vertices else (0, 0)
+    if (not n * m or len(vertices) - len(steps) != 1 or len(equations) != 1
+            or any((a.dims[v], b.dims[v]) != (n, m) for v in vertices)):
+        return None
+    try:
+        # the n x m x m recurrence stack and a's n x n frames, before either is built
+        check_unknowns("krylov recurrence stack", n * max(n, m * m))
+    except SizeLimitExceeded:
+        return None  # the forest checks its own n m unknowns
+    inverses = {}
+    for v, step in steps.items():
+        g_inv, _, ratio = inverse(step.left, tol)
+        if g_inv is None or not _admits(step.left, g_inv, ratio, tol):
+            return None
+        inverses[v] = g_inv
+    _, left_a, right_a, _ = _settled(a, a, {v: replace(step, left=a.maps[step.arrow])
+                                            for v, step in steps.items()})
+    _, left_b, right_b, _ = _settled(b, b, {v: replace(step, right=inverses[v])
+                                            for v, step in steps.items()})
+    (root,), (arr,) = [v for v in vertices if v not in steps], equations
+    c_a = _framed(a.maps[arr.name], root, arr, left_a, right_a)
+    c_b = _framed(b.maps[arr.name], root, arr, left_b, right_b)
+    if not (np.isfinite(c_a).all() and np.isfinite(c_b).all()):
+        return None  # a frame overflows: hom reports it
+    # the forest system's equation of arr is L_dst (X C_a - C_b X) R_src,
+    # and the map scale floors the cutoff of C_a's Arnoldi steps
+    scale = hom_scale(a, b)
+    floor = scale / (max_entry(left_b[arr.dst]) * max_entry(right_a[arr.src]))
+    arnoldi_rows, hessenberg, cutoff, gap = arnoldi(c_a, np.ones(n) / np.sqrt(n), tol, floor)
+    if arnoldi_rows is None:
+        return None
+    # C_a v_(n-1) lies in the span of the v_k: its coefficients close the recurrence
+    last = arnoldi_rows.conj() @ (c_a @ arnoldi_rows[-1])
+    hessenberg = np.column_stack([hessenberg, last])
+    stack = np.zeros((n, m, m), dtype=complex)
+    stack[0] = np.eye(m)
+    norms = np.zeros(n)
+    norms[0] = np.sqrt(m)
+    # the rounding scale: the largest norm summed in a step, over its h; C_b
+    # is known to the map scale, which floors its term as it floors the cutoff
+    noise = 0.0
+    for k in range(n):
+        image = c_b @ stack[k]
+        w = image - (hessenberg[:k + 1, k] @ stack[:k + 1].reshape(k + 1, -1)).reshape(m, m)
+        largest = max(frob(image), floor * norms[k],
+                      float(np.max(np.abs(hessenberg[:k + 1, k]) * norms[:k + 1])))
+        if k + 1 < n:
+            h = hessenberg[k + 1, k].real
+            stack[k + 1] = w / h
+            norms[k + 1] = frob(stack[k + 1])
+            noise = max(noise, largest / h)
+        else:
+            noise = max(noise, largest)
+    if not (np.isfinite(w).all() and np.isfinite(noise)):
+        return None
+    found = nullspace(w, tol, scale=noise)
+    if found.margin < tol.elim_gap():
+        return None
+    rows = np.einsum("kiz,kj->zij", stack @ found.basis.T, arnoldi_rows.conj()).reshape(-1, m * n)
+    cutoff, gap = min((cutoff, gap), (found.cutoff, found.margin), key=lambda e: e[1])
+    basis = _solve(a, b, tol, steps, (rows, cutoff, gap), orthonormal=False)
+    return basis if intertwining_residual(a, b, basis.stacks) <= tol.hom_tol(scale) else None
+
+
 def _krylov_end(rep: Representation, tol: Tolerances, steps: dict[str, _Step]) -> HomBasis | None:
     """End(rep) along a forest of square ``steps`` with one root, from the
     equations it leaves, each of the form T_u C = C T_u; None when a guard
@@ -347,19 +485,9 @@ def _krylov_end(rep: Representation, tol: Tolerances, steps: dict[str, _Step]) -
         return None
     check_unknowns("krylov intertwiner system", n * n)
     _, left, right, _ = _settled(rep, rep, steps)
-
-    def frame(u: str, arr: Arrow) -> np.ndarray:
-        # T_v = (L_v R_u) T_u (L_u R_v) turns T_dst h = h T_src into T_u C = C T_u
-        c = rep.maps[arr.name]
-        if u != arr.dst:
-            c = left[u] @ right[arr.dst] @ c
-        if u != arr.src:
-            c = c @ left[arr.src] @ right[u]
-        return c
-
     eliminated = {s.arrow for s in steps.values()}
     equations = [arr for arr in rep.quiver.arrows if arr.name not in eliminated]
-    candidates = [(frame(u, arr), u, arr)
+    candidates = [(_framed(rep.maps[arr.name], u, arr, left, right), u, arr)
                   for arr in equations for u in dict.fromkeys((arr.src, arr.dst))]
     norms = [frob(c) for c, *_ in candidates]
     if not np.isfinite(norms).all():
@@ -377,7 +505,8 @@ def _krylov_end(rep: Representation, tol: Tolerances, steps: dict[str, _Step]) -
         return None
     # [sum_k x_k P_k, D] = 0 for every other equation's D: n unknowns, not n^2
     stack = powers.reshape(n, n, n)
-    others = [frame(u, other) for other in equations if other is not arr]
+    others = [_framed(rep.maps[other.name], u, other, left, right)
+              for other in equations if other is not arr]
     system = np.vstack([np.zeros((0, n))] + [(stack @ d - d @ stack).reshape(n, -1).T
                                              for d in others])
     if not np.isfinite(system).all():

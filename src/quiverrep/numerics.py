@@ -16,8 +16,10 @@ comes from :func:`inverse`, an orthonormal range from
 :func:`orthonormal_inclusion` or :func:`_ranked_svd`, a pseudo-inverse from
 :func:`_pseudo_inverse` of its factors, and a rank or a spectral norm from
 :func:`_ranked_svd`.  One decision reads no singular values: whether a
-matrix is nonderogatory, from the norms of its Arnoldi steps
-(:func:`polynomials_in`), at the first cutoff with sigma_max its norm.
+start vector is cyclic for a matrix, so that the matrix is nonderogatory,
+from the norms of its Arnoldi steps (:func:`arnoldi`, which End's
+:func:`polynomials_in` runs from I / sqrt(n) and a cross Hom from a
+vector), at the first cutoff with sigma_max its norm.
 
 A system with more than :data:`MAX_UNKNOWNS` columns is refused by
 :func:`check_unknowns` before it is allocated; tests patch the constant.
@@ -122,7 +124,10 @@ class NullspaceResult:
 
     ``basis`` holds the basis as rows.  ``gap`` is the ratio of the smallest
     kept singular value to the largest discarded one (``inf`` when either side
-    is empty); a small gap flags a borderline rank decision.
+    is empty); a small gap flags a borderline rank decision.  ``margin`` is
+    how far the kept side clears the cutoff, the smallest kept singular value
+    over the cutoff (``inf`` when nothing is kept): at most the gap, and the
+    one evidence of a full-rank decision, whose gap reads ``inf``.
     """
 
     basis: np.ndarray
@@ -130,6 +135,7 @@ class NullspaceResult:
     gap: float
     cutoff: float
     sigma_max: float
+    margin: float = np.inf
 
     @property
     def dimension(self) -> int:
@@ -203,7 +209,9 @@ def nullspace(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL,
         return NullspaceResult(np.eye(n, dtype=complex), 0, np.inf, 0.0, 0.0)
     _, svals, vh, sigma_max, cutoff, rank = _ranked_svd(
         matrix, lambda s: tol.svd_cutoff(m, n, max(s, scale)), full_matrices=m < n)
-    return NullspaceResult(vh[rank:, :].conj(), rank, _gap(svals, rank), cutoff, sigma_max)
+    margin = float(svals[rank - 1]) / cutoff if rank and cutoff else np.inf
+    return NullspaceResult(vh[rank:, :].conj(), rank, _gap(svals, rank), cutoff, sigma_max,
+                           margin)
 
 
 def _gap(svals: np.ndarray, rank: int) -> float:
@@ -249,44 +257,68 @@ def gram_nullity(gram: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
                            compute_uv=False)[-1]
 
 
+def arnoldi(matrix: np.ndarray, start: np.ndarray, tol: Tolerances = DEFAULT_TOL,
+            scale: float = 0.0, bound: float = np.inf
+            ) -> tuple[np.ndarray | None, np.ndarray, float, float]:
+    """Arnoldi on the square n x n ``matrix`` C acting by left product on the
+    unit ``start`` v, a vector or a matrix: an orthonormal basis v_0, ...,
+    v_(n-1) of span{v, Cv, ..., C^(n-1) v} as rows of row-major vecs, the
+    n x (n - 1) Hessenberg coefficients H with C v_k = sum_j H[j, k] v_j for
+    k < n - 1, the cutoff and the gap.
+
+    Each element is C times the last, projected off the others twice
+    (classical Gram-Schmidt with one reorthogonalization; H sums both
+    projections), and its norm h before scaling is its distance from the
+    lower powers.  The n elements are independent exactly when v is cyclic
+    for C, a rank decision on vectors of v's size N, so it is taken at the
+    cutoff ``svd_cutoff(N, N, s)`` with s = ||C||_2 floored by ``scale`` as
+    in :func:`nullspace`; the gap is the smallest h over the cutoff (``inf``
+    for n = 1, and for a zero cutoff when every h > 0).  The basis is None as
+    soon as that gap falls below ``elim_gap``, or, for a matrix start, an
+    element's commutator residual ||C T - T C||_F exceeds ``bound``: rounding
+    grows by about ||C|| / h per step.  Raises NumericalFailure when C is not
+    finite."""
+    n, size = matrix.shape[0], start.size
+    *_, cutoff, _ = _ranked_svd(matrix, lambda s: tol.svd_cutoff(size, size, max(s, scale)),
+                                compute_uv=False)
+    rows = np.zeros((n, size), dtype=complex)
+    rows[0] = start.reshape(-1)
+    conj = rows.conj()
+    hessenberg = np.zeros((n, n - 1), dtype=complex)
+    gap = np.inf
+    for k in range(n):
+        t = rows[k].reshape(start.shape)
+        w = matrix @ t
+        if start.ndim == 2 and not frob(w - t @ matrix) <= bound:
+            return None, hessenberg, cutoff, gap
+        if k + 1 < n:
+            w = w.reshape(-1)
+            first = conj[:k + 1] @ w
+            w = w - first @ rows[:k + 1]
+            second = conj[:k + 1] @ w
+            w = w - second @ rows[:k + 1]
+            h = frob(w)
+            gap = min(gap, h / cutoff if cutoff else (np.inf if h else 0.0))
+            if gap < tol.elim_gap():
+                return None, hessenberg, cutoff, gap
+            hessenberg[:k + 1, k] = first + second
+            hessenberg[k + 1, k] = h
+            rows[k + 1] = w / h
+            conj[k + 1] = rows[k + 1].conj()
+    return rows, hessenberg, cutoff, gap
+
+
 def polynomials_in(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL, scale: float = 0.0,
                    bound: float = np.inf) -> tuple[np.ndarray | None, float, float]:
     """Orthonormal basis of span{I, C, ..., C^(n-1)} for the square
     ``matrix`` C under the entrywise product, as rows of row-major vecs,
-    with the evidence that C is nonderogatory: the cutoff and the gap.
-
-    Arnoldi builds it: each element is C times the last, projected off the
-    others twice (classical Gram-Schmidt with one reorthogonalization), and
-    its norm h before scaling is the distance of C^(k+1) from the lower
-    powers.  C is nonderogatory exactly when those n powers are independent,
-    a rank decision on them, so it is taken at the cutoff of the commutator
-    system's rank, ``svd_cutoff(n^2, n^2, s)`` with s = ||C||_2 floored by
-    ``scale`` as in :func:`nullspace`; the gap is the smallest h over the
-    cutoff (``inf`` for n = 1, and for a zero cutoff when every h > 0).  The
-    basis is None as soon as that gap falls below ``elim_gap``, or an
-    element's commutator residual ||C T - T C||_F exceeds ``bound``:
-    rounding grows by about ||C|| / h per step.  Raises NumericalFailure
-    when C is not finite."""
+    with the evidence that C is nonderogatory: the cutoff and the gap of
+    :func:`arnoldi` from I / sqrt(n), with its ``scale`` and commutator
+    ``bound``.  C is nonderogatory exactly when those n powers are
+    independent, so the cutoff is that of the commutator system's rank,
+    ``svd_cutoff(n^2, n^2, s)``."""
     n = matrix.shape[0]
-    *_, cutoff, _ = _ranked_svd(matrix, lambda s: tol.svd_cutoff(n * n, n * n, max(s, scale)),
-                                compute_uv=False)
-    rows = np.zeros((n, n * n), dtype=complex)
-    rows[0] = np.eye(n).reshape(-1) / np.sqrt(n)
-    gap = np.inf
-    for k in range(n):
-        t = rows[k].reshape(n, n)
-        w = matrix @ t
-        if not frob(w - t @ matrix) <= bound:
-            return None, cutoff, gap
-        if k + 1 < n:
-            w = w.reshape(-1)
-            for _ in range(2):
-                w = w - (rows[:k + 1].conj() @ w) @ rows[:k + 1]
-            h = frob(w)
-            gap = min(gap, h / cutoff if cutoff else (np.inf if h else 0.0))
-            if gap < tol.elim_gap():
-                return None, cutoff, gap
-            rows[k + 1] = w / h
+    rows, _, cutoff, gap = arnoldi(matrix, np.eye(n) / np.sqrt(n), tol, scale, bound)
     return rows, cutoff, gap
 
 

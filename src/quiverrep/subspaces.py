@@ -155,13 +155,15 @@ def rep_to_system(rep: Representation, tol: Tolerances = DEFAULT_TOL,
     The ambient space is the direct sum over vertices; the subspaces are the
     vertex coordinate embeddings followed by, for each arrow, the graph of its
     map inside source-block (+) range-block.  End dimensions agree and are
-    asserted when ``check`` is set.
+    asserted when ``check`` is set.  Raises SizeLimitExceeded, as the
+    system's End would, before the d x d ambient identity is built.
     """
     if rep.quiver.has_loops():
         raise ValidationError(
             "the quiver has self-loops; apply remove_loops first"
         )
     d = rep.total_dim
+    check_unknowns("subspace system", d * d)
     blocks = rep.blocks()
     eye = np.eye(d, dtype=complex)
     # the graph of f_a is the src columns of I + f_a extended by zero

@@ -12,6 +12,7 @@ import pytest
 import quiverrep.intertwiner
 import quiverrep.numerics
 import quiverrep.structure
+import quiverrep.subspaces
 from quiverrep import (Arrow, NumericalFailure, Quiver, Representation, analyze,
                        build_canonical, end, example_reps, from_operator, generated_algebra,
                        hrr_model, is_canonically_simple, is_strongly_irreducible, jordan_block,
@@ -363,6 +364,33 @@ def test_out_of_memory_is_a_size_limit(tmp_path, capsys, monkeypatch):
         assert out == ""
 
 
+def test_size_limit_is_checked_before_the_forest_is_composed(tmp_path, capsys, monkeypatch):
+    # a no-arrow document of dimension 1 + 600: its dense system has 360 001
+    # unknowns, refused before any per-vertex identity or mask is built
+    def composed(*args):
+        raise AssertionError("the forest was composed")
+
+    def built(*args):
+        raise AssertionError("the subspace system was built")
+
+    monkeypatch.setattr(quiverrep.intertwiner, "_settled", composed)
+    monkeypatch.setattr(quiverrep.subspaces, "make_system", built)
+    path = tmp_path / "wide.json"
+    path.write_text(dumps({"quiver": {"vertices": ["1", "2"], "arrows": []},
+                           "dims": {"1": 1, "2": 600}, "maps": {}}))
+    for argv in (["analyze", str(path)], ["hom", str(path), str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert err == "size limit: dense intertwiner system has 360001 unknowns > limit 250000\n"
+        assert out == ""
+    # its one-vertex version: d^2 = 360 000, before the d x d identity
+    path.write_text(dumps({"quiver": {"vertices": ["1"], "arrows": []},
+                           "dims": {"1": 600}, "maps": {}}))
+    code, out, err = run_cli(capsys, "convert", "--rep-to-system", str(path))
+    assert code == 4
+    assert err == "size limit: subspace system has 360000 unknowns > limit 250000\n"
+
+
 # -- hom / iso -------------------------------------------------------------------
 
 def test_hom_between_shifted_models(tmp_path, capsys):
@@ -375,6 +403,24 @@ def test_hom_between_shifted_models(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["dim"] == 3
     assert len(payload["basis"]) == 3
+
+
+def test_hom_reports_its_path_and_unknowns(tmp_path, capsys):
+    # shifted shifts at distinct lam: C_a = lam I + S is nonderogatory, and
+    # Hom is read from its Arnoldi run in the root's 4 x 4 unknowns
+    a = build_doc(tmp_path, capsys, "ex8", "lam=0", "N=4", fname="a.json")
+    b = build_doc(tmp_path, capsys, "ex8", "lam=2.5", "N=4", fname="b.json")
+    code, out, err = run_cli(capsys, "hom", str(a), str(b))
+    assert code == 0, err
+    payload = json.loads(out)
+    assert (payload["dim"], payload["path"], payload["unknowns"]) == (0, "krylov", 16)
+    # C_a = I is derogatory: the forest answers
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text(dumps(rep_to_json(kronecker_rep(np.eye(2), np.eye(2)))))
+    code, out, err = run_cli(capsys, "hom", str(scalar), str(scalar))
+    assert code == 0, err
+    payload = json.loads(out)
+    assert (payload["dim"], payload["path"], payload["unknowns"]) == (4, "forest", 4)
 
 
 def test_iso_identical_files(tmp_path, capsys):

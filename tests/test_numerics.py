@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from quiverrep.errors import NumericalFailure, ValidationError
-from quiverrep.numerics import (DEFAULT_TOL, gram_nullity, inverse, is_invertible,
+from quiverrep.numerics import (DEFAULT_TOL, arnoldi, gram_nullity, inverse, is_invertible,
                                 nullspace, numerical_rank, orthonormal_inclusion,
                                 polynomials_in, random_complex, ranked)
 
@@ -252,6 +252,34 @@ def test_polynomials_in_reads_distinct_eigenvalues():
     # the scale floors the norm in the cutoff, as in nullspace
     rows, _, gap = polynomials_in(1e-20 * np.eye(4, k=-1), scale=1.0)
     assert rows is None and gap < 1.0
+
+
+def test_arnoldi_from_a_vector_returns_its_hessenberg_recurrence():
+    rng = np.random.default_rng(5)
+    matrix = random_complex(rng, (6, 6))
+    start = np.ones(6) / np.sqrt(6)
+    rows, hessenberg, cutoff, gap = arnoldi(matrix, start)
+    assert cutoff == pytest.approx(DEFAULT_TOL.svd_cutoff(6, 6, np.linalg.norm(matrix, 2)))
+    assert gap >= DEFAULT_TOL.elim_gap()
+    assert np.allclose(rows.conj() @ rows.T, np.eye(6))
+    assert np.allclose(rows[0], start)
+    # C v_k = sum_j H[j, k] v_j for k < 5
+    assert hessenberg.shape == (6, 5)
+    assert np.allclose(matrix @ rows[:5].T, rows.T @ hessenberg)
+    assert np.allclose(np.tril(hessenberg, -2), 0)
+    # a coordinate vector is no cyclic vector of a diagonal matrix
+    assert arnoldi(np.diag([1.0, 2.0, 3.0]), np.eye(3)[0])[0] is None
+
+
+def test_nullspace_margin_is_how_far_the_kept_side_clears_the_cutoff():
+    matrix = np.diag([1.0, 1e-3, 1e-20])
+    res = nullspace(matrix)
+    assert res.margin == pytest.approx(1e-3 / res.cutoff) and res.margin <= res.gap
+    # full rank: the gap reads inf, the margin does not
+    res = nullspace(np.diag([1.0, 1e-13]))
+    assert (res.rank, res.gap) == (2, np.inf)
+    assert res.margin == pytest.approx(1e-13 / res.cutoff) and res.margin < 1e3
+    assert nullspace(np.zeros((2, 2)), scale=1.0).margin == np.inf
 
 
 def test_polynomials_in_edge_cases():

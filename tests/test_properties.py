@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from quiverrep import (Arrow, KroneckerFamily, NumericalFailure, Quiver, Representation,
                        ValidationError, analyze, are_isomorphic, build_canonical, build_family,
                        decompose, direct_sum, end, end_recursion_check, example_reps,
-                       from_operator, generated_algebra, hom, hrr_model, is_strongly_irreducible,
-                       jordan_block, kronecker_rep, make_system, remove_loops, rep_to_system,
-                       restrict, shift, system_end, system_end_dimension, system_to_rep)
+                       from_operator, generated_algebra, hom, hrr_max_truncation, hrr_model,
+                       is_strongly_irreducible, jordan_block, kronecker_rep, make_system,
+                       remove_loops, rep_to_system, restrict, shift, system_end,
+                       system_end_dimension, system_to_rep)
 from quiverrep.intertwiner import _dense_hom, _spanning_forest
 from quiverrep.kronecker import FAMILY_KINDS
 from quiverrep.numerics import DEFAULT_TOL, random_complex
@@ -205,6 +206,130 @@ def test_forest_hom_matches_dense_and_exact_on_hidden_jordan_sums(first, second,
     assert_stacked(a, b, basis)
     exact_end = sum(min(p, q) for lam, p, _ in first for mu, q, _ in first if lam == mu)
     assert end(a).dimension == _dense_hom(a, a).dimension == exact_end
+
+
+def test_krylov_hom_reads_the_rounding_of_p_a_of_c_b_as_zero():
+    # p_a(C_b) = 0 here: C_b is 0.5 I.  The recurrence leaves 5e-16 of
+    # rounding in it, which a cutoff relative to its own norm reads as full
+    # rank, Hom 0; at the recurrence's rounding scale it is zero
+    rng = np.random.default_rng(0)
+    a = _hidden(_jordan_sum([(0.5, 1, False), (1.0, 2, False)]), rng, 0.0)
+    b = _hidden(_jordan_sum([(0.5, 1, False), (0.5, 1, False)]), rng, 0.0)
+    assert hom(a, b).dimension == _dense_hom(a, b).dimension == 2
+
+
+@pytest.mark.parametrize("mu", [1.1, 1.5])
+def test_krylov_hom_between_hrr_models_at_base_2_is_the_dense_answer(mu):
+    # the models are similar, so p_a(C_b) = 0, but its rounding reaches half
+    # its cutoff at mu = 1.1 and reads full rank at 2.2 times it at mu = 1.5;
+    # cut at the map scale, both read Hom 0
+    a, b = hrr_model(4, 2.0), hrr_model(4, mu)
+    assert hom(a, b).dimension == _dense_hom(a, b).dimension == 9
+
+
+def test_krylov_hom_reads_the_hidden_pair_the_forest_reads_one_short():
+    # draw 339 of a survey over rng 1: J_1(0.5) + J_1(0.5 + 10^-5.405) under
+    # a basis change of condition 10^2.914.  The forest reads Hom(rep, rep)
+    # as 1 at a gap of 1.3e6, below the polynomials in C; read across two
+    # copies, one Arnoldi run on C gives the dense answer
+    rng = np.random.default_rng(1)
+    for _ in range(340):
+        p, q = rng.integers(1, 4, size=2)
+        lam, log_delta, log_cond = (rng.choice([0.0, 1.0, -2.0, 0.5]), rng.uniform(-10, -1),
+                                    rng.uniform(0, 3))
+        rng.integers(0, 2)
+        rep = _hidden(_jordan_sum([(lam, p, False), (lam + 10**log_delta, q, False)]), rng,
+                      log_cond)
+    copy = Representation(rep.quiver, dict(rep.dims), dict(rep.maps))
+    basis = hom(rep, copy)
+    assert (basis.path, basis.dimension) == ("krylov", 2)
+    assert _dense_hom(rep, copy).dimension == end(rep).dimension == 2
+
+
+# C_a is nonderogatory when no eigenvalue of a has two Jordan blocks
+nonderogatory_jordan_sums = st.lists(
+    st.tuples(st.sampled_from([0.5, 1.0, 2.0, np.inf]), st.integers(1, 3), st.booleans()),
+    min_size=1, max_size=3, unique_by=lambda block: block[0])
+krylov_hom_cases = st.one_of(
+    st.tuples(st.just("hidden"), nonderogatory_jordan_sums, jordan_sums, st.floats(0.0, 2.0),
+              st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("loop"), jordan_types.filter(lambda blocks: len({lam for lam, _ in blocks})
+                                                   == len(blocks)),
+              jordan_types, st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("shifted"), st.sampled_from(["ex8", "ex8*"]), st.integers(1, 12),
+              st.floats(-1.0, 1.0), st.floats(0.5, 3.0), st.booleans()))
+
+
+def _assert_krylov_hom(a, b, basis):
+    assert basis.unknowns == a.dims["1"] * b.dims["1"]
+    vecs = np.hstack([basis.stacks[v].reshape(basis.dimension, basis.unknowns)
+                      for v in a.quiver.vertices])
+    assert np.allclose(vecs.conj() @ vecs.T, np.eye(basis.dimension), rtol=0, atol=1e-12)
+    assert_stacked(a, b, basis)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(case=krylov_hom_cases)
+def test_krylov_hom_is_the_dense_answer(case):
+    # a cross Hom read from one Arnoldi run on C_a has the dense dimension,
+    # wherever its guards let it answer: hidden Kronecker pairs and loops
+    # with shared and with disjoint spectra, and shifted shifts; on the
+    # sweeps' shapes (ex8 at N = 10, ex8s at N = 12, |lam - mu| > 2) the
+    # guards let it.  Where they decline, the forest answers as before, and
+    # near |lam - mu| = 0.5 the dense system itself decides at gaps near 100
+    kind, *params = case
+    if kind == "hidden":
+        first, second, log_cond, seed = params
+        rng = np.random.default_rng(seed)
+        a, b = (_hidden(_jordan_sum(first), rng, log_cond),
+                _hidden(_jordan_sum(second), rng, log_cond))
+    elif kind == "loop":
+        first, second, seed = params
+        rng = np.random.default_rng(seed)
+        a, b = (loop_rep(conjugated_jordan(rng, blocks)[0]) for blocks in (first, second))
+    else:
+        name, n, lam, distance, below = params
+        a = example_reps(name, n, lam)
+        b = example_reps(name, n, lam - distance if below else lam + distance)
+    basis = hom(a, b)
+    if basis.path == "krylov":
+        assert basis.dimension == _dense_hom(a, b).dimension
+        _assert_krylov_hom(a, b, basis)
+    if kind == "shifted" and (name, n) in (("ex8", 10), ("ex8*", 12)) and distance > 2:
+        assert basis.path == "krylov"
+
+
+def test_krylov_hom_answers_every_hrr_cell_the_cli_sweeps():
+    # lam = 1.05, 1.1 at N 4-10 (README) and lam = 1.1, 2.0 at N 3-5
+    # (test_cli), each pair at every level both admit: the models are similar,
+    # so Hom has the End dimension 2N + 1, which the sweep tests pin; the
+    # dense system costs seconds past N = 5
+    cells = [(lam, mu, n) for lam in (1.05, 1.1, 2.0) for mu in (1.05, 1.1, 2.0) if lam != mu
+             for n in range(3, min(hrr_max_truncation(lam), hrr_max_truncation(mu), 10) + 1)]
+    paths = set()
+    for lam, mu, n in cells:
+        a, b = hrr_model(n, lam), hrr_model(n, mu)
+        basis = hom(a, b)
+        assert basis.dimension == 2 * n + 1
+        if n <= 5:
+            assert basis.dimension == _dense_hom(a, b).dimension
+        if basis.path == "krylov":
+            _assert_krylov_hom(a, b, basis)
+        paths.add(basis.path)
+    assert (len(cells), paths) == (24, {"krylov"})
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(blocks=jordan_sums, size=st.integers(1, 3), second=st.booleans(), other=jordan_sums,
+       log_cond=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_cross_hom_from_a_derogatory_hidden_jordan_sum_never_takes_krylov(blocks, size, second,
+                                                                         other, log_cond, seed):
+    # a second block at the first block's eigenvalue makes C_a derogatory: no
+    # vector is cyclic for it, and Arnoldi's steps fall to rounding
+    rng = np.random.default_rng(seed)
+    a = _hidden(_jordan_sum(blocks + [(blocks[0][0], size, second)]), rng, log_cond)
+    b = _hidden(_jordan_sum(other), rng, log_cond)
+    assert hom(a, b).path != "krylov"
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
