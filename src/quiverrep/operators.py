@@ -237,27 +237,26 @@ def end_recursion_check(rep: Representation, lam: float,
     if basis is None:
         basis = end(rep, tol)
     tau = tol.hom_tol(hom_scale(rep, rep))
-    checks = []
-    for t in basis:
-        t1, t2 = t["1"], t["2"]
-        diag = np.diag(t2)
-        diag_res = float(np.max(np.abs(diag - diag.mean()))) if d else 0.0
-        rec_res = _recursion_residual(t2, log_w, log_w)
-        amp = np.exp(log_a[None, :] - log_a[:, None])
-        first_res = float(np.max(np.abs(t1 - amp * t2)))
-        checks.append(HrrElementCheck(diag_res <= tau, rec_res <= tau,
-                                      first_res <= tau,
-                                      max(diag_res, rec_res, first_res)))
-    return HrrEndReport(n, lam, basis.dimension, tuple(checks), tau,
-                        inverse(rep.maps["a1"], tol)[2])
+    first, second = basis.stacks["1"], basis.stacks["2"]
+    diag = np.diagonal(second, axis1=1, axis2=2)
+    diag_res = np.max(np.abs(diag - diag.mean(axis=1, keepdims=True)), axis=1)
+    rec_res = _recursion_residual(second, log_w, log_w)
+    amp = np.exp(log_a[None, :] - log_a[:, None])
+    first_res = np.max(np.abs(first - amp * second), axis=(1, 2))
+    checks = tuple(HrrElementCheck(bool(a <= tau), bool(b <= tau), bool(c <= tau),
+                                   float(max(a, b, c)))
+                   for a, b, c in zip(diag_res, rec_res, first_res))
+    return HrrEndReport(n, lam, basis.dimension, checks, tau, inverse(rep.maps["a1"], tol)[2])
 
 
-def _recursion_residual(t2: np.ndarray, log_w_dst: np.ndarray,
-                        log_w_src: np.ndarray) -> float:
-    """Largest |t2[m+1, n+1] - (w_dst[m] / w_src[n]) t2[m, n]|, weights given by their logs."""
-    d = t2.shape[0]
+def _recursion_residual(stack: np.ndarray, log_w_dst: np.ndarray,
+                        log_w_src: np.ndarray) -> np.ndarray:
+    """Largest |t2[m+1, n+1] - (w_dst[m] / w_src[n]) t2[m, n]| of each t2 in
+    the (k, d, d) ``stack``, weights given by their logs."""
+    d = stack.shape[1]
     ratio = np.exp(log_w_dst[:d - 1, None] - log_w_src[None, :d - 1])
-    return float(np.max(np.abs(t2[1:, 1:] - ratio * t2[:-1, :-1]), initial=0.0))
+    return np.max(np.abs(stack[:, 1:, 1:] - ratio * stack[:, :-1, :-1]), axis=(1, 2),
+                  initial=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,7 +282,8 @@ def cross_model_hom(lam: float, mu: float, n: int,
     log_w_lam = hrr_log_w(n, lam)
     log_w_mu = hrr_log_w(n, mu)
     tau = tol.hom_tol(hom_scale(rep_lam, rep_mu))
-    worst = max((_recursion_residual(t["2"], log_w_mu, log_w_lam) for t in basis), default=0.0)
+    worst = float(np.max(_recursion_residual(basis.stacks["2"], log_w_mu, log_w_lam),
+                         initial=0.0))
     return CrossHomReport(n, lam, mu, basis.dimension, worst <= tau, worst, tau)
 
 

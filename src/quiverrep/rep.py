@@ -114,7 +114,7 @@ def restrict(rep: Representation, inclusions: dict[str, np.ndarray],
     """Restrict to the subspaces spanned by per-vertex inclusion matrices.
 
     Each inclusion must have full column rank at the cutoff of
-    :func:`numerics.numerical_rank`.  The one SVD that decides it also gives
+    :func:`numerics.ranked`.  The one SVD that decides it also gives
     the pseudo-inverse iota^+, and the restricted map g = iota_dst^+ f
     iota_src is the least-squares solution of f iota_src = iota_dst g.  Every
     arrow map must carry the source subspace into the range subspace: the

@@ -54,7 +54,7 @@ from .errors import NumericalFailure, ValidationError
 from .intertwiner import HomBasis, end, intertwining_residual
 from .kronecker import loop_rep
 from .numerics import (DEFAULT_TOL, Tolerances, _ranked_svd, check_unknowns, frob, gram_nullity,
-                       inverse, numerical_rank, random_complex)
+                       inverse, random_complex)
 from .rep import Representation, restrict
 
 
@@ -513,8 +513,24 @@ def is_canonically_simple(rep: Representation, tol: Tolerances = DEFAULT_TOL) ->
 
 def star_closed_end_dim(rep: Representation, tol: Tolerances = DEFAULT_TOL,
                         basis: HomBasis | None = None) -> int:
-    """Dimension of C = { T in End : T* in End }, the self-adjoint-closed core:
-    2k minus the rank of the k basis tuples stacked on their adjoints."""
+    """Dimension of C = { T in End : T* in End }, the self-adjoint-closed core.
+
+    C is the intersection of the row spaces of V, the k End basis tuples as
+    rows, and W, their adjoints; the rows of V are orthonormal (a
+    :class:`HomBasis` is), and so are those of W, since T -> T* keeps the
+    trace form.  So dim C is the number of zero principal angles between the
+    two spaces, read from their sines (Bjorck and Golub, 1973): the
+    singular values of W's part off V's span, W - (W V^H) V, a k-row matrix.
+    It is k minus that part's rank.
+
+    The cutoff is carried over from the rank of the stacked 2k x N [V; W],
+    N the tuples' length.  That stack has singular values
+    sqrt(1 -+ cos theta) at each principal angle theta, its sigma_max is
+    sqrt(2) from I, which lies in both spaces, and its rank counts theta as
+    shared when sqrt(1 - cos theta) = sqrt(2) sin(theta / 2) is at most
+    ``svd_cutoff(2k, N, sqrt(2))``.  The sine is sin(theta) =
+    2 sin(theta / 2) cos(theta / 2), so the same test, up to O(theta^2), is
+    sin(theta) <= ``svd_cutoff(2k, N, 2)``."""
     basis = end(rep, tol) if basis is None else basis
     k = basis.dimension
     if k == 0:
@@ -522,7 +538,9 @@ def star_closed_end_dim(rep: Representation, tol: Tolerances = DEFAULT_TOL,
     stacks = basis.stacks.values()
     vecs = np.hstack([b.reshape(k, -1) for b in stacks])
     star = np.hstack([b.conj().transpose(0, 2, 1).reshape(k, -1) for b in stacks])
-    return 2 * k - numerical_rank(np.vstack([vecs, star]), tol)
+    off = star - (star @ vecs.conj().T) @ vecs
+    n = vecs.shape[1]
+    return k - _ranked_svd(off, lambda _: tol.svd_cutoff(2 * k, n, 2.0), compute_uv=False)[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,23 @@ def dense_system_end_dim(system) -> int:
     return d * d - int(np.count_nonzero(svals > cutoff))
 
 
+def stacked_star_dim(basis, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Dimension of the star-closed core of End from an orthonormal End
+    basis: 2k minus the rank of its k tuples stacked on their adjoints, a
+    2k x N matrix factored as it stands, with the rank cut at
+    ``svd_cutoff(2k, N, sigma_max)`` of its own singular values."""
+    k = basis.dimension
+    if k == 0:
+        return 0
+    stacks = basis.stacks.values()
+    vecs = np.hstack([b.reshape(k, -1) for b in stacks])
+    star = np.hstack([b.conj().transpose(0, 2, 1).reshape(k, -1) for b in stacks])
+    stacked = np.vstack([vecs, star])
+    svals = np.linalg.svd(stacked, compute_uv=False)
+    cutoff = tol.svd_cutoff(*stacked.shape, float(svals[0]))
+    return 2 * k - int(np.count_nonzero(svals > cutoff))
+
+
 def agglomerative_two_group_split(values, threshold):
     """Reference single linkage: merge the two closest groups, measured by
     their closest pair, until two groups remain.  Returns the two groups of

@@ -3,8 +3,8 @@ import pytest
 
 from quiverrep.errors import NumericalFailure, ValidationError
 from quiverrep.numerics import (DEFAULT_TOL, arnoldi, gram_nullity, inverse, is_invertible,
-                                nullspace, numerical_rank, orthonormal_inclusion,
-                                polynomials_in, random_complex, ranked)
+                                nullspace, orthonormal_inclusion, polynomials_in,
+                                random_complex, ranked)
 
 
 def planted_rank(rng, m, n, r, real=False):
@@ -182,12 +182,28 @@ def test_real_data_takes_real_lapack(monkeypatch):
     assert inv.dtype == complex and not inv.imag.any()
     assert np.allclose(inv @ real, np.eye(6), atol=1e-10)
     nullspace(real)
-    numerical_rank(real)
+    ranked(real)
     is_invertible(real)
     gram_nullity(real @ real.T)
-    numerical_rank(planted_rank(rng, 6, 6, 6))
+    ranked(planted_rank(rng, 6, 6, 6))
     assert calls == [(np.float64, True), (np.float64, True), (np.float64, False),
                      (np.float64, False), (np.float64, False), (complex, False)]
+
+
+def test_values_only_wide_decisions_factor_the_tall_orientation(monkeypatch):
+    # a wide matrix's singular values come from its transpose, where LAPACK
+    # is faster; a decision that reads its factors takes the matrix as given
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append((a.shape, kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    wide = planted_rank(np.random.default_rng(8), 18, 648, 17)
+    assert ranked(wide)[0] == nullspace(wide).rank == 17
+    assert shapes == [((648, 18), False), ((18, 648), True)]
 
 
 def full_svd_rank(matrix, cutoff_at):
@@ -198,15 +214,17 @@ def full_svd_rank(matrix, cutoff_at):
 @pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("m, n, r", [
     (40, 9, 5), (12, 12, 7), (12, 12, 12), (7, 15, 4),
-    (36, 648, 30),  # the stacked star matrix of an 18-dimensional End at N = 18
+    # an 18-dimensional End at N = 18 stacked on its adjoints, and its
+    # adjoints' part off its span, the star core's matrix
+    (36, 648, 30), (18, 648, 17),
 ])
 def test_rank_only_decisions_match_full_svd(real, m, n, r):
     rng = np.random.default_rng(m + n + r)
     matrix = planted_rank(rng, m, n, r, real=real)
     k = min(m, n)
     rank = full_svd_rank(matrix, lambda s: DEFAULT_TOL.svd_cutoff(m, n, s))
-    assert numerical_rank(matrix) == rank == r
-    assert numerical_rank(matrix) == nullspace(matrix).rank
+    assert ranked(matrix)[0] == rank == r
+    assert ranked(matrix)[0] == nullspace(matrix).rank
     # the gap from the singular values alone is the nullspace's; its
     # discarded singular value is rounding, which each LAPACK routine rounds its
     # own way
@@ -222,7 +240,7 @@ def test_rank_only_decisions_match_full_svd(real, m, n, r):
 
 def test_numerical_rank_of_empty_shapes():
     for shape in [(0, 0), (3, 0), (0, 4)]:
-        assert numerical_rank(np.zeros(shape, dtype=complex)) == 0
+        assert ranked(np.zeros(shape, dtype=complex))[0] == 0
         assert ranked(np.zeros(shape, dtype=complex)) == (0, np.inf)
 
 

@@ -169,6 +169,40 @@ def test_hrr_end_recursion_checks(lam, n):
     assert np.isclose(report.range_ratio, np.exp(-lam ** n_even_max))
 
 
+def _element_by_element_recursion_check(rep, lam, basis):
+    """Each End element's three residuals of end_recursion_check, one element at a time."""
+    n = (rep.dims["1"] - 1) // 2
+    log_a, _ = hrr_weight_logs(n, lam)
+    log_w = hrr_log_w(n, lam)
+    ratio = np.exp(log_w[:2 * n, None] - log_w[None, :2 * n])
+    amp = np.exp(log_a[None, :] - log_a[:, None])
+    out = []
+    for t in basis:
+        t1, t2 = t["1"], t["2"]
+        diag = np.diag(t2)
+        diag_res = float(np.max(np.abs(diag - diag.mean())))
+        rec_res = float(np.max(np.abs(t2[1:, 1:] - ratio * t2[:-1, :-1]), initial=0.0))
+        first_res = float(np.max(np.abs(t1 - amp * t2)))
+        out.append((diag_res, rec_res, first_res))
+    return out
+
+
+@pytest.mark.parametrize("lam", [1.05, 1.1, 1.5, 2.0])
+def test_hrr_end_recursion_check_is_the_element_by_element_check(lam):
+    # the stacked residuals are the per-element ones, to the last bit
+    for n in range(2, min(8, hrr_max_truncation(lam)) + 1):
+        rep = hrr_model(n, lam)
+        basis = end(rep)
+        report = end_recursion_check(rep, lam, basis=basis)
+        expected = _element_by_element_recursion_check(rep, lam, basis)
+        assert len(report.elements) == len(expected) == basis.dimension
+        for check, residuals in zip(report.elements, expected):
+            flags = tuple(r <= report.tolerance for r in residuals)
+            assert (check.diagonal_constant, check.recursion,
+                    check.first_map_consistent) == flags
+            assert check.max_residual == max(residuals)
+
+
 def test_hrr_numpy_cross_check_small():
     rep = hrr_model(2, 1.1)
     assert numpy_hom_dim(rep, rep) == bilateral_free_parameter_count(2) == 5

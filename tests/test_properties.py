@@ -12,17 +12,18 @@ from quiverrep import (Arrow, KroneckerFamily, NumericalFailure, Quiver, Represe
                        decompose, direct_sum, end, end_recursion_check, example_reps,
                        from_operator, generated_algebra, hom, hrr_max_truncation, hrr_model,
                        is_strongly_irreducible, jordan_block, kronecker_rep, make_system,
-                       remove_loops, rep_to_system, restrict, shift, system_end,
-                       system_end_dimension, system_to_rep)
+                       perturbation_model, remove_loops, rep_to_system, restrict, shift,
+                       star_closed_end_dim, system_end, system_end_dimension, system_to_rep)
+from quiverrep.cli import build_model
 from quiverrep.intertwiner import _dense_hom, _spanning_forest
 from quiverrep.kronecker import FAMILY_KINDS
 from quiverrep.numerics import DEFAULT_TOL, random_complex
 from quiverrep.structure import _support_witness, widest_two_group_split
 
-from helpers import (assert_stacked, conjugated_jordan, loop_rep, random_quiver, random_rep,
-                     real_well_conditioned)
+from helpers import (assert_stacked, conjugate, conjugated_jordan, loop_rep, random_decomposable,
+                     random_quiver, random_rep, real_well_conditioned, rotate)
 from oracles import (agglomerative_two_group_split, dense_system_end_dim, exact_end_dim,
-                     reduce_pencil)
+                     reduce_pencil, stacked_star_dim)
 
 # Jordan types of total size 1..5 with eigenvalues in a small set, so that
 # blocks often share an eigenvalue
@@ -884,3 +885,67 @@ def test_krylov_end_on_trees_of_invertible_arrows_is_the_dense_answer(n, parents
     if basis.path == "krylov":
         assert basis.dimension == _dense_hom(rep, rep).dimension
         assert_stacked(rep, rep, basis)
+
+
+# the star-closed core: its k sines against the 2k-row stack of End on its
+# adjoints, on one End basis
+STAR_CORE_QUIVERS = [("loop", 2), ("kronecker", 2), ("subspace", 3)]
+STAR_CORE_MODELS = [
+    ("perturbation", ["N=10"]), ("perturbation", ["N=18"]), ("hrr", ["N=4", "lam=1.1"]),
+    ("hrr", ["N=6", "lam=1.5"]), ("hrr", ["N=4", "lam=2.0"]), ("ex8", ["N=8"]),
+    ("ex8s", ["N=12"]), ("ex2", ["N=5"]), ("ex3", ["N=4"]), ("ex4", ["N=6"]), ("ex9", ["N=6"]),
+    ("jordan_first", ["n=3"]), ("jordan_second", ["n=3"]), ("wide", ["n=3"]),
+    ("tall", ["n=3"]), ("ex1", []), ("ex6", []), ("ex7", []),
+]
+star_core_inputs = st.one_of(
+    st.tuples(st.sampled_from(["random", "sum"]), st.sampled_from(STAR_CORE_QUIVERS)),
+    st.tuples(st.just("model"), st.sampled_from(STAR_CORE_MODELS)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=star_core_inputs, turn=st.sampled_from([None, rotate, conjugate]),
+       seed=st.integers(0, 2**32 - 1))
+def test_star_core_from_its_sines_is_the_stacked_reading(case, turn, seed):
+    kind, source = case
+    rng = np.random.default_rng(seed)
+    if kind == "model":
+        rep = build_model(*source)[0]
+    elif kind == "random":
+        rep = random_rep(rng, build_canonical(*source), min_dim=1)
+    else:
+        rep = random_decomposable(rng, build_canonical(*source))
+    if turn is not None:
+        rep = turn(rep, rng)
+    basis = end(rep)
+    assert star_closed_end_dim(rep, basis=basis) == stacked_star_dim(basis)
+
+
+def _zero_core_decomposable(seed, turn):
+    rep = random_decomposable(np.random.default_rng(seed), build_canonical("kronecker", 2), 3)
+    return turn(rep, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: conjugate(perturbation_model(12), np.random.default_rng(0)),
+    lambda: conjugate(perturbation_model(18), np.random.default_rng(0)),
+    lambda: conjugate(perturbation_model(30), np.random.default_rng(0)),
+    lambda: conjugate(hrr_model(6, 1.5), np.random.default_rng(0)),
+    lambda: conjugate(hrr_model(6, 1.5), np.random.default_rng(1)),
+    lambda: conjugate(hrr_model(7, 1.5), np.random.default_rng(0)),
+    lambda: conjugate(hrr_model(7, 1.5), np.random.default_rng(1)),
+    lambda: rotate(hrr_model(4, 2.0), np.random.default_rng(0)),
+    lambda: conjugate(hrr_model(4, 2.0), np.random.default_rng(0)),
+    lambda: _zero_core_decomposable(28, rotate),
+    lambda: _zero_core_decomposable(72, conjugate),
+    lambda: _zero_core_decomposable(263, conjugate),
+], ids=["perturbation-12", "perturbation-18", "perturbation-30", "hrr-6-seed-0", "hrr-6-seed-1",
+        "hrr-7-seed-0", "hrr-7-seed-1", "hrr-4-base-2-rotated", "hrr-4-base-2",
+        "sum-28-rotated", "sum-72", "sum-263"])
+def test_star_core_read_without_the_identity_stays_a_numerical_failure(build):
+    # draws of the recipe above, conjugated or rotated, whose End basis reads
+    # a star-closed core of 0 under either rule, although I = I* lies in it
+    result = analyze(build())
+    basis = result.end_basis
+    assert star_closed_end_dim(result.rep, basis=basis) == stacked_star_dim(basis) == 0
+    with pytest.raises(NumericalFailure, match="impossible reading"):
+        result.verdicts()
