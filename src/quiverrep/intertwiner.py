@@ -590,8 +590,3 @@ def are_isomorphic(a: Representation, b: Representation, tol: Tolerances = DEFAU
                      f"no invertible intertwiner in {ISO_SAMPLES} samples",
                      basis.dimension, seed=seed)
 
-
-def relatively_prime(a: Representation, b: Representation,
-                     tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff Hom(a, b) and Hom(b, a) are both zero."""
-    return hom(a, b, tol).dimension == 0 and hom(b, a, tol).dimension == 0

@@ -1,5 +1,5 @@
 """Builders for the Weierstrass-Kronecker families on the 2-arrow Kronecker
-quiver and the polynomial model on the (n+1)-arrow Kronecker quiver."""
+quiver, and for loop and Kronecker representations from square maps."""
 
 from __future__ import annotations
 
@@ -84,26 +84,3 @@ def kronecker_rep(*maps: np.ndarray) -> Representation:
     square map."""
     return _canonical_rep("kronecker", maps)
 
-
-def polynomial_model(t: np.ndarray, coeffs) -> Representation:
-    """Representation of the (n+1)-arrow Kronecker quiver attached to a matrix.
-
-    Arrow a1 carries sum_k coeffs[k] T^k (the constant term must be nonzero);
-    arrow a_{k+1} carries T^k for k = 1..n.  Its endomorphisms are the
-    diagonal pairs (C, C) with C in the commutant of T, so the representation
-    is indecomposable exactly when T is strongly irreducible, and two models
-    are isomorphic exactly when the underlying matrices are similar.
-    """
-    t = np.asarray(t, dtype=complex)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValidationError("expected a square matrix")
-    coeffs = [complex(c) for c in coeffs]
-    n = len(coeffs) - 1
-    if n < 1:
-        raise ValidationError("need at least two coefficients (degree >= 1)")
-    if coeffs[0] == 0:
-        raise ValidationError("the constant coefficient must be nonzero")
-    powers = [np.eye(t.shape[0], dtype=complex)]
-    for _ in range(n):
-        powers.append(powers[-1] @ t)
-    return kronecker_rep(sum(c * p for c, p in zip(coeffs, powers)), *powers[1:])

@@ -1,6 +1,5 @@
 """Truncated operator constructions: shifts, diagonals, rank-one perturbations,
-the two transitive Kronecker constructions, and the weighted-shift similarity
-evidence check.
+and the two transitive Kronecker constructions.
 
 All builders here realize infinite-dimensional operators as plain compressions
 P_N T P_N (orthogonal truncation on both sides).  Boundary effects are a
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .intertwiner import HomBasis, end, hom, hom_scale
+from .intertwiner import HomBasis, end, hom_scale
 from .numerics import DEFAULT_TOL, Tolerances, inverse
 from .rep import Representation
 from .kronecker import kronecker_rep, loop_rep
@@ -37,13 +36,6 @@ def bilateral_shift(n: int) -> np.ndarray:
     if int(n) != n or n < 1:
         raise ValidationError(f"bilateral truncation level must be >= 1, got {n!r}")
     return np.eye(2 * int(n) + 1, k=-1, dtype=complex)
-
-
-def bilateral_index(k: int, n: int) -> int:
-    """Row/column position of basis vector e_k, k in -n..n."""
-    if not -n <= k <= n:
-        raise ValidationError(f"index {k} outside -{n}..{n}")
-    return k + n
 
 
 def diagonal(values) -> np.ndarray:
@@ -257,73 +249,6 @@ def _recursion_residual(stack: np.ndarray, log_w_dst: np.ndarray,
     ratio = np.exp(log_w_dst[:d - 1, None] - log_w_src[None, :d - 1])
     return np.max(np.abs(stack[:, 1:, 1:] - ratio * stack[:, :-1, :-1]), axis=(1, 2),
                   initial=0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class CrossHomReport:
-    """Hom space between two bilateral-weight models with different bases."""
-
-    n: int
-    lam: float
-    mu: float
-    dimension: int
-    recursion_passed: bool
-    max_residual: float
-    tolerance: float
-
-
-def cross_model_hom(lam: float, mu: float, n: int,
-                    tol: Tolerances = DEFAULT_TOL) -> CrossHomReport:
-    """Compute Hom(model(lam), model(mu)) and verify the cross-weight recursion
-    t[m+1, n+1] = (w^mu_m / w^lam_n) t[m, n] on every basis element."""
-    rep_lam = hrr_model(n, lam, tol)
-    rep_mu = hrr_model(n, mu, tol)
-    basis = hom(rep_lam, rep_mu, tol)
-    log_w_lam = hrr_log_w(n, lam)
-    log_w_mu = hrr_log_w(n, mu)
-    tau = tol.hom_tol(hom_scale(rep_lam, rep_mu))
-    worst = float(np.max(_recursion_residual(basis.stacks["2"], log_w_mu, log_w_lam),
-                         initial=0.0))
-    return CrossHomReport(n, lam, mu, basis.dimension, worst <= tau, worst, tau)
-
-
-# ---------------------------------------------------------------------------
-# weighted-shift similarity evidence
-
-@dataclass(frozen=True, eq=False)
-class SimilarityEvidence:
-    """Finite-section evidence for the bounded-weight-product-ratio criterion.
-
-    ``bounded_so_far`` only says the partial ratios r_k = |a_1..a_k|/|b_1..b_k|
-    stayed within (0, inf) up to the inspected length; it is necessary
-    evidence for similarity of the infinite weighted shifts, never a
-    certificate.
-    """
-
-    ratio_min: float
-    ratio_max: float
-    bounded_so_far: bool
-
-
-def weighted_shift_similarity(a, b, n: int | None = None) -> SimilarityEvidence:
-    """Partial products of |a_k|/|b_k| in the log domain, up to length n."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValidationError("expected two weight vectors")
-    n = min(a.size, b.size) if n is None else int(n)
-    if n < 1 or n > min(a.size, b.size):
-        raise ValidationError(f"need 1 <= n <= {min(a.size, b.size)}, got {n}")
-    a, b = a[:n], b[:n]
-    if np.any(b == 0):
-        raise ValidationError("denominator weights must be nonzero")
-    if np.any(a == 0):
-        # some partial product vanishes: ratios hit zero for good
-        return SimilarityEvidence(0.0, float("nan"), False)
-    log_r = np.cumsum(np.log(np.abs(a))) - np.cumsum(np.log(np.abs(b)))
-    ratios = np.exp(log_r)
-    lo, hi = float(ratios.min()), float(ratios.max())
-    return SimilarityEvidence(lo, hi, bool(np.isfinite(hi) and lo > 0.0))
 
 
 # ---------------------------------------------------------------------------

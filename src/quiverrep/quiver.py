@@ -47,61 +47,6 @@ class Quiver:
     def has_loops(self) -> bool:
         return any(a.src == a.dst for a in self.arrows)
 
-    def is_acyclic(self) -> bool:
-        """True iff the quiver contains no directed cycle (a loop is a cycle)."""
-        indeg = {v: 0 for v in self.vertices}
-        for a in self.arrows:
-            indeg[a.dst] += 1
-        ready = [v for v in self.vertices if indeg[v] == 0]
-        removed = 0
-        while ready:
-            v = ready.pop()
-            removed += 1
-            for a in self.arrows:
-                if a.src == v:
-                    indeg[a.dst] -= 1
-                    if indeg[a.dst] == 0:
-                        ready.append(a.dst)
-        return removed == len(self.vertices)
-
-    def out_degree(self, vertex: str) -> int:
-        if vertex not in self.vertices:
-            raise ValidationError(f"unknown vertex {vertex!r}")
-        return sum(1 for a in self.arrows if a.src == vertex)
-
-
-@dataclass(frozen=True)
-class Path:
-    """A non-empty arrow sequence whose consecutive range/source match."""
-
-    arrows: tuple[Arrow, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "arrows", tuple(self.arrows))
-        if not self.arrows:
-            raise ValidationError("a path must contain at least one arrow")
-        for first, second in zip(self.arrows, self.arrows[1:]):
-            if first.dst != second.src:
-                raise ValidationError(
-                    f"arrows {first.name!r} and {second.name!r} do not compose: "
-                    f"{first.dst!r} != {second.src!r}"
-                )
-
-    @property
-    def source(self) -> str:
-        return self.arrows[0].src
-
-    @property
-    def range(self) -> str:
-        return self.arrows[-1].dst
-
-    @property
-    def length(self) -> int:
-        return len(self.arrows)
-
-    def is_cycle(self) -> bool:
-        return self.source == self.range
-
 
 CANONICAL_KINDS = ("loop", "kronecker", "subspace", "two_inclusions")
 

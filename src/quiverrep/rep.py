@@ -148,16 +148,3 @@ def restrict(rep: Representation, inclusions: dict[str, np.ndarray],
         maps[a.name] = g
     return Representation(rep.quiver, {v: m.shape[1] for v, m in incs.items()}, maps)
 
-
-def is_isomorphism_compatible(a: Representation, b: Representation) -> bool:
-    """Necessary condition for isomorphism: equal dimension vectors."""
-    if a.quiver != b.quiver:
-        raise ValidationError("representations live over different quivers")
-    return a.dims == b.dims
-
-
-def rep_allclose(a: Representation, b: Representation, atol: float = 1e-12) -> bool:
-    """Structural equality up to entrywise tolerance (same quiver and dims)."""
-    if a.quiver != b.quiver or a.dims != b.dims:
-        return False
-    return all(np.allclose(a.maps[k], b.maps[k], atol=atol) for k in a.maps)

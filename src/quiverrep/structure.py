@@ -76,12 +76,6 @@ class AlgebraBasis:
     cutoff: float
     gap: float = np.inf
 
-    def span_residual(self, matrix: np.ndarray) -> float:
-        """Distance from ``matrix`` to the span of the basis."""
-        vec = matrix.reshape(-1)
-        rows = self.basis.reshape(self.dimension, vec.size)
-        return float(np.linalg.norm(vec - rows.T @ (rows.conj() @ vec)))
-
 
 def _generators(rep: Representation) -> np.ndarray:
     """Generators of the algebra in ``generated_algebra``, stacked as (g, d, d).

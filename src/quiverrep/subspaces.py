@@ -22,7 +22,6 @@ from .kronecker import loop_rep
 from .numerics import DEFAULT_TOL, Tolerances, check_unknowns, orthonormal_inclusion, ranked
 from .quiver import Arrow, Quiver, build_canonical
 from .rep import Representation
-from .structure import AlgebraBasis
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,32 +58,9 @@ def make_system(ambient_dim: int, inclusions,
     return SubspaceSystem(ambient_dim, tuple(stored))
 
 
-def system_end(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> AlgebraBasis:
-    """Orthonormal basis of { T : (I - P_i) T P_i = 0 for every subspace }.
-
-    Restricting T to each subspace, T_i = U_i^H T U_i for the stored
-    inclusion U_i, makes it an endomorphism of the subspace-quiver
-    representation (:func:`system_to_rep`), and every one arises once so:
-    T -> T_sink is injective on that End.  So this is :func:`intertwiner.end`
-    of the representation, read at the sink and re-orthonormalized by one QR;
-    its forest leaves Q_i^H T U_i = 0 at the sink, or, for a coordinate
-    subspace, fixes k_i (d - k_i) entries of T to 0.  Raises
-    SizeLimitExceeded before anything is built when the d^2 unknowns are
-    more than :func:`numerics.check_unknowns` allows.
-    """
-    d = system.ambient_dim
-    check_unknowns("subspace system", d * d)
-    if d == 0 or not system.inclusions:
-        return AlgebraBasis(d, np.eye(d * d, dtype=complex).reshape(d * d, d, d), d * d, 0.0)
-    basis = end(system_to_rep(system, tol, check=False), tol)
-    k = basis.dimension
-    q, _ = np.linalg.qr(basis.stacks[str(system.n_subspaces + 1)].reshape(k, d * d).T)
-    return AlgebraBasis(d, q.T.reshape(k, d, d), k, basis.cutoff, basis.gap)
-
-
 def system_end_dimension(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> int:
-    """``system_end(system, tol).dimension`` from the singular values alone:
-    the kept unknowns of the forest system of the subspace-quiver
+    """dim End of :func:`system_to_rep` of ``system``, read from the singular
+    values alone: the kept unknowns of the forest system of the subspace-quiver
     representation minus its rank, at the cutoff and scale its nullspace is
     taken at (:func:`intertwiner._assemble`), when that decision's gap is at
     least ``elim_gap``; otherwise End of the representation, as there."""

@@ -1,12 +1,17 @@
-"""Shared builders for randomized test suites (all seeded, all deterministic)."""
+"""Shared builders and checks for the test suites (all seeded, all deterministic)."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from quiverrep import (Arrow, Quiver, Representation, direct_sum, intertwining_residual,
-                       jordan_block, loop_rep)
-from quiverrep.numerics import random_complex
+from quiverrep import (DEFAULT_TOL, AlgebraBasis, Arrow, Quiver, Representation, SubspaceSystem,
+                       Tolerances, direct_sum, end, hom, hrr_model, intertwining_residual,
+                       jordan_block, kronecker_rep, loop_rep, system_to_rep)
+from quiverrep.intertwiner import hom_scale
+from quiverrep.numerics import check_unknowns, random_complex
+from quiverrep.operators import _recursion_residual, hrr_log_w
 
 
 def two_subspace_rep(theta: float) -> Representation:
@@ -126,3 +131,75 @@ def assert_stacked(a: Representation, b: Representation, basis) -> None:
         assert basis.stacks[v].shape == (basis.dimension, b.dims[v], a.dims[v])
     per_element = max((intertwining_residual(a, b, t) for t in basis), default=0.0)
     assert np.isclose(intertwining_residual(a, b, basis.stacks), per_element, rtol=1e-12, atol=0)
+
+
+def rep_allclose(a: Representation, b: Representation, atol: float = 1e-12) -> bool:
+    """Structural equality up to entrywise tolerance (same quiver and dims)."""
+    if a.quiver != b.quiver or a.dims != b.dims:
+        return False
+    return all(np.allclose(a.maps[k], b.maps[k], atol=atol) for k in a.maps)
+
+
+def relatively_prime(a: Representation, b: Representation,
+                     tol: Tolerances = DEFAULT_TOL) -> bool:
+    """True iff Hom(a, b) and Hom(b, a) are both zero."""
+    return hom(a, b, tol).dimension == 0 and hom(b, a, tol).dimension == 0
+
+
+def polynomial_model(t: np.ndarray, coeffs) -> Representation:
+    """The Kronecker model (sum_k coeffs[k] T^k, T, T^2, ..., T^n) of T, n = len(coeffs) - 1."""
+    t = np.asarray(t, dtype=complex)
+    powers = [np.eye(t.shape[0], dtype=complex)]
+    for _ in coeffs[1:]:
+        powers.append(powers[-1] @ t)
+    return kronecker_rep(sum(c * p for c, p in zip(coeffs, powers)), *powers[1:])
+
+
+def bilateral_index(k: int, n: int) -> int:
+    """Row/column position of the bilateral basis vector e_k, k in -n..n."""
+    return k + n
+
+
+def span_residual(alg: AlgebraBasis, matrix: np.ndarray) -> float:
+    """Distance from ``matrix`` to the span of the orthonormal basis of ``alg``."""
+    vec = matrix.reshape(-1)
+    rows = alg.basis.reshape(alg.dimension, vec.size)
+    return float(np.linalg.norm(vec - rows.T @ (rows.conj() @ vec)))
+
+
+def system_end(system: SubspaceSystem, tol: Tolerances = DEFAULT_TOL) -> AlgebraBasis:
+    """Orthonormal basis of the system's End: End of its subspace-quiver
+    representation read at the sink, re-orthonormalized by one QR."""
+    d = system.ambient_dim
+    check_unknowns("subspace system", d * d)
+    if d == 0 or not system.inclusions:
+        return AlgebraBasis(d, np.eye(d * d, dtype=complex).reshape(d * d, d, d), d * d, 0.0)
+    basis = end(system_to_rep(system, tol, check=False), tol)
+    k = basis.dimension
+    q, _ = np.linalg.qr(basis.stacks[str(system.n_subspaces + 1)].reshape(k, d * d).T)
+    return AlgebraBasis(d, q.T.reshape(k, d, d), k, basis.cutoff, basis.gap)
+
+
+@dataclass(frozen=True, eq=False)
+class CrossHomReport:
+    """Hom space between two bilateral-weight models with different bases."""
+
+    n: int
+    lam: float
+    mu: float
+    dimension: int
+    recursion_passed: bool
+    max_residual: float
+    tolerance: float
+
+
+def cross_model_hom(lam: float, mu: float, n: int,
+                    tol: Tolerances = DEFAULT_TOL) -> CrossHomReport:
+    """Hom(hrr_model(n, lam), hrr_model(n, mu)), checked against the cross-weight recursion."""
+    rep_lam = hrr_model(n, lam, tol)
+    rep_mu = hrr_model(n, mu, tol)
+    basis = hom(rep_lam, rep_mu, tol)
+    tau = tol.hom_tol(hom_scale(rep_lam, rep_mu))
+    worst = float(np.max(_recursion_residual(basis.stacks["2"], hrr_log_w(n, mu),
+                                             hrr_log_w(n, lam)), initial=0.0))
+    return CrossHomReport(n, lam, mu, basis.dimension, worst <= tau, worst, tau)

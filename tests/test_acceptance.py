@@ -10,18 +10,18 @@ import numpy as np
 import pytest
 
 from quiverrep import (KroneckerFamily, analyze, are_isomorphic, build_canonical,
-                       build_family, canonically_simple, cross_model_hom,
+                       build_family, canonically_simple,
                        decompose, diagonal, direct_sum, end,
                        end_recursion_check, example_reps, hom, hrr_model,
                        is_canonically_simple, is_strongly_irreducible, jordan_block,
                        kronecker_rep, remove_loops, rep_to_system, shift,
-                       system_end, Representation)
+                       Representation)
 from quiverrep.intertwiner import hom_scale
 from quiverrep.operators import perturbation_model, perturbation_structure_residual
 from quiverrep.structure import star_closed_end_dim
 
-from helpers import (example6, example7, loop_rep, random_acyclic_quiver,
-                     random_decomposable, random_quiver, random_rep,
+from helpers import (cross_model_hom, example6, example7, loop_rep, random_acyclic_quiver,
+                     random_decomposable, random_quiver, random_rep, system_end,
                      two_subspace_rep)
 from oracles import nilpotent_commutant_dim, single_jordan_block_criterion
 

@@ -11,7 +11,8 @@ from quiverrep.document import (detect_kind, dumps, matrix_from_json, matrix_to_
                                 operator_from_json, operator_to_json,
                                 quiver_from_json, quiver_to_json, rep_from_json,
                                 rep_to_json, system_from_json, system_to_json)
-from quiverrep.rep import rep_allclose
+
+from helpers import rep_allclose
 
 
 def test_matrix_roundtrip():

@@ -5,13 +5,14 @@ import quiverrep.numerics
 from quiverrep import (Arrow, KroneckerFamily, Quiver, SizeLimitExceeded, ValidationError,
                        are_isomorphic, build_canonical, build_family, canonically_simple,
                        direct_sum, end, example_reps, hom, intertwining_residual,
-                       jordan_block, kronecker_rep, perturbation_model, polynomial_model,
-                       relatively_prime, Representation, shift, zero_representation)
+                       jordan_block, kronecker_rep, perturbation_model,
+                       Representation, shift, zero_representation)
 from quiverrep.intertwiner import _dense_hom, _solve, _spanning_forest, hom_scale
 from quiverrep.numerics import DEFAULT_TOL, polynomials_in
 from quiverrep.numerics import random_complex
 
-from helpers import assert_stacked, loop_rep, random_quiver, random_rep, two_subspace_rep
+from helpers import (assert_stacked, loop_rep, polynomial_model, random_quiver, random_rep,
+                     relatively_prime, two_subspace_rep)
 from oracles import exact_end_dim, exact_hom_dim
 
 

@@ -6,11 +6,11 @@ import pytest
 
 from quiverrep import (KroneckerFamily, NumericalFailure, ValidationError, analyze,
                        are_isomorphic, build_family, end, intertwining_residual,
-                       is_strongly_irreducible, jordan_block, kronecker_rep, loop_rep,
-                       polynomial_model, shift)
+                       is_strongly_irreducible, jordan_block, kronecker_rep, loop_rep, shift)
 from quiverrep.intertwiner import hom_scale
 from quiverrep.numerics import random_complex
 
+from helpers import polynomial_model
 from oracles import (exact_commutant_dim, exact_end_dim, reduce_invertible_first,
                      reduce_pencil)
 
@@ -176,13 +176,6 @@ def test_polynomial_model_similarity_transport():
     conj = s @ t @ np.linalg.inv(s)
     assert are_isomorphic(polynomial_model(t, [1.0, 2.0]),
                           polynomial_model(conj, [1.0, 2.0])).verdict == "yes"
-
-
-def test_polynomial_model_validation():
-    with pytest.raises(ValidationError):
-        polynomial_model(jordan_block(0.0, 2), [0.0, 1.0])  # constant term zero
-    with pytest.raises(ValidationError):
-        polynomial_model(jordan_block(0.0, 2), [1.0])  # degree < 1
 
 
 def test_loop_and_kronecker_reps_carry_their_maps_in_order():

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from quiverrep import (ValidationError, analyze, bilateral_shift,
-                       cross_model_hom, decompose, diagonal, end,
+                       decompose, diagonal, end,
                        end_recursion_check, example_reps, hrr_max_truncation,
                        hrr_model, kronecker_rep, perturbation_model, rank_one,
-                       relatively_prime, shift,
-                       weighted_shift_similarity)
+                       shift)
 from quiverrep.intertwiner import hom_scale
-from quiverrep.operators import (bilateral_index, hrr_log_w, hrr_weight_logs,
+from quiverrep.operators import (hrr_log_w, hrr_weight_logs,
                                  perturbation_structure_residual)
 
+from helpers import bilateral_index, cross_model_hom, relatively_prime
 from oracles import (bilateral_free_parameter_count, exact_end_dim,
                      numpy_hom_dim)
 
@@ -25,9 +25,6 @@ def test_shift_is_subdiagonal():
 def test_bilateral_shift_shape_and_index():
     u = bilateral_shift(2)
     assert u.shape == (5, 5)
-    assert bilateral_index(-2, 2) == 0 and bilateral_index(0, 2) == 2
-    with pytest.raises(ValidationError):
-        bilateral_index(3, 2)
 
 
 def test_rank_one_convention_first_row():
@@ -239,38 +236,6 @@ def test_cross_model_hom_numpy_cross_check():
     b = hrr_model(2, 1.1)
     assert numpy_hom_dim(a, b) == 5
     assert cross_model_hom(1.05, 1.1, 2).dimension == 5
-
-
-# -- weighted shift similarity evidence ---------------------------------------
-
-def test_similarity_equal_weights():
-    ev = weighted_shift_similarity(np.ones(8), np.ones(8))
-    assert ev.ratio_min == ev.ratio_max == 1.0
-    assert ev.bounded_so_far
-
-
-def test_similarity_geometric_divergence():
-    ev = weighted_shift_similarity(2 * np.ones(10), np.ones(10))
-    assert np.isclose(ev.ratio_min, 2.0)
-    assert np.isclose(ev.ratio_max, 2.0 ** 10)
-    assert np.isclose(ev.ratio_max / ev.ratio_min, 2.0 ** 9)
-
-
-def test_similarity_convergent_product():
-    n = np.arange(1, 40)
-    ev = weighted_shift_similarity(1 + 1 / n ** 2, np.ones(39))
-    assert ev.bounded_so_far
-    assert ev.ratio_max < 4.0  # partial products of (1 + 1/n^2) stay bounded
-
-
-def test_similarity_zero_denominator_rejected():
-    with pytest.raises(ValidationError):
-        weighted_shift_similarity(np.ones(3), np.array([1.0, 0.0, 1.0]))
-
-
-def test_similarity_zero_numerator_unbounded():
-    ev = weighted_shift_similarity(np.array([1.0, 0.0, 1.0]), np.ones(3))
-    assert not ev.bounded_so_far
 
 
 # -- named example truncations -------------------------------------------------

@@ -13,7 +13,7 @@ from quiverrep import (Arrow, KroneckerFamily, NumericalFailure, Quiver, Represe
                        from_operator, generated_algebra, hom, hrr_max_truncation, hrr_model,
                        is_strongly_irreducible, jordan_block, kronecker_rep, make_system,
                        perturbation_model, remove_loops, rep_to_system, restrict, shift,
-                       star_closed_end_dim, system_end, system_end_dimension, system_to_rep)
+                       star_closed_end_dim, system_end_dimension, system_to_rep)
 from quiverrep.cli import build_model
 from quiverrep.intertwiner import _dense_hom, _spanning_forest
 from quiverrep.kronecker import FAMILY_KINDS
@@ -21,7 +21,7 @@ from quiverrep.numerics import DEFAULT_TOL, random_complex
 from quiverrep.structure import _support_witness, widest_two_group_split
 
 from helpers import (assert_stacked, conjugate, conjugated_jordan, loop_rep, random_decomposable,
-                     random_quiver, random_rep, real_well_conditioned, rotate)
+                     random_quiver, random_rep, real_well_conditioned, rotate, system_end)
 from oracles import (agglomerative_two_group_split, dense_system_end_dim, exact_end_dim,
                      reduce_pencil, stacked_star_dim)
 

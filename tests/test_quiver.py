@@ -1,6 +1,6 @@
 import pytest
 
-from quiverrep import Arrow, Path, Quiver, ValidationError, build_canonical
+from quiverrep import Arrow, Quiver, ValidationError, build_canonical
 
 
 def test_duplicate_vertices_rejected():
@@ -18,26 +18,6 @@ def test_dangling_arrow_rejected():
         Quiver(("1",), (Arrow("a", "1", "2"),))
 
 
-def test_one_loop_is_cyclic():
-    assert not build_canonical("loop", 1).is_acyclic()
-
-
-def test_kronecker_is_acyclic():
-    assert build_canonical("kronecker", 2).is_acyclic()
-
-
-def test_subspace_quiver_is_acyclic_with_sink():
-    q = build_canonical("subspace", 4)
-    assert q.is_acyclic()
-    assert q.out_degree("5") == 0
-
-
-def test_longer_cycle_detected():
-    q = Quiver(("1", "2", "3"), (Arrow("a", "1", "2"), Arrow("b", "2", "3"),
-                                 Arrow("c", "3", "1")))
-    assert not q.is_acyclic()
-
-
 def test_loops_at_two_loop_quiver():
     q = build_canonical("loop", 2)
     assert [a.name for a in q.loops_at("1")] == ["a1", "a2"]
@@ -50,12 +30,6 @@ def test_loops_at_kronecker_empty():
 def test_loops_at_unknown_vertex():
     with pytest.raises(ValidationError):
         build_canonical("loop", 1).loops_at("zzz")
-
-
-def test_acyclic_false_whenever_loops_exist():
-    q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "2", "2")))
-    assert q.loops_at("2")
-    assert not q.is_acyclic()
 
 
 def test_build_kronecker_two():
@@ -90,19 +64,3 @@ def test_build_canonical_deterministic():
 def test_build_canonical_invalid(kind, n):
     with pytest.raises(ValidationError):
         build_canonical(kind, n)
-
-
-def test_path_junctions_validated():
-    q = build_canonical("subspace", 2)
-    a1, a2 = q.arrows
-    with pytest.raises(ValidationError):
-        Path((a1, a2))  # a1 ends at the sink, a2 starts elsewhere
-
-
-def test_path_source_range_and_cycle():
-    q = Quiver(("1", "2"), (Arrow("a", "1", "2"), Arrow("b", "2", "1")))
-    p = Path((q.arrows[0], q.arrows[1]))
-    assert p.source == "1" and p.range == "1" and p.length == 2
-    assert p.is_cycle()
-    with pytest.raises(ValidationError):
-        Path(())

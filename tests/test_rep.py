@@ -3,12 +3,10 @@ import pytest
 
 from quiverrep import (Arrow, Quiver, Representation, ValidationError,
                        are_isomorphic, build_canonical, canonically_simple,
-                       direct_sum, example_reps, is_isomorphism_compatible,
-                       restrict, zero_representation)
+                       direct_sum, example_reps, restrict, zero_representation)
 from quiverrep.numerics import random_complex
-from quiverrep.rep import rep_allclose
 
-from helpers import loop_rep
+from helpers import loop_rep, rep_allclose
 
 
 def kron_rep(a, b):
@@ -221,18 +219,3 @@ def test_canonically_simple_validates_everywhere():
         for v in q.vertices:
             rep = canonically_simple(q, v)
             assert rep.total_dim == 1
-
-
-def test_isomorphism_compatibility():
-    a = loop_rep(np.eye(2))
-    assert is_isomorphism_compatible(a, a)
-    b = loop_rep(np.eye(3))
-    with pytest.raises(ValidationError):
-        is_isomorphism_compatible(a, Representation(
-            build_canonical("loop", 2), {"1": 2}, {"a1": np.eye(2), "a2": np.eye(2)}))
-    q = a.quiver
-    c = Representation(q, {"1": 3}, {"a1": np.zeros((3, 3))})
-    assert not is_isomorphism_compatible(a, c)
-    assert is_isomorphism_compatible(
-        kron_rep(np.eye(2, dtype=complex), np.eye(2, dtype=complex)),
-        kron_rep(np.ones((2, 2)), np.zeros((2, 2))))

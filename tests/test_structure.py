@@ -22,7 +22,7 @@ from quiverrep.structure import generated_algebra, star_closed_end_dim
 
 from helpers import (conjugate, conjugated_jordan, example6, example7, loop_rep,
                      random_quiver, random_acyclic_quiver, random_decomposable,
-                     random_rep, rotate, two_subspace_rep)
+                     random_rep, rotate, span_residual, two_subspace_rep)
 from oracles import exact_generated_algebra_dim, single_jordan_block_criterion
 
 
@@ -301,7 +301,7 @@ def test_generated_algebra_of_conjugated_block_triangular_pair(d, seed):
     assert alg.gap > 1e6
     rows = np.array([b.reshape(-1) for b in alg.basis])
     assert np.allclose(rows @ rows.conj().T, np.eye(alg.dimension), atol=1e-10)
-    assert alg.span_residual(np.eye(d)) <= 1e-8 * np.sqrt(d)
+    assert span_residual(alg, np.eye(d)) <= 1e-8 * np.sqrt(d)
     result = analyze(rep)
     assert not result.simple
     sub = restrict(rep, result.invariant_subspace())
