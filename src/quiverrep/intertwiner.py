@@ -12,20 +12,18 @@ and solves the remaining equations in the root unknowns only; the dense
 system, one unknown matrix per vertex, is the fallback when that answer
 fails its guards; an injective map spanned by coordinate vectors, such as
 a subspace system's inclusion, instead fixes entries of T_root to 0, which
-leave the unknowns.  When the forest of End has one root and its square steps
-leave equations X C = C X in the root's unknown, from a loop or from an
-arrow such as g of a Kronecker pair (f, g) reduced to (I, C = f^-1 g), End
-lies in the commutant of one such C; for a nonderogatory C that is the n
-polynomials in C, which one Arnoldi run both decides and builds, cut down
-by the other equations in n unknowns (:func:`end`).  Between two
-representations, a one-root square forest that leaves one equation
-X C_a = C_b X is answered the same way from one Arnoldi run on C_a: for a
-nonderogatory C_a, X is fixed by its image of the run's first vector, which
-must lie in ker p_a(C_b), an m x m decision in place of the n m x n m
-system (:func:`hom`).  Unknowns are
-vectorized row-major; the numerical nullspace follows the package-wide SVD
-threshold policy and the returned basis is orthonormal under the entrywise
-inner product summed over vertices.
+leave the unknowns.  When the forest has one root and its square steps
+leave equations X C_a = C_b X in the unknown X at an end of some arrow,
+from a loop or from an arrow such as g of a Kronecker pair (f, g) reduced
+to (I, C = f^-1 g), Hom is first read from one Arnoldi run on one such C_a,
+whatever the two representations (:func:`hom`): for a nonderogatory C_a it
+lies in a family of at most n elements, the n polynomials in C when both
+sides hold the same data (End), else the X whose image of the run's first
+vector lies in ker p_a(C_b), an m x m decision; the other equations cut
+that family down in its own coordinates, with no n m x n m system.
+Unknowns are vectorized row-major; the numerical nullspace follows the
+package-wide SVD threshold policy and the returned basis is orthonormal
+under the entrywise inner product summed over vertices.
 """
 
 from __future__ import annotations
@@ -53,12 +51,11 @@ class HomBasis:
     tuple per element.  ``cutoff`` and ``gap`` are the evidence of the rank
     decision, taken on the system that ``path`` names ("forest" for the
     eliminated one, "dense" for one unknown matrix per vertex, "krylov" for
-    :func:`end`'s polynomials in one matrix, decided on their Arnoldi steps
-    and on the reduced system, whichever has the smaller gap, or a cross
-    Hom read from one Arnoldi run on C_a (:func:`hom`), decided on its steps
-    and on p_a(C_b), whichever has the smaller gap); ``unknowns`` is that
-    system's column count, for "krylov" the forest system's: n^2 for End,
-    the root's n m for a cross Hom.
+    a Hom read from one Arnoldi run (:func:`hom`), End's polynomials in one
+    matrix or a cross Hom's ker p_a(C_b), decided on the Arnoldi steps, on
+    p_a(C_b) and on the system of the other equations, whichever has the
+    smallest gap); ``unknowns`` is that system's column count, for "krylov"
+    the forest system's: the n m of the unknown X, n^2 for End.
     """
 
     stacks: dict[str, np.ndarray]
@@ -116,10 +113,11 @@ def _spanning_forest(a: Representation, b: Representation,
       g T_src Q = 0 for Q spanning ker f;
     - g tall (injective): T_src = g^+ T_dst f, leaving Q^H T_dst f = 0 for
       Q spanning range(g)^perp, so the step runs against the arrow.  When f
-      is g (as in End) with exactly k nonzero rows R, by the exact test
-      ``g.any(axis=1)``, range(g) = span{e_r : r in R} and g[R] is
-      invertible, so the leftover says T_dst[r', r] = 0 for r in R and r'
-      outside it: the step's ``zeros``.
+      equals g entrywise (as in End, of one object or of two copies) with
+      exactly k nonzero rows R, by the exact test ``g.any(axis=1)``,
+      range(g) = span{e_r : r in R} and g[R] is invertible, so the leftover
+      says T_dst[r', r] = 0 for r in R and r' outside it: the step's
+      ``zeros``.
 
     A square arrow leaves nothing, and a square g offers no step.  The
     leftover equations are the arrow's own, projected onto Q: the residual
@@ -144,7 +142,8 @@ def _spanning_forest(a: Representation, b: Representation,
             if g_inv is not None and _admits(g, g_inv, ratio, tol):
                 leftover = (arr.dst, cokernel.conj().T, f)
                 rows = g.any(axis=1)
-                zeros = np.outer(~rows, rows) if f is g and rows.sum() == g.shape[1] else None
+                zeros = (np.outer(~rows, rows)
+                         if rows.sum() == g.shape[1] and np.array_equal(f, g) else None)
                 step = _Step(arr.name, arr.dst, arr.src, g_inv, f, leftover, zeros)
                 admitted.append((ratio, step))
     incoming = {}
@@ -277,9 +276,9 @@ def _solve(a: Representation, b: Representation, tol: Tolerances,
     forest of kept ``steps``, lifted with zeros in the unknowns a coordinate
     step fixed and by T_v = left[v] @ X @ right[v] to every vertex.  ``null``,
     when given, is that system's nullspace found without building it, as
-    (rows, cutoff, gap): the Krylov basis of :func:`end` or of a cross Hom
-    (:func:`_krylov_hom`), and only the lift is done; the cross Hom's rows
-    are not ``orthonormal``, and are orthonormalized with the lift."""
+    (rows, cutoff, gap): the Krylov basis (:func:`_krylov`), and only the
+    lift is done; a cross Hom's rows are not ``orthonormal``, and are
+    orthonormalized with the lift."""
     path = "krylov" if null else "forest" if steps else "dense"
     if null is None:
         system, scale, settled = _assemble(a, b, tol, steps)
@@ -310,51 +309,57 @@ def _solve(a: Representation, b: Representation, tol: Tolerances,
     return HomBasis(stacks, k, cutoff, gap, path, col)
 
 
-def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL, *,
-        steps: dict[str, _Step] | None = None) -> HomBasis:
-    """Orthonormal basis of Hom(a, b).
+def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL) -> HomBasis:
+    """Orthonormal basis of Hom(a, b); Hom(rep, rep) is End (:func:`end`).
 
     Solves by elimination along a spanning forest of square invertible and
-    one-sided isometric arrows (:func:`_spanning_forest`, or its kept
-    ``steps`` when the caller has them) when one exists.  Its answer is kept
-    only when its nullspace gap is at least ``elim_gap`` and every basis
-    element's intertwining residual is at most ``hom_tol(hom_scale)``: the
-    elimination's rounding error grows with its inverses' backward errors,
-    the cutoff does not.  These two guards alone judge the answer; otherwise
-    the dense system is solved.
+    one-sided isometric arrows (:func:`_spanning_forest`) when one exists.
+    Its answer is kept only when its nullspace gap is at least ``elim_gap``
+    and every basis element's intertwining residual is at most
+    ``hom_tol(hom_scale)``: the elimination's rounding error grows with its
+    inverses' backward errors, the cutoff does not.  These two guards alone
+    judge the answer; otherwise the dense system is solved.
 
-    Between two representations, when hom builds its own forest and that
-    forest has one root and square steps and leaves one equation, X C_a =
-    C_b X in the root's unknown X (the paper's reduction (A, B) -> (I,
-    A^-1 B) on both sides), Hom is first read from one Arnoldi run on C_a
-    (:func:`_krylov_hom`): for a nonderogatory C_a with cyclic vector v,
-    X -> X v identifies Hom with ker p_a(C_b) (Gantmacher, Theory of
-    Matrices I, ch. VIII), an m x m decision at O(n^4) with no n^2 x n^2
-    SVD.  That basis has path "krylov" and the root's n m unknowns.  It is
-    kept only when C_a's Arnoldi steps clear their cutoff by ``elim_gap``,
-    as :func:`end` decides a nonderogatory C; when the kept singular values
-    of p_a(C_b) clear its cutoff, at the recurrence's own rounding scale, by
-    ``elim_gap`` (``NullspaceResult.margin``); and when every element's
-    intertwining residual is at most ``hom_tol(hom_scale)``.  On any doubt
-    the forest answers.  Hom(a, a) is End, whose Krylov path is
-    :func:`end`'s: ``hom(rep, rep)`` keeps the forest, End's second opinion.
+    When that forest has one root and square steps, it leaves equations
+    X C_a = C_b X at either end u of each arrow it does not eliminate, in
+    X = T_u (the paper's reduction (A, B) -> (I, A^-1 B) on both sides), and
+    Hom is first read from one Arnoldi run (:func:`_krylov`).  For a
+    nonderogatory C_a, Hom lies in a family of at most n elements
+    (Gantmacher, Theory of Matrices I, ch. VIII).  When a and b hold the same
+    data, Hom is End and the family is the n polynomials in C, which one
+    Arnoldi run on I, C, ..., C^(n-1) (:func:`numerics.polynomials_in`) both
+    decides, at a gap of at least ``elim_gap``, and orthonormalizes, keeping
+    each element's commutator residual at most ``hom_tol(hom_scale)``.
+    Otherwise it is the X whose image X v of the run's cyclic vector v lies
+    in ker p_a(C_b), an m x m decision at O(n^4) (:func:`_kernel_family`),
+    kept when C_a's steps clear their cutoff by ``elim_gap`` and the kept
+    singular values of p_a(C_b) clear its cutoff, at the recurrence's own
+    rounding scale, by ``elim_gap`` (``NullspaceResult.margin``).  The
+    candidates are tried smallest norm first; the first family that passes
+    is cut down by the other equations X D_a = D_b X in one nullspace at
+    ``hom_scale``, kept at a gap of at least ``elim_gap``, and lifted by
+    :func:`_solve`, with no n^2 x n^2 SVD.  That basis has path "krylov",
+    the n m unknowns of X and the cutoff and gap of the decision with the
+    smallest gap, and is kept only when every element's intertwining
+    residual is at most ``hom_tol(hom_scale)``.  On any doubt the forest
+    answers.  Only the data decides: ``hom(rep, copy)`` is ``hom(rep, rep)``.
 
     A degenerate system (no unknowns) yields a dimension-0 basis, not an
     error.  Raises SizeLimitExceeded when the system about to be solved has
-    more unknowns than :func:`numerics.check_unknowns` allows; a Krylov
-    recurrence stack of n m^2 entries over that limit leaves the answer to
-    the forest, which checks its own.
+    more unknowns than :func:`numerics.check_unknowns` allows.  End checks
+    its n^2 unknowns before it reduces C, so it refuses what the forest
+    refuses; a cross Hom's recurrence stack of n m^2 entries over that limit
+    leaves the answer to the forest, which checks its own.  No draw is made:
+    Hom reads no seed and no start vector.
     """
     if a.quiver != b.quiver:
         raise ValidationError("hom requires representations over the same quiver")
-    if steps is None:
-        steps = _spanning_forest(a, b, tol)
-        if a is not b:
-            # an entry that overflows fails a guard here, and the forest reports it
-            with np.errstate(over="ignore", invalid="ignore"):
-                basis = _krylov_hom(a, b, tol, steps)
-            if basis is not None:
-                return basis
+    steps = _spanning_forest(a, b, tol)
+    # an entry that overflows fails a guard here, and the forest reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        basis = _krylov(a, b, tol, steps)
+    if basis is not None:
+        return basis
     if steps:
         basis = _solve(a, b, tol, steps)
         tau = tol.hom_tol(hom_scale(a, b))
@@ -368,16 +373,18 @@ def _dense_hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_T
     return _solve(a, b, tol, {})
 
 
-def _rerooted(steps: dict[str, _Step], u: str) -> dict[str, _Step]:
-    """The forest of square End steps with the root of u's tree moved to u:
-    each step on the path from u up to the root runs the other way, T_parent
-    = right T_child left, since right = left^-1."""
+def _rerooted(steps: dict[str, _Step], u: str, inverses: dict[str, np.ndarray],
+              maps: dict[str, np.ndarray]) -> dict[str, _Step]:
+    """The forest of square steps T_child = g T_parent f^-1 with the root of
+    u's tree moved to u: each step on the path from u up to the root runs
+    the other way, T_parent = g^-1 T_child f, with g^-1 the ``inverses`` of
+    the step's child and f its arrow's map in ``maps``."""
     steps = dict(steps)
     step = steps.pop(u, None)
     while step is not None:
         above = steps.pop(step.parent, None)
         steps[step.parent] = replace(step, parent=step.child, child=step.parent,
-                                     left=step.right, right=step.left)
+                                     left=inverses[step.child], right=maps[step.arrow])
         step = above
     return steps
 
@@ -394,50 +401,19 @@ def _framed(c: np.ndarray, u: str, arr: Arrow, left: dict[str, np.ndarray],
     return c
 
 
-def _krylov_hom(a: Representation, b: Representation, tol: Tolerances,
-                steps: dict[str, _Step]) -> HomBasis | None:
-    """Hom(a, b) along a forest of square ``steps`` with one root r that
-    leaves one equation, X C_a = C_b X in X = T_r; None when a guard fails
-    (:func:`hom`).  Each side is framed at r by its own forest (b's step
-    maps inverted as the forest inverts a's), and X is read off its image
-    x = X v_0 of the first of C_a's Arnoldi vectors v_k: X v_k = W_k x, where
-    W_0 = I and C_b W_k = sum_j H[j, k] W_j carries on the recurrence
-    C_a v_k = sum_j H[j, k] v_j, so x spans the nullspace of its last
-    equation K = p_a(C_b) / prod h, and X = sum_k W_k x v_k^H."""
-    vertices = a.quiver.vertices
-    eliminated = {s.arrow for s in steps.values()}
-    equations = [arr for arr in a.quiver.arrows if arr.name not in eliminated]
-    n, m = (a.dims[vertices[0]], b.dims[vertices[0]]) if vertices else (0, 0)
-    if (not n * m or len(vertices) - len(steps) != 1 or len(equations) != 1
-            or any((a.dims[v], b.dims[v]) != (n, m) for v in vertices)):
-        return None
-    try:
-        # the n x m x m recurrence stack and a's n x n frames, before either is built
-        check_unknowns("krylov recurrence stack", n * max(n, m * m))
-    except SizeLimitExceeded:
-        return None  # the forest checks its own n m unknowns
-    inverses = {}
-    for v, step in steps.items():
-        g_inv, _, ratio = inverse(step.left, tol)
-        if g_inv is None or not _admits(step.left, g_inv, ratio, tol):
-            return None
-        inverses[v] = g_inv
-    _, left_a, right_a, _ = _settled(a, a, {v: replace(step, left=a.maps[step.arrow])
-                                            for v, step in steps.items()})
-    _, left_b, right_b, _ = _settled(b, b, {v: replace(step, right=inverses[v])
-                                            for v, step in steps.items()})
-    (root,), (arr,) = [v for v in vertices if v not in steps], equations
-    c_a = _framed(a.maps[arr.name], root, arr, left_a, right_a)
-    c_b = _framed(b.maps[arr.name], root, arr, left_b, right_b)
-    if not (np.isfinite(c_a).all() and np.isfinite(c_b).all()):
-        return None  # a frame overflows: hom reports it
-    # the forest system's equation of arr is L_dst (X C_a - C_b X) R_src,
-    # and the map scale floors the cutoff of C_a's Arnoldi steps
-    scale = hom_scale(a, b)
-    floor = scale / (max_entry(left_b[arr.dst]) * max_entry(right_a[arr.src]))
+def _kernel_family(c_a: np.ndarray, c_b: np.ndarray, tol: Tolerances, floor: float
+                   ) -> tuple[np.ndarray | None, float, float]:
+    """The X with X C_a = C_b X as a stack (r, m, n), with the cutoff and
+    gap of the smaller-gap decision, for a nonderogatory C_a; None when a
+    guard fails (:func:`hom`).  X is read off its image x = X v_0 of the
+    first of C_a's Arnoldi vectors v_k, run at the cutoff floor ``floor``:
+    X v_k = W_k x, where W_0 = I and C_b W_k = sum_j H[j, k] W_j carries on
+    the recurrence C_a v_k = sum_j H[j, k] v_j, so x spans the nullspace of
+    its last equation K = p_a(C_b) / prod h, and X = sum_k W_k x v_k^H."""
+    n, m = len(c_a), len(c_b)
     arnoldi_rows, hessenberg, cutoff, gap = arnoldi(c_a, np.ones(n) / np.sqrt(n), tol, floor)
     if arnoldi_rows is None:
-        return None
+        return None, cutoff, gap
     # C_a v_(n-1) lies in the span of the v_k: its coefficients close the recurrence
     last = arnoldi_rows.conj() @ (c_a @ arnoldi_rows[-1])
     hessenberg = np.column_stack([hessenberg, last])
@@ -461,90 +437,104 @@ def _krylov_hom(a: Representation, b: Representation, tol: Tolerances,
         else:
             noise = max(noise, largest)
     if not (np.isfinite(w).all() and np.isfinite(noise)):
-        return None
+        return None, cutoff, gap
     found = nullspace(w, tol, scale=noise)
     if found.margin < tol.elim_gap():
-        return None
-    rows = np.einsum("kiz,kj->zij", stack @ found.basis.T, arnoldi_rows.conj()).reshape(-1, m * n)
-    cutoff, gap = min((cutoff, gap), (found.cutoff, found.margin), key=lambda e: e[1])
-    basis = _solve(a, b, tol, steps, (rows, cutoff, gap), orthonormal=False)
-    return basis if intertwining_residual(a, b, basis.stacks) <= tol.hom_tol(scale) else None
+        return None, cutoff, gap
+    family = np.einsum("kiz,kj->zij", stack @ found.basis.T, arnoldi_rows.conj())
+    return family, *min((cutoff, gap), (found.cutoff, found.margin), key=lambda e: e[1])
 
 
-def _krylov_end(rep: Representation, tol: Tolerances, steps: dict[str, _Step]) -> HomBasis | None:
-    """End(rep) along a forest of square ``steps`` with one root, from the
-    equations it leaves, each of the form T_u C = C T_u; None when a guard
-    fails (:func:`end`).  Each arrow no step eliminated offers C at either
-    of its ends u (a loop at its one vertex), where C is similar to the
-    other end's; they are tried smallest ||C||_F first, the nearer to normal
-    (Henrici), in which Arnoldi's rounding grows more slowly, and the first
-    whose :func:`numerics.polynomials_in` passes both its guards is used."""
-    vertices = rep.quiver.vertices
-    n = rep.dims[vertices[0]] if vertices else 0
-    if not n or len(vertices) - len(steps) != 1 or any(rep.dims[v] != n for v in vertices):
+def _krylov(a: Representation, b: Representation, tol: Tolerances,
+            steps: dict[str, _Step]) -> HomBasis | None:
+    """Hom(a, b) along a forest of square ``steps`` with one root, from the
+    equations it leaves, X D_a = D_b X in X = T_u at either end u of each
+    arrow no step eliminated (a loop's one vertex); None when a guard fails
+    (:func:`hom`).  Each side is framed at u by its own forest, b's step maps
+    inverted as the forest inverts a's; when a and b hold the same data, b
+    reuses a's frames.  The candidates (C_a, C_b) are tried smallest
+    ||C_a||_F first, the nearer to normal (Henrici), in which Arnoldi's
+    rounding grows more slowly, and the first whose family passes its
+    guards is used: End's polynomials in C when a and b hold the same data,
+    otherwise :func:`_kernel_family`.  It is cut down by the other equations
+    and lifted along the forest rerooted at u."""
+    vertices = a.quiver.vertices
+    n, m = (a.dims[vertices[0]], b.dims[vertices[0]]) if vertices else (0, 0)
+    if (not n * m or len(vertices) - len(steps) != 1
+            or any((a.dims[v], b.dims[v]) != (n, m) for v in vertices)):
         return None
-    check_unknowns("krylov intertwiner system", n * n)
-    _, left, right, _ = _settled(rep, rep, steps)
+    same = n == m and all(np.array_equal(f, b.maps[name]) for name, f in a.maps.items())
+    if same:
+        check_unknowns("krylov intertwiner system", n * n)
+        inverses = {v: step.right for v, step in steps.items()}
+        left_a, right_a = left_b, right_b = _settled(a, a, steps)[1:3]
+    else:
+        try:
+            # the n x m x m recurrence stack and a's n x n frames, before either is built
+            check_unknowns("krylov recurrence stack", n * max(n, m * m))
+        except SizeLimitExceeded:
+            return None  # the forest checks its own n m unknowns
+        inverses = {}
+        for v, step in steps.items():
+            g_inv, _, ratio = inverse(step.left, tol)
+            if g_inv is None or not _admits(step.left, g_inv, ratio, tol):
+                return None
+            inverses[v] = g_inv
+        left_a, right_a = _settled(a, a, {v: replace(step, left=a.maps[step.arrow])
+                                          for v, step in steps.items()})[1:3]
+        left_b, right_b = _settled(b, b, {v: replace(step, right=inverses[v])
+                                          for v, step in steps.items()})[1:3]
+
+    def framed(arr, u):
+        c_a = _framed(a.maps[arr.name], u, arr, left_a, right_a)
+        return c_a, c_a if same else _framed(b.maps[arr.name], u, arr, left_b, right_b)
+
     eliminated = {s.arrow for s in steps.values()}
-    equations = [arr for arr in rep.quiver.arrows if arr.name not in eliminated]
-    candidates = [(_framed(rep.maps[arr.name], u, arr, left, right), u, arr)
+    equations = [arr for arr in a.quiver.arrows if arr.name not in eliminated]
+    candidates = [(*framed(arr, u), u, arr)
                   for arr in equations for u in dict.fromkeys((arr.src, arr.dst))]
-    norms = [frob(c) for c, *_ in candidates]
+    norms = [frob(c_a) for c_a, *_ in candidates]
     if not np.isfinite(norms).all():
-        return None  # C, or its norm, overflows: hom reports it
-    scale = hom_scale(rep, rep)
+        return None  # C_a, or its norm, overflows: hom reports it; C_b fails the recurrence
+    scale = hom_scale(a, b)
     tau = tol.hom_tol(scale)
-    for _, (c, u, arr) in sorted(zip(norms, candidates), key=lambda item: item[0]):
-        # the forest system's equation of arr is L_dst (X C - C X) R_src in
-        # the root's X, and the map scale floors its cutoff
-        floor = scale / (max_entry(left[arr.dst]) * max_entry(right[arr.src]))
-        powers, cutoff, gap = polynomials_in(c, tol, floor, tau)
-        if powers is not None:
+    for _, (c_a, c_b, u, arr) in sorted(zip(norms, candidates), key=lambda item: item[0]):
+        # the forest system's equation of arr is L_dst (X C_a - C_b X) R_src
+        # in the root's X, and the map scale floors its cutoff
+        floor = scale / (max_entry(left_b[arr.dst]) * max_entry(right_a[arr.src]))
+        if same:
+            powers, cutoff, gap = polynomials_in(c_a, tol, floor, tau)
+            family = None if powers is None else powers.reshape(n, n, n)
+        else:
+            family, cutoff, gap = _kernel_family(c_a, c_b, tol, floor)
+        if family is not None:
             break
     else:
         return None
-    # [sum_k x_k P_k, D] = 0 for every other equation's D: n unknowns, not n^2
-    stack = powers.reshape(n, n, n)
-    others = [_framed(rep.maps[other.name], u, other, left, right)
-              for other in equations if other is not arr]
-    system = np.vstack([np.zeros((0, n))] + [(stack @ d - d @ stack).reshape(n, -1).T
-                                             for d in others])
-    if not np.isfinite(system).all():
-        return None
-    reduced = nullspace(system, tol, scale=scale)
-    if reduced.gap < tol.elim_gap():
-        return None
-    cutoff, gap = min((cutoff, gap), (reduced.cutoff, reduced.gap), key=lambda e: e[1])
-    basis = _solve(rep, rep, tol, _rerooted(steps, u), (reduced.basis @ powers, cutoff, gap))
-    return basis if intertwining_residual(rep, rep, basis.stacks) <= tau else None
+    r = len(family)
+    rows = family.reshape(r, n * m)
+    others = [framed(other, u) for other in equations if other != arr]
+    if others:
+        # X D_a = D_b X for every other equation's (D_a, D_b): r unknowns, not n m
+        system = np.vstack([(family @ d_a - d_b @ family).reshape(r, n * m).T
+                            for d_a, d_b in others])
+        if not np.isfinite(system).all():
+            return None
+        reduced = nullspace(system, tol, scale=scale)
+        if reduced.gap < tol.elim_gap():
+            return None
+        cutoff, gap = min((cutoff, gap), (reduced.cutoff, reduced.gap), key=lambda e: e[1])
+        rows = reduced.basis @ rows
+    basis = _solve(a, b, tol, _rerooted(steps, u, inverses, a.maps), (rows, cutoff, gap),
+                   orthonormal=same)
+    return basis if intertwining_residual(a, b, basis.stacks) <= tau else None
 
 
 def end(rep: Representation, tol: Tolerances = DEFAULT_TOL) -> HomBasis:
-    """Orthonormal basis of End(rep) = Hom(rep, rep), as :func:`hom` solves
-    it, except where the forest has one root and its unknown X must commute
-    with some C (:func:`_krylov_end`): loops of a one-vertex quiver, and
-    arrows of equal dimension the forest does not eliminate.  When such a C
-    is nonderogatory, End lies in the n polynomials in C (Gantmacher, Theory
-    of Matrices I, ch. VIII).  One Arnoldi run on I, C, ..., C^(n-1)
-    (:func:`numerics.polynomials_in`) both decides that, at a gap of at
-    least ``elim_gap``, and orthonormalizes them, keeping each element's
-    commutator residual at most ``hom_tol(hom_scale)``; the first C in that
-    order that passes is used.  Its polynomials are cut down by the other
-    commutators in an n^2 (k - 1) x n system solved at ``hom_scale`` and
-    kept only at a gap of at least ``elim_gap``, and lifted by
-    :func:`_solve`, with no n^2 x n^2 SVD.  That basis has path "krylov",
-    n^2 unknowns and the cutoff and gap of the smaller of the two decisions'
-    gaps, and is kept only when every element's intertwining residual is at
-    most ``hom_tol(hom_scale)``.  When no C passes, or a later guard fails,
-    End is solved by :func:`hom` on the same forest.  The size limit is checked
-    first, on the forest's n^2 unknowns, so End refuses what the forest
-    refuses.  No draw is made: End reads no seed and no start vector.
-    """
-    steps = _spanning_forest(rep, rep, tol)
-    # an entry that overflows fails a guard here, and hom reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        basis = _krylov_end(rep, tol, steps)
-    return hom(rep, rep, tol, steps=steps) if basis is None else basis
+    """Orthonormal basis of End(rep), which is Hom(rep, rep) as :func:`hom`
+    solves it: the polynomials in one C where the forest leaves a
+    nonderogatory one, else the forest, else the dense system."""
+    return hom(rep, rep, tol)
 
 
 @dataclass(frozen=True, eq=False)

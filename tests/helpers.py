@@ -9,7 +9,7 @@ import numpy as np
 from quiverrep import (DEFAULT_TOL, AlgebraBasis, Arrow, Quiver, Representation, SubspaceSystem,
                        Tolerances, direct_sum, end, hom, hrr_model, intertwining_residual,
                        jordan_block, kronecker_rep, loop_rep, system_to_rep)
-from quiverrep.intertwiner import hom_scale
+from quiverrep.intertwiner import _solve, _spanning_forest, hom_scale
 from quiverrep.numerics import check_unknowns, random_complex
 from quiverrep.operators import _recursion_residual, hrr_log_w
 
@@ -131,6 +131,12 @@ def assert_stacked(a: Representation, b: Representation, basis) -> None:
         assert basis.stacks[v].shape == (basis.dimension, b.dims[v], a.dims[v])
     per_element = max((intertwining_residual(a, b, t) for t in basis), default=0.0)
     assert np.isclose(intertwining_residual(a, b, basis.stacks), per_element, rtol=1e-12, atol=0)
+
+
+def forest_hom(a: Representation, b: Representation):
+    """Hom(a, b) solved on its spanning forest alone, with no Krylov read and
+    no guard or dense fallback: the forest's own answer."""
+    return _solve(a, b, DEFAULT_TOL, _spanning_forest(a, b, DEFAULT_TOL))
 
 
 def rep_allclose(a: Representation, b: Representation, atol: float = 1e-12) -> bool:

@@ -11,8 +11,8 @@ from quiverrep.intertwiner import _dense_hom, _solve, _spanning_forest, hom_scal
 from quiverrep.numerics import DEFAULT_TOL, polynomials_in
 from quiverrep.numerics import random_complex
 
-from helpers import (assert_stacked, loop_rep, polynomial_model, random_quiver, random_rep,
-                     relatively_prime, two_subspace_rep)
+from helpers import (assert_stacked, forest_hom, loop_rep, polynomial_model, random_quiver,
+                     random_rep, relatively_prime, two_subspace_rep)
 from oracles import exact_end_dim, exact_hom_dim
 
 
@@ -238,11 +238,12 @@ def _orthonormality_defect(rep_a, rep_b, basis):
 def test_end_eliminates_one_vertex_of_kronecker_models(rep, n):
     # End of a two-arrow model is the polynomials in C = f^-1 g, with no
     # system solved; the third arrow of ex4 and of (p(T), T, T^2) cuts them
-    # down by one more commutator
+    # down by one more commutator; the forest alone reads the same answer
     basis = end(rep)
     assert (basis.path, basis.unknowns) == ("krylov", n * n)
-    forest = hom(rep, rep)
+    forest = forest_hom(rep, rep)
     assert (forest.path, forest.unknowns) == ("forest", n * n)
+    assert forest.gap >= DEFAULT_TOL.elim_gap()
     dense = _dense_hom(rep, rep)
     assert (dense.path, dense.unknowns) == ("dense", 2 * n * n)
     assert basis.dimension == forest.dimension == dense.dimension
@@ -278,7 +279,7 @@ def test_krylov_end_resolves_at_the_forest_systems_scale():
         rep = kronecker_rep(f, 1e-20 * jordan_block(0.0, 3))
         basis = end(rep)
         assert (basis.path, basis.dimension) == answer
-        assert basis.dimension == hom(rep, rep).dimension
+        assert basis.dimension == forest_hom(rep, rep).dimension
 
 
 def _scaled_one_sided(kind, n):
@@ -338,15 +339,20 @@ def test_hom_size_limit_bounds_the_system_solved(monkeypatch):
     dense = example_reps("ex9", 4)
     assert (end(dense).path, end(dense).unknowns) == ("dense", 32)
     monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 20)
-    basis = hom(rep, rep)  # reduced 16, dense 32
+    basis = forest_hom(rep, rep)  # reduced 16, dense 32
     assert (basis.path, basis.unknowns, basis.dimension) == ("forest", 16, 4)
     assert (end(rep).path, end(rep).unknowns) == ("krylov", 16)
     with pytest.raises(SizeLimitExceeded, match="dense"):
         hom(dense, dense)
     monkeypatch.setattr(quiverrep.numerics, "MAX_UNKNOWNS", 15)
     with pytest.raises(SizeLimitExceeded, match="forest"):
-        hom(rep, rep)
-    # End refuses what the forest refuses, before it reduces C
+        forest_hom(rep, rep)
+    # End refuses what the forest refuses, before it reduces C, on one
+    # object or on two copies
+    copy = Representation(rep.quiver, dict(rep.dims), dict(rep.maps))
+    for other in (rep, copy):
+        with pytest.raises(SizeLimitExceeded, match="krylov"):
+            hom(rep, other)
     with pytest.raises(SizeLimitExceeded, match="krylov"):
         end(rep)
 
@@ -405,7 +411,9 @@ def test_gap_guard_sends_a_cancelling_reduced_system_to_dense(log_cond, admitted
 def test_residual_guard_falls_back_to_dense(monkeypatch):
     import quiverrep.intertwiner as intertwiner
     rep = example_reps("ex8", 4, 0.5)
-    assert (end(rep).path, hom(rep, rep).path) == ("krylov", "forest")
+    forest = forest_hom(rep, rep)
+    assert (end(rep).path, forest.path) == ("krylov", "forest")
+    assert forest.gap >= DEFAULT_TOL.elim_gap()
     # both fast paths fail the guard, so End falls through the forest to dense
     monkeypatch.setattr(intertwiner, "intertwining_residual", lambda *args: np.inf)
     basis = end(rep)

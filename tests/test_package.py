@@ -181,3 +181,17 @@ def test_readme_policy_table_lists_every_tolerance_constant():
     section = readme.split("\n## Numerical policy\n", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(\w+)` +\|", section, flags=re.MULTILINE)
     assert sorted(rows) == sorted(set(DEFAULT_TOL.as_dict()) - {"global_scale"})
+
+
+def test_intertwiners_read_data_not_object_identity():
+    # Hom(rep, copy) is Hom(rep, rep): an intertwiner never branches on which
+    # object it was handed, and hom takes no private forest from a caller
+    tree = ast.parse(SOURCES["intertwiner.py"])
+    identity = [ast.unparse(sub) for sub in ast.walk(tree) if isinstance(sub, ast.Compare)
+                for op, right in zip(sub.ops, sub.comparators)
+                if isinstance(op, (ast.Is, ast.IsNot))
+                and not (isinstance(right, ast.Constant) and right.value is None)]
+    assert identity == []
+    (function,) = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "hom"]
+    assert [a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)] == ["a", "b", "tol"]

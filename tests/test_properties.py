@@ -15,13 +15,14 @@ from quiverrep import (Arrow, KroneckerFamily, NumericalFailure, Quiver, Represe
                        perturbation_model, remove_loops, rep_to_system, restrict, shift,
                        star_closed_end_dim, system_end_dimension, system_to_rep)
 from quiverrep.cli import build_model
-from quiverrep.intertwiner import _dense_hom, _spanning_forest
+from quiverrep.intertwiner import _dense_hom, _spanning_forest, hom_scale, intertwining_residual
 from quiverrep.kronecker import FAMILY_KINDS
 from quiverrep.numerics import DEFAULT_TOL, random_complex
 from quiverrep.structure import _support_witness, widest_two_group_split
 
-from helpers import (assert_stacked, conjugate, conjugated_jordan, loop_rep, random_decomposable,
-                     random_quiver, random_rep, real_well_conditioned, rotate, system_end)
+from helpers import (assert_stacked, conjugate, conjugated_jordan, forest_hom, loop_rep,
+                     random_decomposable, random_quiver, random_rep, real_well_conditioned,
+                     rotate, system_end)
 from oracles import (agglomerative_two_group_split, dense_system_end_dim, exact_end_dim,
                      reduce_pencil, stacked_star_dim)
 
@@ -69,8 +70,8 @@ def test_real_jordan_types_give_the_exact_commutant(blocks, seed):
     # through the invertible arrow P
     p = real_well_conditioned(rng, mat.shape[0])
     rep = kronecker_rep(p, p @ mat)
-    basis = hom(rep, rep)
-    assert basis.path == "forest"
+    basis = forest_hom(rep, rep)
+    assert (basis.path, basis.gap >= DEFAULT_TOL.elim_gap()) == ("forest", True)
     assert basis.dimension == _dense_hom(rep, rep).dimension == commutant
     # End takes the polynomials in M exactly when M is nonderogatory
     basis = end(rep)
@@ -228,11 +229,9 @@ def test_krylov_hom_between_hrr_models_at_base_2_is_the_dense_answer(mu):
     assert hom(a, b).dimension == _dense_hom(a, b).dimension == 9
 
 
-def test_krylov_hom_reads_the_hidden_pair_the_forest_reads_one_short():
-    # draw 339 of a survey over rng 1: J_1(0.5) + J_1(0.5 + 10^-5.405) under
-    # a basis change of condition 10^2.914.  The forest reads Hom(rep, rep)
-    # as 1 at a gap of 1.3e6, below the polynomials in C; read across two
-    # copies, one Arnoldi run on C gives the dense answer
+def _near_derogatory_draw():
+    """Draw 339 of a survey over rng 1: J_1(0.5) + J_1(0.5 + 10^-5.405) under
+    a basis change of condition 10^2.914."""
     rng = np.random.default_rng(1)
     for _ in range(340):
         p, q = rng.integers(1, 4, size=2)
@@ -241,10 +240,53 @@ def test_krylov_hom_reads_the_hidden_pair_the_forest_reads_one_short():
         rng.integers(0, 2)
         rep = _hidden(_jordan_sum([(lam, p, False), (lam + 10**log_delta, q, False)]), rng,
                       log_cond)
-    copy = Representation(rep.quiver, dict(rep.dims), dict(rep.maps))
-    basis = hom(rep, copy)
-    assert (basis.path, basis.dimension) == ("krylov", 2)
-    assert _dense_hom(rep, copy).dimension == end(rep).dimension == 2
+    return rep
+
+
+def _copy(rep):
+    """The same data in new arrays and a new object."""
+    return Representation(rep.quiver, dict(rep.dims), {k: m.copy() for k, m in rep.maps.items()})
+
+
+def test_krylov_hom_reads_the_hidden_pair_the_forest_reads_one_short():
+    # the forest reads Hom(rep, rep) as 1 at a gap of 1.3e6, below the
+    # polynomials in C; one Arnoldi run on C gives the dense answer, on one
+    # object and across two copies alike
+    rep = _near_derogatory_draw()
+    assert (forest_hom(rep, rep).dimension, forest_hom(rep, rep).gap > 1e6) == (1, True)
+    for other in (rep, _copy(rep)):
+        basis = hom(rep, other)
+        assert (basis.path, basis.dimension) == ("krylov", 2)
+    assert _dense_hom(rep, _copy(rep)).dimension == end(rep).dimension == 2
+
+
+def _identity_cases():
+    rng = np.random.default_rng(7)
+    cases = [(_near_derogatory_draw(), ("krylov", 4)),
+             (remove_loops(example_reps("ex3", 4), check=False), ("krylov", 16))]
+    # the subspace-quiver representation of an operator on C^k: its two axes
+    # are coordinate isometries, whose zeros leave 2k^2 of the sink's 4k^2
+    # unknowns
+    cases += [(system_to_rep(from_operator(conjugated_jordan(rng, [(0.5, k)])[0]), check=False),
+               ("forest", 2 * k * k)) for k in (2, 3, 4)]
+    cases += [(build_model(name, params)[0], None) for name, params in (
+        ("jordan_first", ["n=4", "lam=0.5"]), ("jordan_second", ["n=3"]), ("wide", ["n=3"]),
+        ("tall", ["n=3"]), ("perturbation", ["N=6"]), ("hrr", ["N=3", "lam=1.5"]),
+        ("ex1", []), ("ex2", ["N=4"]), ("ex3", ["N=5"]), ("ex4", ["N=5"]), ("ex6", []),
+        ("ex7", []), ("ex8", ["N=4", "lam=0.5"]), ("ex8s", ["N=4"]), ("ex9", ["N=3"]))]
+    cases += [(random_rep(rng, random_quiver(rng), max_dim=3, min_dim=1), None)
+              for _ in range(8)]
+    return cases
+
+
+@pytest.mark.parametrize("rep, pinned", _identity_cases())
+def test_hom_reads_the_data_not_the_object(rep, pinned):
+    # Hom of two copies of one representation is its End, on every path:
+    # same system, same unknowns, same decision
+    answers = [hom(rep, rep), hom(rep, _copy(rep)), end(rep)]
+    assert len({(b.path, b.unknowns, b.dimension, b.cutoff, b.gap) for b in answers}) == 1
+    if pinned is not None:
+        assert (answers[0].path, answers[0].unknowns) == pinned
 
 
 # C_a is nonderogatory when no eigenvalue of a has two Jordan blocks
@@ -258,7 +300,19 @@ krylov_hom_cases = st.one_of(
                                                    == len(blocks)),
               jordan_types, st.integers(0, 2**32 - 1)),
     st.tuples(st.just("shifted"), st.sampled_from(["ex8", "ex8*"]), st.integers(1, 12),
-              st.floats(-1.0, 1.0), st.floats(0.5, 3.0), st.booleans()))
+              st.floats(-1.0, 1.0), st.floats(0.5, 3.0), st.booleans()),
+    # several leftover equations: ex4 (S, S*, I) against a unitary copy, and
+    # two-loop pairs (M, K) against a unitary copy or against another pair,
+    # K a polynomial in M or generic
+    st.tuples(st.just("ex4"), st.integers(4, 10), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("pair"), jordan_types.filter(lambda blocks: len({lam for lam, _ in blocks})
+                                                   == len(blocks)),
+              st.one_of(st.none(), jordan_types), st.booleans(), st.integers(0, 2**32 - 1)))
+
+
+def _jordan_loops(rng, blocks, polynomial):
+    m = conjugated_jordan(rng, blocks)[0]
+    return loop_rep(m, m @ m + 2.0 * m if polynomial else random_complex(rng, m.shape))
 
 
 def _assert_krylov_hom(a, b, basis):
@@ -277,7 +331,8 @@ def test_krylov_hom_is_the_dense_answer(case):
     # with shared and with disjoint spectra, and shifted shifts; on the
     # sweeps' shapes (ex8 at N = 10, ex8s at N = 12, |lam - mu| > 2) the
     # guards let it.  Where they decline, the forest answers as before, and
-    # near |lam - mu| = 0.5 the dense system itself decides at gaps near 100
+    # near |lam - mu| = 0.5 the dense system itself decides at gaps near 100.
+    # Further leftover equations cut the family down; ex4 always takes it
     kind, *params = case
     if kind == "hidden":
         first, second, log_cond, seed = params
@@ -288,14 +343,25 @@ def test_krylov_hom_is_the_dense_answer(case):
         first, second, seed = params
         rng = np.random.default_rng(seed)
         a, b = (loop_rep(conjugated_jordan(rng, blocks)[0]) for blocks in (first, second))
-    else:
+    elif kind == "shifted":
         name, n, lam, distance, below = params
         a = example_reps(name, n, lam)
         b = example_reps(name, n, lam - distance if below else lam + distance)
+    elif kind == "ex4":
+        n, seed = params
+        a = example_reps("ex4", n)
+        b = rotate(a, np.random.default_rng(seed))
+    else:
+        first, second, polynomial, seed = params
+        rng = np.random.default_rng(seed)
+        a = _jordan_loops(rng, first, polynomial)
+        b = rotate(a, rng) if second is None else _jordan_loops(rng, second, polynomial)
     basis = hom(a, b)
     if basis.path == "krylov":
         assert basis.dimension == _dense_hom(a, b).dimension
         _assert_krylov_hom(a, b, basis)
+    if kind == "ex4":
+        assert (basis.path, basis.dimension) == ("krylov", 1)
     if kind == "shifted" and (name, n) in (("ex8", 10), ("ex8*", 12)) and distance > 2:
         assert basis.path == "krylov"
 
@@ -537,8 +603,11 @@ def test_ill_conditioned_invertible_arrow_takes_forest_path():
     # a2 is nilpotent.  The diagonal inverse is exact per entry, so the
     # eliminated answer passes both guards
     rep = kronecker_rep(np.diag([1.0, 1e-5]), jordan_block(0.0, 2))
-    basis = hom(rep, rep)
+    basis = forest_hom(rep, rep)
     assert (basis.path, basis.unknowns) == ("forest", 4)
+    assert basis.gap >= DEFAULT_TOL.elim_gap()
+    tau = DEFAULT_TOL.hom_tol(hom_scale(rep, rep))
+    assert intertwining_residual(rep, rep, basis.stacks) <= tau
     assert basis.dimension == exact_end_dim(rep) == 2
     # C = diag(1, 1e5) J_2(0) is one nilpotent Jordan block
     basis = end(rep)
@@ -561,8 +630,9 @@ def test_hrr_end_eliminates_through_its_double_exponential_arrow():
     # a1's sigma_min / sigma_max is 1.1e-7; End is the 2N + 1 polynomials
     # in the weighted shift, and every basis element meets the recursion
     rep = hrr_model(4, 2.0)
-    forest, basis = hom(rep, rep), end(rep)
+    forest, basis = forest_hom(rep, rep), end(rep)
     assert (forest.path, forest.unknowns, forest.dimension) == ("forest", 81, 9)
+    assert forest.gap >= DEFAULT_TOL.elim_gap()
     assert (basis.path, basis.unknowns, basis.dimension) == ("krylov", 81, 9)
     for b in (forest, basis):
         report = end_recursion_check(rep, 2.0, basis=b)
