@@ -20,7 +20,7 @@ whatever the two representations (:func:`hom`): for a nonderogatory C_a it
 lies in a family of at most n elements, the n polynomials in C when both
 sides hold the same data (End), else the X whose image of the run's first
 vector lies in ker p_a(C_b), an m x m decision; the other equations cut
-that family down in its own coordinates, with no n m x n m system.
+that family down in an orthonormal basis of it, with no n m x n m system.
 Unknowns are vectorized row-major; the numerical nullspace follows the
 package-wide SVD threshold policy and the returned basis is orthonormal
 under the entrywise inner product summed over vertices.
@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import SizeLimitExceeded, ValidationError
 from .numerics import (DEFAULT_TOL, EPS, Tolerances, arnoldi, check_unknowns, frob, inverse,
-                       is_invertible, max_entry, nullspace, polynomials_in, random_complex)
+                       is_invertible, max_entry, nullspace, orthonormal_inclusion, polynomials_in,
+                       random_complex)
 from .quiver import Arrow
 from .rep import Representation
 
@@ -270,15 +271,13 @@ def _assemble(a: Representation, b: Representation, tol: Tolerances,
 
 def _solve(a: Representation, b: Representation, tol: Tolerances,
            steps: dict[str, _Step],
-           null: tuple[np.ndarray, float, float] | None = None,
-           orthonormal: bool = True) -> HomBasis:
+           null: tuple[np.ndarray, float, float] | None = None) -> HomBasis:
     """Hom(a, b) from the nullspace of :func:`_assemble`'s system along the
     forest of kept ``steps``, lifted with zeros in the unknowns a coordinate
     step fixed and by T_v = left[v] @ X @ right[v] to every vertex.  ``null``,
     when given, is that system's nullspace found without building it, as
-    (rows, cutoff, gap): the Krylov basis (:func:`_krylov`), and only the
-    lift is done; a cross Hom's rows are not ``orthonormal``, and are
-    orthonormalized with the lift."""
+    (rows, cutoff, gap), orthonormal rows: the Krylov basis
+    (:func:`_krylov`), and only the lift is done."""
     path = "krylov" if null else "forest" if steps else "dense"
     if null is None:
         system, scale, settled = _assemble(a, b, tol, steps)
@@ -297,7 +296,7 @@ def _solve(a: Representation, b: Representation, tol: Tolerances,
     vertices = a.quiver.vertices
     stacks = {v: at_root[v] if v == root[v] else left[v] @ at_root[root[v]] @ right[v]
               for v in vertices}
-    if (steps or not orthonormal) and k:
+    if steps and k:
         # the lift is no longer orthonormal: one QR under the summed product
         q, _ = np.linalg.qr(np.hstack([stacks[v].reshape(k, -1) for v in vertices]).T)
         sizes = np.cumsum([a.dims[v] * b.dims[v] for v in vertices])[:-1]
@@ -332,17 +331,21 @@ def hom(a: Representation, b: Representation, tol: Tolerances = DEFAULT_TOL) -> 
     each element's commutator residual at most ``hom_tol(hom_scale)``.
     Otherwise it is the X whose image X v of the run's cyclic vector v lies
     in ker p_a(C_b), an m x m decision at O(n^4) (:func:`_kernel_family`),
-    kept when C_a's steps clear their cutoff by ``elim_gap`` and the kept
+    kept when C_a's steps clear their cutoff by ``elim_gap``, the kept
     singular values of p_a(C_b) clear its cutoff, at the recurrence's own
-    rounding scale, by ``elim_gap`` (``NullspaceResult.margin``).  The
-    candidates are tried smallest norm first; the first family that passes
-    is cut down by the other equations X D_a = D_b X in one nullspace at
-    ``hom_scale``, kept at a gap of at least ``elim_gap``, and lifted by
-    :func:`_solve`, with no n^2 x n^2 SVD.  That basis has path "krylov",
-    the n m unknowns of X and the cutoff and gap of the decision with the
-    smallest gap, and is kept only when every element's intertwining
-    residual is at most ``hom_tol(hom_scale)``.  On any doubt the forest
-    answers.  Only the data decides: ``hom(rep, copy)`` is ``hom(rep, rep)``.
+    rounding scale, by ``elim_gap`` (``NullspaceResult.margin``), and each
+    element of its orthonormal basis has residual at most
+    ``hom_tol(hom_scale)``, as End's.  The candidates are tried smallest
+    norm first; the first family that passes is cut down by the other
+    equations X D_a = D_b X in one nullspace at ``hom_scale``, kept when
+    both its gap and its margin are at least ``elim_gap`` (the rounding of
+    a true element's commutators can sit just above the cutoff, where the
+    gap alone reads infinite), and lifted by :func:`_solve`, with no
+    n^2 x n^2 SVD.  That basis has path "krylov", the n m unknowns of X and
+    the cutoff and gap of the decision with the smallest gap, and is kept
+    only when every element's intertwining residual is at most
+    ``hom_tol(hom_scale)``.  On any doubt the forest answers.  Only the data
+    decides: ``hom(rep, copy)`` is ``hom(rep, rep)``.
 
     A degenerate system (no unknowns) yields a dimension-0 basis, not an
     error.  Raises SizeLimitExceeded when the system about to be solved has
@@ -401,15 +404,17 @@ def _framed(c: np.ndarray, u: str, arr: Arrow, left: dict[str, np.ndarray],
     return c
 
 
-def _kernel_family(c_a: np.ndarray, c_b: np.ndarray, tol: Tolerances, floor: float
-                   ) -> tuple[np.ndarray | None, float, float]:
+def _kernel_family(c_a: np.ndarray, c_b: np.ndarray, tol: Tolerances, floor: float,
+                   bound: float) -> tuple[np.ndarray | None, float, float]:
     """The X with X C_a = C_b X as a stack (r, m, n), with the cutoff and
     gap of the smaller-gap decision, for a nonderogatory C_a; None when a
     guard fails (:func:`hom`).  X is read off its image x = X v_0 of the
     first of C_a's Arnoldi vectors v_k, run at the cutoff floor ``floor``:
     X v_k = W_k x, where W_0 = I and C_b W_k = sum_j H[j, k] W_j carries on
     the recurrence C_a v_k = sum_j H[j, k] v_j, so x spans the nullspace of
-    its last equation K = p_a(C_b) / prod h, and X = sum_k W_k x v_k^H."""
+    its last equation K = p_a(C_b) / prod h, and X = sum_k W_k x v_k^H.
+    Their span is returned orthonormal, as End's polynomials are, and each
+    element's residual ||X C_a - C_b X||_F must be at most ``bound``."""
     n, m = len(c_a), len(c_b)
     arnoldi_rows, hessenberg, cutoff, gap = arnoldi(c_a, np.ones(n) / np.sqrt(n), tol, floor)
     if arnoldi_rows is None:
@@ -442,6 +447,14 @@ def _kernel_family(c_a: np.ndarray, c_b: np.ndarray, tol: Tolerances, floor: flo
     if found.margin < tol.elim_gap():
         return None, cutoff, gap
     family = np.einsum("kiz,kj->zij", stack @ found.basis.T, arnoldi_rows.conj())
+    try:
+        # ||X||_F >= |X v_0| = |x|, so only rounding can make the X dependent
+        span = orthonormal_inclusion(family.reshape(len(family), m * n).T, tol, "kernel family")
+    except ValidationError:
+        return None, cutoff, gap
+    family = span.T.reshape(family.shape)
+    if np.max(np.linalg.norm(family @ c_a - c_b @ family, axis=(1, 2)), initial=0.0) > bound:
+        return None, cutoff, gap
     return family, *min((cutoff, gap), (found.cutoff, found.margin), key=lambda e: e[1])
 
 
@@ -451,13 +464,12 @@ def _krylov(a: Representation, b: Representation, tol: Tolerances,
     equations it leaves, X D_a = D_b X in X = T_u at either end u of each
     arrow no step eliminated (a loop's one vertex); None when a guard fails
     (:func:`hom`).  Each side is framed at u by its own forest, b's step maps
-    inverted as the forest inverts a's; when a and b hold the same data, b
-    reuses a's frames.  The candidates (C_a, C_b) are tried smallest
-    ||C_a||_F first, the nearer to normal (Henrici), in which Arnoldi's
-    rounding grows more slowly, and the first whose family passes its
-    guards is used: End's polynomials in C when a and b hold the same data,
-    otherwise :func:`_kernel_family`.  It is cut down by the other equations
-    and lifted along the forest rerooted at u."""
+    inverted as the forest inverts a's.  The candidates (C_a, C_b) are tried
+    smallest ||C_a||_F first, the nearer to normal (Henrici), in which
+    Arnoldi's rounding grows more slowly, and the first whose family passes
+    its guards is used: End's polynomials in C when a and b hold the same
+    data, otherwise :func:`_kernel_family`; either is orthonormal.  It is cut
+    down by the other equations and lifted along the forest rerooted at u."""
     vertices = a.quiver.vertices
     n, m = (a.dims[vertices[0]], b.dims[vertices[0]]) if vertices else (0, 0)
     if (not n * m or len(vertices) - len(steps) != 1
@@ -466,28 +478,26 @@ def _krylov(a: Representation, b: Representation, tol: Tolerances,
     same = n == m and all(np.array_equal(f, b.maps[name]) for name, f in a.maps.items())
     if same:
         check_unknowns("krylov intertwiner system", n * n)
-        inverses = {v: step.right for v, step in steps.items()}
-        left_a, right_a = left_b, right_b = _settled(a, a, steps)[1:3]
     else:
         try:
             # the n x m x m recurrence stack and a's n x n frames, before either is built
             check_unknowns("krylov recurrence stack", n * max(n, m * m))
         except SizeLimitExceeded:
             return None  # the forest checks its own n m unknowns
-        inverses = {}
-        for v, step in steps.items():
-            g_inv, _, ratio = inverse(step.left, tol)
-            if g_inv is None or not _admits(step.left, g_inv, ratio, tol):
-                return None
-            inverses[v] = g_inv
-        left_a, right_a = _settled(a, a, {v: replace(step, left=a.maps[step.arrow])
-                                          for v, step in steps.items()})[1:3]
-        left_b, right_b = _settled(b, b, {v: replace(step, right=inverses[v])
-                                          for v, step in steps.items()})[1:3]
+    inverses = {}
+    for v, step in steps.items():
+        g_inv, _, ratio = inverse(step.left, tol)
+        if g_inv is None or not _admits(step.left, g_inv, ratio, tol):
+            return None
+        inverses[v] = g_inv
+    left_a, right_a = _settled(a, a, {v: replace(step, left=a.maps[step.arrow])
+                                      for v, step in steps.items()})[1:3]
+    left_b, right_b = _settled(b, b, {v: replace(step, right=inverses[v])
+                                      for v, step in steps.items()})[1:3]
 
     def framed(arr, u):
-        c_a = _framed(a.maps[arr.name], u, arr, left_a, right_a)
-        return c_a, c_a if same else _framed(b.maps[arr.name], u, arr, left_b, right_b)
+        return (_framed(a.maps[arr.name], u, arr, left_a, right_a),
+                _framed(b.maps[arr.name], u, arr, left_b, right_b))
 
     eliminated = {s.arrow for s in steps.values()}
     equations = [arr for arr in a.quiver.arrows if arr.name not in eliminated]
@@ -506,7 +516,7 @@ def _krylov(a: Representation, b: Representation, tol: Tolerances,
             powers, cutoff, gap = polynomials_in(c_a, tol, floor, tau)
             family = None if powers is None else powers.reshape(n, n, n)
         else:
-            family, cutoff, gap = _kernel_family(c_a, c_b, tol, floor)
+            family, cutoff, gap = _kernel_family(c_a, c_b, tol, floor, tau)
         if family is not None:
             break
     else:
@@ -521,12 +531,11 @@ def _krylov(a: Representation, b: Representation, tol: Tolerances,
         if not np.isfinite(system).all():
             return None
         reduced = nullspace(system, tol, scale=scale)
-        if reduced.gap < tol.elim_gap():
+        if min(reduced.gap, reduced.margin) < tol.elim_gap():
             return None
         cutoff, gap = min((cutoff, gap), (reduced.cutoff, reduced.gap), key=lambda e: e[1])
         rows = reduced.basis @ rows
-    basis = _solve(a, b, tol, _rerooted(steps, u, inverses, a.maps), (rows, cutoff, gap),
-                   orthonormal=same)
+    basis = _solve(a, b, tol, _rerooted(steps, u, inverses, a.maps), (rows, cutoff, gap))
     return basis if intertwining_residual(a, b, basis.stacks) <= tau else None
 
 

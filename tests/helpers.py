@@ -135,8 +135,13 @@ def assert_stacked(a: Representation, b: Representation, basis) -> None:
 
 def forest_hom(a: Representation, b: Representation):
     """Hom(a, b) solved on its spanning forest alone, with no Krylov read and
-    no guard or dense fallback: the forest's own answer."""
-    return _solve(a, b, DEFAULT_TOL, _spanning_forest(a, b, DEFAULT_TOL))
+    no dense fallback: the forest's own answer, asserted to pass both of
+    hom's guards, a nullspace gap of at least elim_gap and every element's
+    intertwining residual at most hom_tol(hom_scale), so hom would keep it."""
+    basis = _solve(a, b, DEFAULT_TOL, _spanning_forest(a, b, DEFAULT_TOL))
+    assert basis.gap >= DEFAULT_TOL.elim_gap()
+    assert intertwining_residual(a, b, basis.stacks) <= DEFAULT_TOL.hom_tol(hom_scale(a, b))
+    return basis
 
 
 def rep_allclose(a: Representation, b: Representation, atol: float = 1e-12) -> bool:

@@ -243,7 +243,6 @@ def test_end_eliminates_one_vertex_of_kronecker_models(rep, n):
     assert (basis.path, basis.unknowns) == ("krylov", n * n)
     forest = forest_hom(rep, rep)
     assert (forest.path, forest.unknowns) == ("forest", n * n)
-    assert forest.gap >= DEFAULT_TOL.elim_gap()
     dense = _dense_hom(rep, rep)
     assert (dense.path, dense.unknowns) == ("dense", 2 * n * n)
     assert basis.dimension == forest.dimension == dense.dimension
@@ -274,12 +273,12 @@ def test_end_reads_the_commutant_on_the_side_nearer_to_normal():
 def test_krylov_end_resolves_at_the_forest_systems_scale():
     # C = 1e-20 J is one Jordan block, but against the map scale 1 of (I, C)
     # it is rounding noise, where the forest reads all of M_3; with f scaled
-    # alike, both read the polynomials in C
+    # alike, both read the polynomials in C, and the dense system agrees
     for f, answer in ((np.eye(3), ("forest", 9)), (1e-20 * np.eye(3), ("krylov", 3))):
         rep = kronecker_rep(f, 1e-20 * jordan_block(0.0, 3))
         basis = end(rep)
         assert (basis.path, basis.dimension) == answer
-        assert basis.dimension == forest_hom(rep, rep).dimension
+        assert basis.dimension == _dense_hom(rep, rep).dimension
 
 
 def _scaled_one_sided(kind, n):
@@ -411,9 +410,7 @@ def test_gap_guard_sends_a_cancelling_reduced_system_to_dense(log_cond, admitted
 def test_residual_guard_falls_back_to_dense(monkeypatch):
     import quiverrep.intertwiner as intertwiner
     rep = example_reps("ex8", 4, 0.5)
-    forest = forest_hom(rep, rep)
-    assert (end(rep).path, forest.path) == ("krylov", "forest")
-    assert forest.gap >= DEFAULT_TOL.elim_gap()
+    assert (end(rep).path, forest_hom(rep, rep).path) == ("krylov", "forest")
     # both fast paths fail the guard, so End falls through the forest to dense
     monkeypatch.setattr(intertwiner, "intertwining_residual", lambda *args: np.inf)
     basis = end(rep)

@@ -15,7 +15,7 @@ from quiverrep import (Arrow, KroneckerFamily, NumericalFailure, Quiver, Represe
                        perturbation_model, remove_loops, rep_to_system, restrict, shift,
                        star_closed_end_dim, system_end_dimension, system_to_rep)
 from quiverrep.cli import build_model
-from quiverrep.intertwiner import _dense_hom, _spanning_forest, hom_scale, intertwining_residual
+from quiverrep.intertwiner import _dense_hom, _spanning_forest
 from quiverrep.kronecker import FAMILY_KINDS
 from quiverrep.numerics import DEFAULT_TOL, random_complex
 from quiverrep.structure import _support_witness, widest_two_group_split
@@ -71,7 +71,7 @@ def test_real_jordan_types_give_the_exact_commutant(blocks, seed):
     p = real_well_conditioned(rng, mat.shape[0])
     rep = kronecker_rep(p, p @ mat)
     basis = forest_hom(rep, rep)
-    assert (basis.path, basis.gap >= DEFAULT_TOL.elim_gap()) == ("forest", True)
+    assert basis.path == "forest"
     assert basis.dimension == _dense_hom(rep, rep).dimension == commutant
     # End takes the polynomials in M exactly when M is nonderogatory
     basis = end(rep)
@@ -307,12 +307,33 @@ krylov_hom_cases = st.one_of(
     st.tuples(st.just("ex4"), st.integers(4, 10), st.integers(0, 2**32 - 1)),
     st.tuples(st.just("pair"), jordan_types.filter(lambda blocks: len({lam for lam, _ in blocks})
                                                    == len(blocks)),
-              st.one_of(st.none(), jordan_types), st.booleans(), st.integers(0, 2**32 - 1)))
+              st.one_of(st.none(), jordan_types), st.booleans(), st.integers(0, 2**32 - 1)),
+    # two or three loops, polynomials in one nonderogatory M, each side under
+    # its own basis change of condition 10^2-10^3, so C is far from normal;
+    # against the same loops, or with the last moved by M / 2, where Hom is
+    # the X = q(M) with M X = 0
+    st.tuples(st.just("skewed"), st.integers(2, 7), st.integers(1, 2), st.floats(2.0, 3.0),
+              st.booleans(), st.integers(0, 2**32 - 1)))
 
 
 def _jordan_loops(rng, blocks, polynomial):
     m = conjugated_jordan(rng, blocks)[0]
     return loop_rep(m, m @ m + 2.0 * m if polynomial else random_complex(rng, m.shape))
+
+
+def _skewed_loops(n, extra, log_cond, shifted, seed):
+    """One block per eigenvalue, eigenvalues and block sizes drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    lams = rng.choice([0.0, 0.5, 1.0, 2.0, -1.0], size=rng.integers(1, min(n, 4) + 1),
+                      replace=False)
+    sizes = 1 + np.bincount(rng.integers(len(lams), size=n - len(lams)), minlength=len(lams))
+    m = sla.block_diag(*[jordan_block(lam, p) for lam, p in zip(lams, sizes)]).astype(complex)
+    loops = [m] + [c[0] * np.eye(len(m)) + c[1] * m + c[2] * m @ m
+                   for c in rng.standard_normal((extra, 3))]
+    a = _hidden(loop_rep(*loops), rng, log_cond)
+    if shifted:
+        loops[-1] = loops[-1] + m / 2
+    return a, _hidden(loop_rep(*loops), rng, log_cond)
 
 
 def _assert_krylov_hom(a, b, basis):
@@ -332,7 +353,8 @@ def test_krylov_hom_is_the_dense_answer(case):
     # sweeps' shapes (ex8 at N = 10, ex8s at N = 12, |lam - mu| > 2) the
     # guards let it.  Where they decline, the forest answers as before, and
     # near |lam - mu| = 0.5 the dense system itself decides at gaps near 100.
-    # Further leftover equations cut the family down; ex4 always takes it
+    # Further leftover equations cut the family down, in an orthonormal
+    # basis of it and only at a clear margin; ex4 always takes it
     kind, *params = case
     if kind == "hidden":
         first, second, log_cond, seed = params
@@ -351,6 +373,8 @@ def test_krylov_hom_is_the_dense_answer(case):
         n, seed = params
         a = example_reps("ex4", n)
         b = rotate(a, np.random.default_rng(seed))
+    elif kind == "skewed":
+        a, b = _skewed_loops(*params)
     else:
         first, second, polynomial, seed = params
         rng = np.random.default_rng(seed)
@@ -605,9 +629,6 @@ def test_ill_conditioned_invertible_arrow_takes_forest_path():
     rep = kronecker_rep(np.diag([1.0, 1e-5]), jordan_block(0.0, 2))
     basis = forest_hom(rep, rep)
     assert (basis.path, basis.unknowns) == ("forest", 4)
-    assert basis.gap >= DEFAULT_TOL.elim_gap()
-    tau = DEFAULT_TOL.hom_tol(hom_scale(rep, rep))
-    assert intertwining_residual(rep, rep, basis.stacks) <= tau
     assert basis.dimension == exact_end_dim(rep) == 2
     # C = diag(1, 1e5) J_2(0) is one nilpotent Jordan block
     basis = end(rep)
@@ -632,7 +653,6 @@ def test_hrr_end_eliminates_through_its_double_exponential_arrow():
     rep = hrr_model(4, 2.0)
     forest, basis = forest_hom(rep, rep), end(rep)
     assert (forest.path, forest.unknowns, forest.dimension) == ("forest", 81, 9)
-    assert forest.gap >= DEFAULT_TOL.elim_gap()
     assert (basis.path, basis.unknowns, basis.dimension) == ("krylov", 81, 9)
     for b in (forest, basis):
         report = end_recursion_check(rep, 2.0, basis=b)
@@ -929,6 +949,25 @@ def test_krylov_end_declines_a_reduced_system_without_a_gap():
     # with A the smaller loop, its polynomials are End and nothing cuts them
     basis = end(loop_rep(a, b))
     assert (basis.path, basis.unknowns, basis.dimension) == ("krylov", 100, 10)
+
+
+def test_krylov_cut_declines_what_rounding_decides():
+    # three loops, polynomials in M = J_2(0.5) under a basis change of
+    # condition 10^2.7: End is both polynomials in M.  The other loops'
+    # commutators with the second one are 1.6e-12 of rounding, 6.3 times
+    # the cut's cutoff, so the cut kept it and read End as 1 at an infinite
+    # gap; that margin is under elim_gap, and End goes dense
+    a, _ = _skewed_loops(2, 2, 2.7, False, 3824548412)
+    basis = end(a)
+    assert (basis.path, basis.dimension) == ("dense", 2)
+    # three loops on a 7 x 7 M with eigenvalues 0 and -1, the last moved by
+    # M / 2 in b, so Hom is the one q(M) with M q(M) = 0.  On the smallest
+    # loop the kernel family has an element whose residual, 1.3e-5, exceeds
+    # hom_tol, 1.7e-6; the cut read its rounding as a failed equation, and
+    # Hom was 0 at a reported gap of 2.9e7.  The residual bound declines it
+    a, b = _skewed_loops(7, 2, 2.7, True, 4257121442)
+    basis = hom(a, b)
+    assert (basis.path, basis.dimension) == ("dense", 1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
